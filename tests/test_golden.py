@@ -1,0 +1,36 @@
+"""Byte-for-byte comparison of CLI output against the committed golden reports.
+
+``tests/golden`` holds, for every bundled config, the default table output
+(``<name>.txt``) and the ``--format json`` output (``<name>.json``), plus
+the ``--list-scenarios`` listing.  The files are never regenerated: a
+refactor that changes a byte of a report fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from twocopy.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = REPO_ROOT / "tests" / "golden"
+BUNDLED = sorted((REPO_ROOT / "scenarios").glob("*.json"))
+CASES = [(path, fmt) for path in BUNDLED for fmt in ("txt", "json")]
+
+
+def test_every_bundled_config_has_golden_reports():
+    assert {p.name for p in GOLDEN.iterdir()} == {
+        f"{path.stem}.{fmt}" for path, fmt in CASES
+    } | {"list-scenarios.txt"}
+
+
+@pytest.mark.parametrize("path,fmt", CASES, ids=lambda x: getattr(x, "stem", x))
+def test_report_matches_golden(path, fmt, capsys):
+    argv = [str(path)] + (["--format", "json"] if fmt == "json" else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.{fmt}").read_text()
+
+
+def test_list_scenarios_matches_golden(capsys):
+    assert main(["--list-scenarios"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "list-scenarios.txt").read_text()
