@@ -15,7 +15,6 @@ from .linalg import (
     QubitLayout,
     basis_ket,
     expectation_value,
-    hermitian_eigenvalues,
     identity_operator,
     partial_trace,
     permute_subsystems,
@@ -26,10 +25,8 @@ from .linalg import (
 from .measures import (
     PureEnsemble,
     decomposition_infimum_oracle,
-    ensemble_average_concurrence,
     ensemble_upper_bound_entanglement,
     entanglement_entropy,
-    eof_from_concurrence,
     pure_concurrence,
     von_neumann_entropy,
     wootters_concurrence,
@@ -40,7 +37,6 @@ from .projectors import (
     PairProjector,
     embed_pair_projector,
     pair_projector,
-    swap_operator,
 )
 from .protocol import (
     EstimateVerdict,
@@ -67,7 +63,6 @@ from .states import (
     ALICE_PAIR,
     BOB_PAIR,
     COPY_MAJOR,
-    SIDE_MAJOR,
     DeFinettiEnsemble,
     TwoCopyState,
     custom_state,
@@ -77,7 +72,6 @@ from .states import (
     logical_bell_state,
     phase_averaged_decomposition,
     phase_averaged_state,
-    phase_ensemble,
     pure_de_finetti_state,
     single_copy_marginal,
 )

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from .protocol import MAX_SHOTS
 from .scenarios import (
+    SCENARIOS,
     ConfigError,
-    SCENARIO_NAMES,
-    SCENARIO_SUMMARIES,
     ScenarioConfig,
     emit_report,
     parse_config,
@@ -64,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     updates = {}
     if args.shots is not None:
-        if args.shots < 1:
-            raise ConfigError(["--shots must be a positive integer"])
+        if not 1 <= args.shots <= MAX_SHOTS:
+            raise ConfigError([f"--shots must be an integer from 1 to {MAX_SHOTS}"])
         updates["shots"] = args.shots
     if args.seed is not None:
         if args.seed < 0:
@@ -81,11 +82,8 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
             except ValueError:
                 raise ConfigError([f"--phase-points must be 'exact' or an integer, got {points!r}"])
         updates["parameters"] = {**config.parameters, "points": points}
-    if not updates:
-        return config
-    from dataclasses import replace
-
-    return replace(config, **updates)
+    # a replaced config builds its state anew on first use
+    return replace(config, **updates) if updates else config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_scenarios:
-        for name in SCENARIO_NAMES:
-            print(f"{name:<16} {SCENARIO_SUMMARIES[name]}")
+        for name, entry in SCENARIOS.items():
+            print(f"{name:<16} {entry.summary}")
         return EXIT_OK
 
     if not args.configs:

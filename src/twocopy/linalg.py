@@ -109,11 +109,6 @@ class Ket:
         """Rank-1 density operator |psi><psi|."""
         return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "Ket") -> complex:
-        """Inner product <self|other>; layouts must match exactly."""
-        _require_same_layout(self.layout, other.layout)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -149,7 +144,7 @@ class DensityOperator:
         entries = _frozen_complex(self.entries, (layout.dim, layout.dim))
         report = validate_density(entries)
         if not report.passed:
-            raise ValueError(f"not a valid density operator: {report}")
+            raise ValueError(f"not a valid density operator ({report})")
         object.__setattr__(self, "entries", entries)
 
     def purity(self) -> float:
@@ -314,9 +309,3 @@ def expectation_value(obs: Operator, rho: DensityOperator) -> float:
         raise ValueError(f"expectation has non-negligible imaginary part {tr.imag:.3e}")
     return tr.real
 
-
-def hermitian_eigenvalues(m: Union[Operator, DensityOperator]) -> np.ndarray:
-    """Real eigenvalues of a Hermitian operator, sorted descending."""
-    if hermiticity_defect(m.entries) > HERMITICITY_ATOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m.entries)[::-1].copy()

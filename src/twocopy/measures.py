@@ -57,6 +57,18 @@ def _require_two_qubits(x) -> None:
         raise ValueError(f"expected a 2-qubit system, got layout {x.layout.labels}")
 
 
+def check_weights(weights: Sequence[float]) -> None:
+    """Reject ensemble weights that are missing, negative or do not sum to 1.
+
+    The sum must be 1 within 1e-10; nothing is silently renormalized.
+    """
+    if not weights:
+        raise ValueError("ensemble must have at least one member")
+    total = sum(weights)
+    if not (min(weights) >= 0.0 and abs(total - 1.0) <= NORM_ATOL):
+        raise ValueError(f"weights must be nonnegative and sum to 1, got sum {total!r}")
+
+
 @dataclass(frozen=True)
 class PureEnsemble:
     """Weighted list of normalized pure states on a shared 2-qubit space."""
@@ -66,13 +78,7 @@ class PureEnsemble:
     def __post_init__(self) -> None:
         members = tuple((float(w), psi) for w, psi in self.members)
         object.__setattr__(self, "members", members)
-        if not members:
-            raise ValueError("ensemble must have at least one member")
-        weights = [w for w, _ in members]
-        if min(weights) < 0.0:
-            raise ValueError("ensemble weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > NORM_ATOL:
-            raise ValueError(f"ensemble weights must sum to 1, got {sum(weights)!r}")
+        check_weights([w for w, _ in members])
         layouts = {psi.layout.labels for _, psi in members}
         if len(layouts) != 1:
             raise ValueError(f"ensemble members must share one layout, got {sorted(layouts)}")
@@ -110,25 +116,6 @@ def wootters_concurrence(rho: DensityOperator) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation in ebits from a concurrence value.
-
-    E = h((1 + sqrt(1 - C^2))/2) with h the binary entropy; monotone on
-    [0, 1] with E(0) = 0 and E(1) = 1.
-    """
-    if not -NORM_ATOL <= c <= 1.0 + NORM_ATOL:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c!r}")
-    c = min(max(c, 0.0), 1.0)
-    x = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
-    return _binary_entropy(x)
-
-
-def _binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy in bits; eigenvalues below 1e-15 are treated as zero."""
     eigs = np.linalg.eigvalsh(rho.entries)
@@ -145,11 +132,6 @@ def entanglement_entropy(psi: Ket, a_side: Iterable[str]) -> float:
     return von_neumann_entropy(partial_trace(psi.density(), a_side))
 
 
-def ensemble_average_concurrence(e: PureEnsemble) -> float:
-    """Weighted mean of the member concurrences, sum_i p_i C(psi_i)."""
-    return float(sum(w * pure_concurrence(psi) for w, psi in e.members))
-
-
 def ensemble_upper_bound_entanglement(
     members: Sequence[tuple[float, Ket]], a_side: Iterable[str]
 ) -> float:
@@ -159,17 +141,10 @@ def ensemble_upper_bound_entanglement(
     sum_i p_i |psi_i><psi_i| across the given bipartition.
     """
     a_side = frozenset(a_side)
-    if not members:
-        raise ValueError("decomposition must have at least one member")
-    weights = [float(w) for w, _ in members]
-    if min(weights) < 0.0 or abs(sum(weights) - 1.0) > NORM_ATOL:
-        raise ValueError("decomposition weights must be nonnegative and sum to 1")
+    check_weights([float(w) for w, _ in members])
     layouts = {psi.layout.labels for _, psi in members}
     if len(layouts) != 1:
         raise ValueError(f"inconsistent bipartitions: members span layouts {sorted(layouts)}")
-    (labels,) = layouts
-    if not a_side or not a_side < set(labels):
-        raise ValueError(f"a_side {sorted(a_side)} is not a proper subset of {labels}")
     return float(sum(w * entanglement_entropy(psi, a_side) for w, psi in members))
 
 

@@ -1,4 +1,4 @@
-"""Swap operator and symmetric/antisymmetric projectors on a qubit pair.
+"""Symmetric and antisymmetric projectors on a qubit pair.
 
 The antisymmetric subspace of two qubits is spanned by the singlet
 (|01> - |10>)/sqrt(2); the symmetric subspace is its 3-dimensional
@@ -38,11 +38,6 @@ _SWAP = np.array(
 )
 
 
-def swap_operator(pair: tuple[str, str] = ("L", "R")) -> Operator:
-    """Permutation operator exchanging the two tensor factors of a pair."""
-    return Operator(QubitLayout(tuple(pair)), _SWAP)
-
-
 @dataclass(frozen=True)
 class PairProjector:
     """Projector onto the symmetric or antisymmetric subspace of a pair."""
@@ -50,10 +45,6 @@ class PairProjector:
     kind: str
     pair: tuple[str, str]
     matrix: Operator
-
-    @property
-    def rank(self) -> int:
-        return 1 if self.kind == ANTISYMMETRIC else 3
 
 
 def pair_projector(kind: str, pair: tuple[str, str]) -> PairProjector:

@@ -33,6 +33,8 @@ PROBABILITY_ATOL = 1e-10
 # this threshold already falsifies the protocol's assumptions
 VALIDITY_THRESHOLD = 0.25
 VALIDITY_TOL = 1e-9
+# the largest count Generator.multinomial accepts; 2**63 overflows a C long
+MAX_SHOTS = 2**63 - 1
 
 OUTCOMES = ("aa", "as", "sa", "ss")
 
@@ -146,15 +148,14 @@ def disagreement_probability(d: OutcomeDistribution) -> float:
     return d.p_as + d.p_sa
 
 
-def sample_outcomes(state: TwoCopyState, shots: int, seed: int) -> ShotRecord:
-    """Draw i.i.d. joint outcomes from the exact distribution.
+def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> ShotRecord:
+    """Draw i.i.d. joint outcomes from an exact distribution.
 
     Uses a Philox counter-based generator seeded with ``seed``; identical
-    (state, shots, seed) triples give identical counts.
+    (distribution, shots, seed) triples give identical counts.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    dist = joint_outcome_distribution(state)
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be from 1 to {MAX_SHOTS}, got {shots}")
     p = np.array(dist.as_tuple(), dtype=float)
     p /= p.sum()
     rng = np.random.default_rng(np.random.Philox(seed))
@@ -164,17 +165,19 @@ def sample_outcomes(state: TwoCopyState, shots: int, seed: int) -> ShotRecord:
 
 def evaluate_scenario(
     state: TwoCopyState,
+    dist: OutcomeDistribution,
     decomposition: Optional[Sequence[tuple[float, Ket]]] = None,
     decomposition_a_side: Sequence[str] = ALICE_PAIR,
 ) -> EstimateVerdict:
-    """Run the full protocol on one state and compare against ground truth.
+    """Set the protocol's outcome on one state beside the ground truth.
 
-    The single-copy truth is the closed-form concurrence of the first
-    copy's marginal.  When an explicit decomposition of the two-copy state
-    is supplied, its average entanglement entropy across the Alice/Bob cut
-    is reported as an upper bound on the total two-copy entanglement.
+    ``dist`` is the state's joint outcome distribution, as returned by
+    :func:`joint_outcome_distribution`.  The single-copy truth is the
+    closed-form concurrence of the first copy's marginal.  When an explicit
+    decomposition of the two-copy state is supplied, its average
+    entanglement entropy across the Alice/Bob cut is reported as an upper
+    bound on the total two-copy entanglement.
     """
-    dist = joint_outcome_distribution(state)
     p_alice = dist.marginal("alice")
     p_bob = dist.marginal("bob")
     naive, valid = naive_concurrence_estimate(p_alice)

@@ -29,14 +29,18 @@ reconstructs an equal report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+import math
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
-from .linalg import DensityOperator, Ket, QubitLayout, validate_density
+from .linalg import DensityOperator, Ket, QubitLayout
 from .measures import PureEnsemble
 from .protocol import (
+    MAX_SHOTS,
+    OUTCOMES,
     EstimateVerdict,
     OutcomeDistribution,
     ShotRecord,
@@ -57,26 +61,6 @@ from .states import (
     pure_de_finetti_state,
 )
 
-SCENARIO_NAMES = (
-    "pure-copies",
-    "de-finetti",
-    "pure-de-finetti",
-    "phase-averaged",
-    "eve-antisym",
-    "eve-sym",
-    "custom",
-)
-
-SCENARIO_SUMMARIES = {
-    "pure-copies": "two identical copies of a given pure 2-qubit ket",
-    "de-finetti": "mixture of identical per-copy mixed-state hypotheses",
-    "pure-de-finetti": "mixture of identical per-copy pure-state hypotheses",
-    "phase-averaged": "two maximally entangled copies with a shared unknown phase",
-    "eve-antisym": "adversarial singlets on both local pairs (p_a forced to 1)",
-    "eve-sym": "adversarial symmetric states on both local pairs (p_a forced to 0)",
-    "custom": "explicit 16x16 two-copy density matrix",
-}
-
 METRIC_NAMES = (
     "p_a_alice",
     "p_a_bob",
@@ -92,6 +76,7 @@ METRIC_NAMES = (
 )
 
 DEFAULT_EXPECT_TOL = 1e-9
+SINGLE_COPY = ("A", "B")
 
 
 class ConfigError(ValueError):
@@ -117,6 +102,15 @@ class ScenarioConfig:
     shots: Optional[int] = None
     expectations: tuple[Expectation, ...] = ()
     default_tolerance: float = DEFAULT_EXPECT_TOL
+
+    @cached_property
+    def state(self) -> TwoCopyState:
+        """The scenario's two-copy state, built and validated on first use.
+
+        Raises :class:`ConfigError` when the parameters do not describe a
+        valid state.
+        """
+        return build_state(self.scenario, self.parameters)
 
     def to_dict(self) -> dict:
         doc: dict[str, Any] = {
@@ -161,15 +155,35 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+def _finite(node) -> Optional[float]:
+    """A JSON number as a finite float; None for anything else.
+
+    ``json.loads`` accepts NaN, Infinity, overflowing literals such as 1e400
+    and integers of any size; none of them may reach a report.
+    """
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        return None
+    try:
+        x = float(node)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _parse_complex(node, where: str, problems: list[str]) -> complex:
-    if (
-        isinstance(node, (list, tuple))
-        and len(node) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
-    ):
-        return complex(node[0], node[1])
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(node)
+    # NaN and infinite amplitudes pass here and are refused by Ket and
+    # DensityOperator, which accept finite entries only
+    try:
+        if (
+            isinstance(node, (list, tuple))
+            and len(node) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
+        ):
+            return complex(node[0], node[1])
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            return complex(node)
+    except OverflowError:  # an integer beyond the float range
+        pass
     problems.append(f"{where}: expected a number or [re, im] pair, got {node!r}")
     return 0j
 
@@ -203,21 +217,22 @@ def _parse_expectations(node, default_tol: float, problems: list[str]) -> tuple[
             problems.append(f"expect.{metric}: must be a mapping with a 'value' entry")
             continue
         value = spec["value"]
-        tol = spec.get("tol", default_tol)
         if isinstance(value, bool):
             out.append(Expectation(metric, value, 0.0))
-        elif isinstance(value, (int, float)):
-            if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol >= 0):
-                problems.append(f"expect.{metric}: tol must be a nonnegative number")
-                continue
-            out.append(Expectation(metric, float(value), float(tol)))
-        else:
-            problems.append(f"expect.{metric}: value must be a number or boolean")
+            continue
+        if _finite(value) is None:
+            problems.append(f"expect.{metric}: value must be a finite number or boolean")
+            continue
+        tol = _finite(spec.get("tol", default_tol))
+        if tol is None or tol < 0:
+            problems.append(f"expect.{metric}: tol must be a finite nonnegative number")
+            continue
+        out.append(Expectation(metric, _finite(value), tol))
     return tuple(out)
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate one JSON scenario document.
+    """Parse and validate one JSON scenario document, including its state.
 
     Raises :class:`ConfigError` listing every violation found.
     """
@@ -235,8 +250,8 @@ def parse_config(text: str) -> ScenarioConfig:
             problems.append(f"unknown key {key!r}")
 
     scenario = doc.get("scenario")
-    if scenario not in SCENARIO_NAMES:
-        problems.append(f"scenario: must be one of {', '.join(SCENARIO_NAMES)}, got {scenario!r}")
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
+        problems.append(f"scenario: must be one of {', '.join(SCENARIOS)}, got {scenario!r}")
         raise ConfigError(problems)
 
     seed = doc.get("seed", 0)
@@ -244,65 +259,29 @@ def parse_config(text: str) -> ScenarioConfig:
         problems.append(f"seed: must be a nonnegative integer, got {seed!r}")
         seed = 0
     shots = doc.get("shots")
-    if shots is not None and (not isinstance(shots, int) or isinstance(shots, bool) or shots < 1):
-        problems.append(f"shots: must be a positive integer, got {shots!r}")
+    if shots is not None and (not isinstance(shots, int) or isinstance(shots, bool) or not 1 <= shots <= MAX_SHOTS):
+        problems.append(f"shots: must be an integer from 1 to {MAX_SHOTS}, got {shots!r}")
         shots = None
-    default_tol = doc.get("default_tolerance", DEFAULT_EXPECT_TOL)
-    if not isinstance(default_tol, (int, float)) or isinstance(default_tol, bool) or default_tol < 0:
-        problems.append(f"default_tolerance: must be a nonnegative number, got {default_tol!r}")
+    default_tol = _finite(doc.get("default_tolerance", DEFAULT_EXPECT_TOL))
+    if default_tol is None or default_tol < 0:
+        problems.append(
+            f"default_tolerance: must be a finite nonnegative number, got {doc['default_tolerance']!r}"
+        )
         default_tol = DEFAULT_EXPECT_TOL
 
     parameters = doc.get("parameters", {})
     if not isinstance(parameters, dict):
         problems.append("parameters: must be a mapping")
-        parameters = {}
-    else:
-        parameters = _validate_parameters(scenario, parameters, problems)
-
-    expectations = _parse_expectations(doc.get("expect"), float(default_tol), problems)
-
+    expectations = _parse_expectations(doc.get("expect"), default_tol, problems)
+    config = ScenarioConfig(scenario, parameters, seed, shots, expectations, default_tol)
+    if isinstance(parameters, dict):
+        try:
+            config.state
+        except ConfigError as exc:
+            problems.extend(exc.problems)
     if problems:
         raise ConfigError(problems)
-    return ScenarioConfig(
-        scenario=scenario,
-        parameters=parameters,
-        seed=seed,
-        shots=shots,
-        expectations=expectations,
-        default_tolerance=float(default_tol),
-    )
-
-
-def _validate_parameters(scenario: str, params: dict, problems: list[str]) -> dict:
-    """Check parameter structure and that the state constructor accepts it."""
-    allowed = {
-        "pure-copies": {"ket"},
-        "de-finetti": {"members"},
-        "pure-de-finetti": {"members"},
-        "phase-averaged": {"points"},
-        "eve-antisym": set(),
-        "eve-sym": set(),
-        "custom": {"rho"},
-    }[scenario]
-    for key in params:
-        if key not in allowed:
-            problems.append(f"parameters.{key}: not a parameter of scenario {scenario!r}")
-    before = len(problems)
-    if scenario == "pure-copies" and "ket" not in params:
-        problems.append("parameters.ket: required for pure-copies")
-    if scenario in ("de-finetti", "pure-de-finetti") and "members" not in params:
-        problems.append("parameters.members: required for this scenario")
-    if scenario == "custom" and "rho" not in params:
-        problems.append("parameters.rho: required for custom")
-    if len(problems) > before:
-        return params
-    try:
-        build_state(scenario, params)
-    except ConfigError as exc:
-        problems.extend(exc.problems)
-    except ValueError as exc:
-        problems.append(f"parameters: {exc}")
-    return params
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -310,91 +289,125 @@ def _validate_parameters(scenario: str, params: dict, problems: list[str]) -> di
 # ---------------------------------------------------------------------------
 
 
-def _ket_from_params(node, problems: list[str]) -> Ket:
-    amps = _parse_vector(node, 4, "ket", problems)
+def _parse_state(node, where: str, labels=SINGLE_COPY, pure: bool = False):
+    """A ket (``pure``) or density operator on ``labels``, validated exactly once."""
+    problems: list[str] = []
+    dim = 2 ** len(labels)
+    entries = _parse_vector(node, dim, where, problems) if pure else _parse_matrix(node, dim, where, problems)
     if problems:
         raise ConfigError(problems)
     try:
-        return Ket(QubitLayout(("A", "B")), amps)
+        return (Ket if pure else DensityOperator)(QubitLayout(labels), entries)
     except ValueError as exc:
-        raise ConfigError([f"ket: {exc}"]) from None
+        raise ConfigError([f"{where}: {exc}"]) from None
 
 
-def _members_from_params(node, pure: bool, problems: list[str]):
+def _members(node, key: str) -> tuple:
+    """(weight, member) pairs; members are kets for key "ket", densities for "rho"."""
     if not isinstance(node, list) or not node:
         raise ConfigError(["members: expected a nonempty list"])
-    members = []
+    members, problems = [], []
     for i, entry in enumerate(node):
         if not isinstance(entry, dict) or "weight" not in entry:
             problems.append(f"members[{i}]: expected a mapping with 'weight'")
-            continue
-        w = entry["weight"]
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            problems.append(f"members[{i}].weight: must be a number")
-            continue
-        seen = len(problems)
-        if pure:
-            if "ket" not in entry:
-                problems.append(f"members[{i}].ket: required")
-                continue
-            amps = _parse_vector(entry["ket"], 4, f"members[{i}].ket", problems)
-            if len(problems) > seen:
-                continue
-            try:
-                members.append((float(w), Ket(QubitLayout(("A", "B")), amps)))
-            except ValueError as exc:
-                problems.append(f"members[{i}].ket: {exc}")
+        elif unknown := [k for k in entry if k not in ("weight", key)]:
+            problems.append(f"members[{i}]: unknown keys {unknown}")
+        elif _finite(entry["weight"]) is None:
+            problems.append(f"members[{i}].weight: must be a finite number")
+        elif key not in entry:
+            problems.append(f"members[{i}].{key}: required")
         else:
-            if "rho" not in entry:
-                problems.append(f"members[{i}].rho: required")
-                continue
-            mat = _parse_matrix(entry["rho"], 4, f"members[{i}].rho", problems)
-            if len(problems) > seen:
-                continue
-            report = validate_density(mat)
-            if not report.passed:
-                problems.append(f"members[{i}].rho: not a valid density operator ({report})")
-                continue
-            members.append((float(w), DensityOperator(QubitLayout(("A", "B")), mat)))
+            try:
+                member = _parse_state(entry[key], f"members[{i}].{key}", pure=key == "ket")
+            except ConfigError as exc:
+                problems.extend(exc.problems)
+            else:
+                members.append((_finite(entry["weight"]), member))
     if problems:
         raise ConfigError(problems)
-    weights = [w for w, _ in members]
-    if abs(sum(weights) - 1.0) > 1e-10 or min(weights) < 0.0:
-        raise ConfigError(
-            [f"members: weights must be nonnegative and sum to 1, got sum {sum(weights)!r}"]
-        )
-    return members
+    return tuple(members)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One row of the scenario table.
+
+    ``build`` takes the config's parameters, once their keys are checked
+    against ``required`` and ``optional``, and returns the validated state.
+    ``decomposition``, when given, returns an explicit pure-state
+    decomposition of that state whose entanglement bounds the truth.
+    """
+
+    summary: str
+    build: Callable[[dict], TwoCopyState]
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    decomposition: Optional[Callable[[], tuple[tuple[float, Ket], ...]]] = None
+
+
+# The builders look the state constructors up by name on every call, so a
+# wrapper installed on those names, such as a call tracer, sees every build.
+SCENARIOS = {
+    "pure-copies": Scenario(
+        "two identical copies of a given pure 2-qubit ket",
+        lambda p: identical_pure_copies(_parse_state(p["ket"], "ket", pure=True)),
+        required=("ket",),
+    ),
+    "de-finetti": Scenario(
+        "mixture of identical per-copy mixed-state hypotheses",
+        lambda p: de_finetti_state(DeFinettiEnsemble(_members(p["members"], "rho"))),
+        required=("members",),
+    ),
+    "pure-de-finetti": Scenario(
+        "mixture of identical per-copy pure-state hypotheses",
+        lambda p: pure_de_finetti_state(PureEnsemble(_members(p["members"], "ket"))),
+        required=("members",),
+    ),
+    "phase-averaged": Scenario(
+        "two maximally entangled copies with a shared unknown phase",
+        lambda p: phase_averaged_state(p.get("points", "exact")),
+        optional=("points",),
+        decomposition=phase_averaged_decomposition,
+    ),
+    "eve-antisym": Scenario(
+        "adversarial singlets on both local pairs (p_a forced to 1)",
+        lambda p: eve_state("antisymmetric"),
+    ),
+    "eve-sym": Scenario(
+        "adversarial symmetric states on both local pairs (p_a forced to 0)",
+        lambda p: eve_state("symmetric"),
+    ),
+    "custom": Scenario(
+        "explicit 16x16 two-copy density matrix",
+        lambda p: custom_state(_parse_state(p["rho"], "rho", labels=COPY_MAJOR)),
+        required=("rho",),
+    ),
+}
 
 
 def build_state(scenario: str, parameters: dict) -> TwoCopyState:
-    """Construct the scenario's two-copy state from validated parameters."""
-    problems: list[str] = []
-    if scenario == "pure-copies":
-        return identical_pure_copies(_ket_from_params(parameters.get("ket"), problems))
-    if scenario == "de-finetti":
-        members = _members_from_params(parameters.get("members"), pure=False, problems=problems)
-        return de_finetti_state(DeFinettiEnsemble(tuple(members)))
-    if scenario == "pure-de-finetti":
-        members = _members_from_params(parameters.get("members"), pure=True, problems=problems)
-        return pure_de_finetti_state(PureEnsemble(tuple(members)))
-    if scenario == "phase-averaged":
-        points = parameters.get("points", "exact")
-        if isinstance(points, bool) or not isinstance(points, (int, str)):
-            raise ConfigError([f"parameters.points: must be an integer or 'exact', got {points!r}"])
-        return phase_averaged_state(points)
-    if scenario == "eve-antisym":
-        return eve_state("antisymmetric")
-    if scenario == "eve-sym":
-        return eve_state("symmetric")
-    if scenario == "custom":
-        mat = _parse_matrix(parameters.get("rho"), 16, "rho", problems)
-        if problems:
-            raise ConfigError(problems)
-        report = validate_density(mat)
-        if not report.passed:
-            raise ConfigError([f"rho: not a valid density operator ({report})"])
-        return custom_state(DensityOperator(QubitLayout(COPY_MAJOR), mat))
-    raise ConfigError([f"unknown scenario {scenario!r}"])
+    """Construct the scenario's two-copy state from its parameters.
+
+    Raises :class:`ConfigError` listing every problem with the parameters.
+    """
+    entry = SCENARIOS[scenario]
+    problems = [
+        f"parameters.{key}: not a parameter of scenario {scenario!r}"
+        for key in parameters
+        if key not in entry.required + entry.optional
+    ]
+    missing = [f"parameters.{key}: required for {scenario}" for key in entry.required if key not in parameters]
+    if missing:
+        raise ConfigError(problems + missing)
+    try:
+        state = entry.build(parameters)
+    except ConfigError as exc:
+        problems.extend(exc.problems)
+    except ValueError as exc:
+        problems.append(f"parameters: {exc}")
+    if problems:
+        raise ConfigError(problems)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -402,31 +415,17 @@ def build_state(scenario: str, parameters: dict) -> TwoCopyState:
 # ---------------------------------------------------------------------------
 
 
-def _metric_value(metric: str, verdict: EstimateVerdict, joint: OutcomeDistribution):
-    if metric in ("p_aa", "p_as", "p_sa", "p_ss"):
-        return getattr(joint, metric)
-    return getattr(verdict, metric)
-
-
 def run(config: ScenarioConfig) -> ScenarioReport:
     """Evaluate a scenario deterministically and check its expectations."""
-    try:
-        state = build_state(config.scenario, config.parameters)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError([f"scenario {config.scenario!r}: {exc}"]) from None
-
-    decomposition = None
-    if config.scenario == "phase-averaged":
-        decomposition = phase_averaged_decomposition()
-    verdict = evaluate_scenario(state, decomposition=decomposition)
+    state = config.state
     joint = joint_outcome_distribution(state)
-    record = sample_outcomes(state, config.shots, config.seed) if config.shots else None
+    decomposition = SCENARIOS[config.scenario].decomposition
+    verdict = evaluate_scenario(state, joint, decomposition=decomposition() if decomposition else None)
+    record = sample_outcomes(joint, config.shots, config.seed) if config.shots else None
 
     checks = []
     for exp in config.expectations:
-        actual = _metric_value(exp.metric, verdict, joint)
+        actual = getattr(joint if hasattr(joint, exp.metric) else verdict, exp.metric)
         if isinstance(exp.value, bool):
             passed = actual is exp.value
         elif actual is None:
@@ -449,62 +448,29 @@ def run(config: ScenarioConfig) -> ScenarioReport:
 
 
 def report_to_dict(r: ScenarioReport) -> dict:
-    doc: dict[str, Any] = {
+    record = None
+    if r.shot_record is not None:
+        record = {**asdict(r.shot_record), "counts": dict(zip(OUTCOMES, r.shot_record.counts))}
+    return {
         "config": r.config,
-        "verdict": {
-            "p_a_alice": r.verdict.p_a_alice,
-            "p_a_bob": r.verdict.p_a_bob,
-            "naive_concurrence": r.verdict.naive_concurrence,
-            "estimator_valid": r.verdict.estimator_valid,
-            "disagreement_prob": r.verdict.disagreement_prob,
-            "truth_single_copy_concurrence": r.verdict.truth_single_copy_concurrence,
-            "truth_decomposition_bound": r.verdict.truth_decomposition_bound,
-        },
-        "joint_distribution": {
-            "p_aa": r.joint.p_aa,
-            "p_as": r.joint.p_as,
-            "p_sa": r.joint.p_sa,
-            "p_ss": r.joint.p_ss,
-        },
-        "shot_record": None,
-        "checks": [
-            {
-                "metric": c.metric,
-                "expected": c.expected,
-                "actual": c.actual,
-                "tol": c.tol,
-                "passed": c.passed,
-            }
-            for c in r.checks
-        ],
+        "verdict": asdict(r.verdict),
+        "joint_distribution": asdict(r.joint),
+        "shot_record": record,
+        "checks": [asdict(c) for c in r.checks],
         "all_passed": r.all_passed,
     }
-    if r.shot_record is not None:
-        doc["shot_record"] = {
-            "shots": r.shot_record.shots,
-            "seed": r.shot_record.seed,
-            "counts": dict(zip(("aa", "as", "sa", "ss"), r.shot_record.counts)),
-        }
-    return doc
 
 
 def report_from_dict(doc: dict) -> ScenarioReport:
-    verdict = EstimateVerdict(**doc["verdict"])
-    joint = OutcomeDistribution(**doc["joint_distribution"])
-    record = None
-    if doc.get("shot_record") is not None:
-        sr = doc["shot_record"]
-        record = ShotRecord(
-            shots=sr["shots"],
-            seed=sr["seed"],
-            counts=tuple(sr["counts"][k] for k in ("aa", "as", "sa", "ss")),
-        )
-    checks = tuple(
-        CheckResult(c["metric"], c["expected"], c["actual"], c["tol"], c["passed"])
-        for c in doc.get("checks", [])
-    )
+    record = doc.get("shot_record")
+    if record is not None:
+        record = ShotRecord(**{**record, "counts": tuple(record["counts"][k] for k in OUTCOMES)})
     return ScenarioReport(
-        config=doc["config"], verdict=verdict, joint=joint, shot_record=record, checks=checks
+        config=doc["config"],
+        verdict=EstimateVerdict(**doc["verdict"]),
+        joint=OutcomeDistribution(**doc["joint_distribution"]),
+        shot_record=record,
+        checks=tuple(CheckResult(**c) for c in doc.get("checks", [])),
     )
 
 

@@ -21,18 +21,16 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     Ket,
-    NORM_ATOL,
     QubitLayout,
     basis_ket,
     permute_subsystems,
     relabel,
     tensor_product,
 )
-from .measures import PureEnsemble
+from .measures import PureEnsemble, check_weights
 from .projectors import SYMMETRIC, pair_projector
 
 COPY_MAJOR = ("A1", "B1", "A2", "B2")
-SIDE_MAJOR = ("A1", "A2", "B1", "B2")
 ALICE_PAIR = ("A1", "A2")
 BOB_PAIR = ("B1", "B2")
 
@@ -40,15 +38,9 @@ COPY_1 = ("A1", "B1")
 COPY_2 = ("A2", "B2")
 
 DEFAULT_PHASE_POINTS = 64
-
-PROVENANCE_TAGS = (
-    "pure-copies",
-    "de-finetti",
-    "pure-de-finetti",
-    "phase-averaged",
-    "adversarial",
-    "custom",
-)
+# Any grid of 3 or more points is already exact (see phase_averaged_state),
+# so a larger grid only costs time and memory.
+MAX_PHASE_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -61,8 +53,6 @@ class TwoCopyState:
     def __post_init__(self) -> None:
         if self.state.layout.labels != COPY_MAJOR:
             raise ValueError(f"two-copy states live on {COPY_MAJOR}, got {self.state.layout.labels}")
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -74,65 +64,40 @@ class DeFinettiEnsemble:
     def __post_init__(self) -> None:
         members = tuple((float(w), rho) for w, rho in self.members)
         object.__setattr__(self, "members", members)
-        if not members:
-            raise ValueError("ensemble must have at least one member")
-        weights = [w for w, _ in members]
-        if min(weights) < 0.0:
-            raise ValueError("ensemble weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > NORM_ATOL:
-            raise ValueError(f"ensemble weights must sum to 1, got {sum(weights)!r}")
+        check_weights([w for w, _ in members])
         for _, rho in members:
             if rho.layout.n_qubits != 2:
                 raise ValueError("ensemble members must be single-copy 2-qubit states")
 
 
-def _as_copy(x: Union[Ket, DensityOperator], copy_labels: tuple[str, str]):
-    return relabel(x, copy_labels)
+def _mixture_of_copies(weights, rhos: np.ndarray, provenance: str) -> TwoCopyState:
+    """sum_i w_i rho_i x rho_i from an (N, 4, 4) stack of single-copy matrices."""
+    total = np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos).reshape(16, 16)
+    return TwoCopyState(DensityOperator(QubitLayout(COPY_MAJOR), total), provenance)
+
+
+def _projectors(amplitudes: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) stack of |psi_i><psi_i| from an (N, 4) array of amplitudes."""
+    return np.einsum("ni,nj->nij", amplitudes, amplitudes.conj())
 
 
 def identical_pure_copies(psi: Ket) -> TwoCopyState:
     """Two exact copies |psi><psi| x |psi><psi| of one pure bipartite state."""
     if psi.layout.n_qubits != 2:
         raise ValueError("identical_pure_copies expects a 2-qubit ket")
-    rho1 = _as_copy(psi, COPY_1).density()
-    rho2 = _as_copy(psi, COPY_2).density()
-    return TwoCopyState(tensor_product(rho1, rho2), "pure-copies")
+    return _mixture_of_copies([1.0], _projectors(psi.amplitudes[None]), "pure-copies")
 
 
 def de_finetti_state(e: DeFinettiEnsemble) -> TwoCopyState:
     """Mixture of identical per-copy hypotheses, sum_i p_i rho_i x rho_i."""
-    dim = 16
-    total = np.zeros((dim, dim), dtype=complex)
-    for w, rho in e.members:
-        pair = tensor_product(_as_copy(rho, COPY_1), _as_copy(rho, COPY_2))
-        total += w * pair.entries
-    return TwoCopyState(DensityOperator(QubitLayout(COPY_MAJOR), total), "de-finetti")
+    rhos = np.array([rho.entries for _, rho in e.members])
+    return _mixture_of_copies([w for w, _ in e.members], rhos, "de-finetti")
 
 
 def pure_de_finetti_state(e: PureEnsemble) -> TwoCopyState:
     """De Finetti mixture whose hypotheses are all pure states."""
-    total = np.zeros((16, 16), dtype=complex)
-    for w, psi in e.members:
-        both = tensor_product(_as_copy(psi, COPY_1), _as_copy(psi, COPY_2))
-        total += w * np.outer(both.amplitudes, both.amplitudes.conj())
-    return TwoCopyState(DensityOperator(QubitLayout(COPY_MAJOR), total), "pure-de-finetti")
-
-
-def _phase_ket(phi: float, labels=("A", "B")) -> Ket:
-    amps = np.array([0.0, 1.0, np.exp(1j * phi), 0.0], dtype=complex) / math.sqrt(2.0)
-    return Ket(QubitLayout(labels), amps)
-
-
-def phase_ensemble(points: int) -> PureEnsemble:
-    """Uniform ensemble of maximally entangled states with sampled phases.
-
-    Members are (|01> + exp(i phi)|10>)/sqrt(2) at the ``points`` uniform
-    grid phases on the circle.
-    """
-    if points < 3:
-        raise ValueError("phase discretization needs at least 3 points")
-    members = tuple((1.0 / points, _phase_ket(2.0 * math.pi * k / points)) for k in range(points))
-    return PureEnsemble(members)
+    amplitudes = np.array([psi.amplitudes for _, psi in e.members])
+    return _mixture_of_copies([w for w, _ in e.members], _projectors(amplitudes), "pure-de-finetti")
 
 
 def logical_bell_state() -> Ket:
@@ -181,10 +146,16 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> TwoCopyState:
         return TwoCopyState(rho, "phase-averaged")
     if points == "discretized":
         points = DEFAULT_PHASE_POINTS
-    if not isinstance(points, int):
+    if isinstance(points, bool) or not isinstance(points, int):
         raise ValueError(f"points must be 'exact', 'discretized', or an integer, got {points!r}")
-    inner = pure_de_finetti_state(phase_ensemble(points))
-    return TwoCopyState(inner.state, "phase-averaged")
+    if not 3 <= points <= MAX_PHASE_POINTS:
+        raise ValueError(f"phase discretization needs 3 to {MAX_PHASE_POINTS} points, got {points}")
+    # members (|01> + exp(i phi)|10>)/sqrt(2) at the uniform grid phases
+    amplitudes = np.zeros((points, 4), dtype=complex)
+    amplitudes[:, 1] = 1.0
+    amplitudes[:, 2] = np.exp(2j * math.pi * np.arange(points) / points)
+    amplitudes /= math.sqrt(2.0)
+    return _mixture_of_copies(np.full(points, 1.0 / points), _projectors(amplitudes), "phase-averaged")
 
 
 def eve_state(kind: str) -> TwoCopyState:

@@ -88,7 +88,9 @@ def test_criterion_03_completely_mixed_false_positive():
 
 def test_criterion_04_phase_averaged_counterexample():
     state = phase_averaged_state("exact")
-    verdict = evaluate_scenario(state, decomposition=phase_averaged_decomposition())
+    verdict = evaluate_scenario(
+        state, joint_outcome_distribution(state), decomposition=phase_averaged_decomposition()
+    )
     ok = (
         abs(verdict.p_a_alice - 0.25) <= 1e-12
         and abs(verdict.p_a_bob - 0.25) <= 1e-12
@@ -175,8 +177,8 @@ def test_criterion_09_overestimation_on_pure_de_finetti():
 def test_criterion_10_finite_statistics():
     mixed = de_finetti_state(DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),)))
     shots = 100_000
-    record = sample_outcomes(mixed, shots=shots, seed=1234)
-    replay = sample_outcomes(mixed, shots=shots, seed=1234)
+    record = sample_outcomes(joint_outcome_distribution(mixed), shots=shots, seed=1234)
+    replay = sample_outcomes(joint_outcome_distribution(mixed), shots=shots, seed=1234)
     truth = joint_outcome_distribution(mixed).as_tuple()
     within = all(
         abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / shots)

@@ -8,7 +8,6 @@ from twocopy import (
     QubitLayout,
     basis_ket,
     expectation_value,
-    hermitian_eigenvalues,
     identity_operator,
     partial_trace,
     permute_subsystems,
@@ -65,7 +64,7 @@ class TestTensorProduct:
         vec = np.kron(bell.amplitudes, bell.amplitudes)
         assert rho.entries.shape == (16, 16)
         assert np.allclose(rho.entries, np.outer(vec, vec.conj()), atol=1e-14)
-        eigs = hermitian_eigenvalues(rho)
+        eigs = np.linalg.eigvalsh(rho.entries)[::-1]
         assert abs(eigs[0] - 1.0) < 1e-12 and np.all(np.abs(eigs[1:]) < 1e-12)
 
     def test_label_collision_rejected(self):
@@ -202,31 +201,6 @@ class TestExpectationValue:
             rho = random_density(rng, ("A", "B"))
             p = expectation_value(proj, rho)
             assert -1e-10 <= p <= 1.0 + 1e-10
-
-
-class TestHermitianEigenvalues:
-    def test_maximally_mixed(self):
-        assert np.allclose(hermitian_eigenvalues(mixed(("A", "B"))), [0.25] * 4)
-
-    def test_bell_projector(self):
-        bell = Ket(QubitLayout(("A", "B")), np.array([0, 1, 1, 0]) / np.sqrt(2))
-        eigs = hermitian_eigenvalues(bell.density())
-        assert np.allclose(eigs, [1, 0, 0, 0], atol=1e-12)
-
-    def test_antisymmetric_projector_rank_one(self):
-        proj = pair_projector(ANTISYMMETRIC, ("A", "B")).matrix
-        assert np.allclose(hermitian_eigenvalues(proj), [1, 0, 0, 0], atol=1e-12)
-
-    def test_descending_and_sum_equals_trace(self, rng):
-        rho = random_density(rng, ("A", "B", "C"))
-        eigs = hermitian_eigenvalues(rho)
-        assert np.all(np.diff(eigs) <= 1e-12)
-        assert abs(eigs.sum() - np.trace(rho.entries).real) < 1e-9
-
-    def test_non_hermitian_rejected(self):
-        m = Operator(QubitLayout(("A",)), np.array([[0, 1], [0.5, 0]], dtype=complex))
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigenvalues(m)
 
 
 class TestValidateDensity:

@@ -10,14 +10,12 @@ from twocopy import (
     QubitLayout,
     basis_ket,
     decomposition_infimum_oracle,
-    ensemble_average_concurrence,
     ensemble_upper_bound_entanglement,
     entanglement_entropy,
-    eof_from_concurrence,
     pure_concurrence,
     wootters_concurrence,
 )
-from twocopy.states import logical_bell_state, phase_averaged_decomposition, phase_ensemble
+from twocopy.states import logical_bell_state, phase_averaged_decomposition
 
 from conftest import random_density, random_ket
 
@@ -90,36 +88,7 @@ class TestWoottersConcurrence:
             assert abs(wootters_concurrence(rotated) - wootters_concurrence(rho)) < 1e-9
 
 
-class TestEntanglementOfFormation:
-    def test_endpoints(self):
-        assert eof_from_concurrence(0.0) == 0.0
-        assert eof_from_concurrence(1.0) == 1.0
-
-    def test_half_concurrence(self):
-        assert abs(eof_from_concurrence(0.5) - 0.3546) < 1e-3
-
-    def test_monotone_on_grid(self):
-        grid = np.linspace(0.0, 1.0, 1000)
-        values = [eof_from_concurrence(c) for c in grid]
-        assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            eof_from_concurrence(1.5)
-
-
 class TestEnsembleAverageConcurrence:
-    def test_single_bell_member(self):
-        e = PureEnsemble(((1.0, bell()),))
-        assert abs(ensemble_average_concurrence(e) - 1.0) < 1e-12
-
-    def test_all_product_members(self):
-        e = PureEnsemble(((0.5, basis_ket(AB, "00")), (0.5, basis_ket(AB, "11"))))
-        assert ensemble_average_concurrence(e) == 0.0
-
-    def test_phase_ensemble_members_all_maximally_entangled(self):
-        assert abs(ensemble_average_concurrence(phase_ensemble(4)) - 1.0) < 1e-12
-
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
             PureEnsemble(((0.7, bell()), (0.7, bell())))

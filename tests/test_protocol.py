@@ -133,25 +133,25 @@ class TestDisagreementProbability:
 
 class TestSampleOutcomes:
     def test_deterministic_distribution_gives_constant_counts(self):
-        record = sample_outcomes(eve_state("antisymmetric"), shots=500, seed=3)
+        record = sample_outcomes(joint_outcome_distribution(eve_state("antisymmetric")), shots=500, seed=3)
         assert record.counts == (500, 0, 0, 0)
 
     def test_same_seed_reproduces_counts(self):
         state = fully_mixed_two_copies()
-        a = sample_outcomes(state, shots=2000, seed=11)
-        b = sample_outcomes(state, shots=2000, seed=11)
+        a = sample_outcomes(joint_outcome_distribution(state), shots=2000, seed=11)
+        b = sample_outcomes(joint_outcome_distribution(state), shots=2000, seed=11)
         assert a == b
 
     def test_different_seeds_differ(self):
         state = fully_mixed_two_copies()
-        a = sample_outcomes(state, shots=2000, seed=11)
-        b = sample_outcomes(state, shots=2000, seed=12)
+        a = sample_outcomes(joint_outcome_distribution(state), shots=2000, seed=11)
+        b = sample_outcomes(joint_outcome_distribution(state), shots=2000, seed=12)
         assert a.counts != b.counts
 
     def test_frequencies_within_five_sigma(self):
         state = fully_mixed_two_copies()
         shots = 100_000
-        record = sample_outcomes(state, shots=shots, seed=5)
+        record = sample_outcomes(joint_outcome_distribution(state), shots=shots, seed=5)
         dist = joint_outcome_distribution(state)
         for freq, p in zip(record.frequencies(), dist.as_tuple()):
             sigma = np.sqrt(p * (1 - p) / shots)
@@ -161,14 +161,14 @@ class TestSampleOutcomes:
         state = fully_mixed_two_copies()
         truth = np.cumsum(joint_outcome_distribution(state).as_tuple())
         for shots in (10**3, 10**4, 10**5):
-            record = sample_outcomes(state, shots=shots, seed=17)
+            record = sample_outcomes(joint_outcome_distribution(state), shots=shots, seed=17)
             empirical = np.cumsum(record.frequencies())
             distance = np.max(np.abs(empirical - truth))
             assert distance <= 3.0 / np.sqrt(shots)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
-            sample_outcomes(fully_mixed_two_copies(), shots=0, seed=0)
+            sample_outcomes(joint_outcome_distribution(fully_mixed_two_copies()), shots=0, seed=0)
 
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError, match="sum"):
@@ -177,7 +177,8 @@ class TestSampleOutcomes:
 
 class TestEvaluateScenario:
     def test_bell_copies_are_the_honest_case(self):
-        verdict = evaluate_scenario(identical_pure_copies(bell()))
+        state = identical_pure_copies(bell())
+        verdict = evaluate_scenario(state, joint_outcome_distribution(state))
         assert abs(verdict.naive_concurrence - 1.0) < 1e-12
         assert abs(verdict.truth_single_copy_concurrence - 1.0) < 1e-10
         assert verdict.disagreement_prob < 1e-12
@@ -185,14 +186,16 @@ class TestEvaluateScenario:
         assert verdict.truth_decomposition_bound is None
 
     def test_fully_mixed_false_positive_caught_by_correlations(self):
-        verdict = evaluate_scenario(fully_mixed_two_copies())
+        state = fully_mixed_two_copies()
+        verdict = evaluate_scenario(state, joint_outcome_distribution(state))
         assert abs(verdict.naive_concurrence - 1.0) < 1e-12
         assert verdict.truth_single_copy_concurrence == 0.0
         assert abs(verdict.disagreement_prob - 0.375) < 1e-12
 
     def test_phase_averaged_with_decomposition_bound(self):
+        state = phase_averaged_state("exact")
         verdict = evaluate_scenario(
-            phase_averaged_state("exact"), decomposition=phase_averaged_decomposition()
+            state, joint_outcome_distribution(state), decomposition=phase_averaged_decomposition()
         )
         assert abs(verdict.naive_concurrence - 1.0) < 1e-12
         assert verdict.truth_single_copy_concurrence == 0.0
@@ -202,11 +205,11 @@ class TestEvaluateScenario:
     def test_naive_equals_two_root_p(self, rng):
         for _ in range(10):
             state = pure_de_finetti_state(random_pure_ensemble(rng))
-            verdict = evaluate_scenario(state)
+            verdict = evaluate_scenario(state, joint_outcome_distribution(state))
             assert abs(verdict.naive_concurrence - 2 * np.sqrt(verdict.p_a_alice)) < 1e-12
 
     def test_never_underestimates_pure_de_finetti_mixtures(self, rng):
         for _ in range(25):
             state = pure_de_finetti_state(random_pure_ensemble(rng, k=3))
-            verdict = evaluate_scenario(state)
+            verdict = evaluate_scenario(state, joint_outcome_distribution(state))
             assert verdict.naive_concurrence >= verdict.truth_single_copy_concurrence - 1e-8

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twocopy import validate_density
+from twocopy import scenarios, validate_density
 from twocopy.cli import main
+from twocopy.protocol import MAX_SHOTS
 from twocopy.scenarios import (
     ConfigError,
     build_state,
@@ -17,6 +18,7 @@ from twocopy.scenarios import (
     report_to_json,
     run,
 )
+from twocopy.states import MAX_PHASE_POINTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = sorted((REPO_ROOT / "scenarios").glob("*.json"))
@@ -262,3 +264,126 @@ class TestBundledSuite:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("all expectations met") == len(BUNDLED)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in report")
+
+    return json.loads(text, parse_constant=reject)
+
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+
+
+def _with_literal(doc: dict, literal: str) -> str:
+    """The document as JSON with the placeholder string replaced by a bare literal."""
+    return json.dumps(doc).replace('"@"', literal)
+
+
+NON_FINITE_DOCS = {
+    "expect-value": {"scenario": "eve-sym", "expect": {"p_a_alice": {"value": "@"}}},
+    "expect-tol": {"scenario": "eve-sym", "expect": {"p_a_alice": {"value": 0.0, "tol": "@"}}},
+    "default-tolerance-used": {
+        "scenario": "eve-sym", "default_tolerance": "@", "expect": {"p_a_alice": {"value": 0.0}}
+    },
+    "default-tolerance": {"scenario": "eve-sym", "default_tolerance": "@"},
+    "ket-amplitude": {"scenario": "pure-copies", "parameters": {"ket": [["@", 0], [0, 0], [0, 0], [0, 0]]}},
+    "member-weight": {"scenario": "pure-de-finetti", "parameters": {"members": [
+        {"weight": "@", "ket": [1, 0, 0, 0]}, {"weight": 1.0, "ket": [0, 1, 0, 0]}]}},
+    "member-extra-key": {"scenario": "pure-de-finetti", "parameters": {"members": [
+        {"weight": 1.0, "ket": [1, 0, 0, 0], "note": "@"}]}},
+}
+NON_FINITE_CASES = {
+    f"{name}-{literal}": _with_literal(doc, literal)
+    for name, doc in NON_FINITE_DOCS.items()
+    for literal in NON_FINITE
+}
+EMITTED_CASES = {
+    **{path.stem: path.read_text() for path in BUNDLED},
+    "de-finetti-shots": de_finetti_mixed_config(shots=500, expect={"p_a_alice": {"value": 0.25, "tol": 1e-12}}),
+    **NON_FINITE_CASES,
+}
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize("text", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES.keys())
+    def test_non_finite_numbers_rejected(self, text, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main([str(path), "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_huge_integer_amplitude_rejected(self):
+        doc = {"scenario": "pure-copies", "parameters": {"ket": [10**400, 0, 0, 0]}}
+        with pytest.raises(ConfigError, match="ket"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", EMITTED_CASES.values(), ids=EMITTED_CASES.keys())
+    def test_every_emitted_report_is_strict_json(self, text):
+        try:
+            report = run(parse_config(text))
+        except ConfigError:
+            return
+        _strict_json(emit_report(report, "json"))
+
+    def test_shots_bound(self):
+        largest = parse_config(de_finetti_mixed_config(shots=MAX_SHOTS))
+        assert sum(run(largest).shot_record.counts) == MAX_SHOTS
+        with pytest.raises(ConfigError, match="shots"):
+            parse_config(de_finetti_mixed_config(shots=MAX_SHOTS + 1))
+
+    @pytest.mark.parametrize("shots", [str(MAX_SHOTS + 1), "100000000000000000000"])
+    def test_shots_override_above_bound_exits_two(self, shots, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(de_finetti_mixed_config())
+        assert main([str(path), "--shots", shots]) == 2
+        assert "--shots" in capsys.readouterr().err
+
+    def test_points_bound(self):
+        doc = {"scenario": "phase-averaged", "parameters": {"points": MAX_PHASE_POINTS}}
+        report = run(parse_config(json.dumps(doc)))
+        assert abs(report.verdict.p_a_alice - 0.25) < 1e-12
+        doc["parameters"]["points"] = MAX_PHASE_POINTS + 1
+        with pytest.raises(ConfigError, match="points"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("via", ["config", "override"])
+    def test_points_above_bound_exit_two_within_one_second(self, via, tmp_path):
+        points = 100_000_000
+        params = {"points": points} if via == "config" else {}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "phase-averaged", "parameters": params}))
+        argv = [str(path)] + (["--phase-points", str(points)] if via == "override" else [])
+        # time main() alone, without interpreter start-up
+        child = (
+            "import sys, time\n"
+            "from twocopy.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert float(proc.stdout) < 1.0
+
+
+class TestComputedOnce:
+    def test_state_and_distribution_once_per_scenario(self, monkeypatch):
+        calls = {"build_state": 0, "joint_outcome_distribution": 0}
+        for name in calls:
+            original = getattr(scenarios, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(scenarios, name, counted)
+        for path in BUNDLED:
+            run(parse_config(path.read_text()))
+        assert calls == {"build_state": len(BUNDLED), "joint_outcome_distribution": len(BUNDLED)}

@@ -8,7 +8,6 @@ from twocopy import (
     QubitLayout,
     antisym_probability,
     basis_ket,
-    hermitian_eigenvalues,
     permute_subsystems,
     pure_concurrence,
     relabel,
@@ -25,7 +24,6 @@ from twocopy.states import (
     logical_bell_state,
     phase_averaged_decomposition,
     phase_averaged_state,
-    phase_ensemble,
     pure_de_finetti_state,
     single_copy_marginal,
 )
@@ -48,7 +46,7 @@ def swap_copies(state):
 ALL_CONSTRUCTED = [
     lambda: identical_pure_copies(bell()),
     lambda: de_finetti_state(DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),))),
-    lambda: pure_de_finetti_state(phase_ensemble(5)),
+    lambda: phase_averaged_state(5),
     lambda: phase_averaged_state("exact"),
     lambda: phase_averaged_state(7),
     lambda: eve_state("antisymmetric"),
@@ -128,13 +126,13 @@ class TestDeFinettiState:
 
 class TestPureDeFinettiState:
     def test_four_point_phase_ensemble_matches_exact_average(self):
-        state = pure_de_finetti_state(phase_ensemble(4))
+        state = phase_averaged_state(4)
         exact = phase_averaged_state("exact")
         assert np.max(np.abs(state.state.entries - exact.state.entries)) < 1e-14
 
     def test_single_member_is_rank_one(self, rng):
         state = pure_de_finetti_state(PureEnsemble(((1.0, random_ket(rng)),)))
-        eigs = hermitian_eigenvalues(state.state)
+        eigs = np.linalg.eigvalsh(state.state.entries)[::-1]
         assert abs(eigs[0] - 1.0) < 1e-10 and np.all(np.abs(eigs[1:]) < 1e-10)
 
     def test_probability_is_mean_squared_concurrence_over_four(self, rng):
