@@ -11,11 +11,9 @@ from .linalg import (
     DensityOperator,
     DensityValidation,
     Ket,
-    Operator,
     QubitLayout,
     basis_ket,
     expectation_value,
-    identity_operator,
     partial_trace,
     permute_subsystems,
     relabel,
@@ -30,13 +28,6 @@ from .measures import (
     pure_concurrence,
     von_neumann_entropy,
     wootters_concurrence,
-)
-from .projectors import (
-    ANTISYMMETRIC,
-    SYMMETRIC,
-    PairProjector,
-    embed_pair_projector,
-    pair_projector,
 )
 from .protocol import (
     EstimateVerdict,

@@ -82,8 +82,13 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
             except ValueError:
                 raise ConfigError([f"--phase-points must be 'exact' or an integer, got {points!r}"])
         updates["parameters"] = {**config.parameters, "points": points}
-    # a replaced config builds its state anew on first use
-    return replace(config, **updates) if updates else config
+    if not updates:
+        return config
+    new = replace(config, **updates)
+    if "parameters" not in updates:
+        # seed and shots leave the state as it is: keep the one already built
+        vars(new)["state"] = config.state
+    return new
 
 
 def main(argv: list[str] | None = None) -> int:

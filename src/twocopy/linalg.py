@@ -1,8 +1,8 @@
 """Dense complex linear algebra over small labeled qubit registers.
 
-States and operators carry a :class:`QubitLayout`, an ordered tuple of
-subsystem labels.  The label order fixes the amplitude indexing, with the
-first label most significant.  For a layout ``("A", "B")`` the four basis
+States carry a :class:`QubitLayout`, an ordered tuple of subsystem labels.
+The label order fixes the amplitude indexing, with the first label most
+significant.  For a layout ``("A", "B")`` the four basis
 states are ordered
 
     index 0  ->  |A=0, B=0>
@@ -11,9 +11,13 @@ states are ordered
     index 3  ->  |A=1, B=1>
 
 so ``index = 2*a + b`` and ``np.kron`` composes amplitudes in layout order.
+Observables are plain matrices in the same index order.
 
 Everything here is a pure function of its inputs.  Arrays are copied on
 construction and frozen, so values are safe to share between threads.
+A :class:`DensityOperator` built from a matrix is validated; one derived
+from valid ones (tensor product, permutation, relabeling, partial trace,
+``Ket.density``) is valid by construction and is not checked again.
 """
 
 from __future__ import annotations
@@ -63,15 +67,6 @@ class QubitLayout:
         except ValueError:
             raise ValueError(f"label {label!r} not in layout {self.labels}") from None
 
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
-
 
 def as_layout(layout: LabelSpec) -> QubitLayout:
     if isinstance(layout, QubitLayout):
@@ -107,23 +102,7 @@ class Ket:
 
     def density(self) -> "DensityOperator":
         """Rank-1 density operator |psi><psi|."""
-        return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Square complex matrix acting on a qubit layout."""
-
-    layout: QubitLayout
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        layout = as_layout(self.layout)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "entries", _frozen_complex(self.entries, (layout.dim, layout.dim)))
-
-    def is_hermitian(self, atol: float = HERMITICITY_ATOL) -> bool:
-        return hermiticity_defect(self.entries) <= atol
+        return _derived(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -151,7 +130,17 @@ class DensityOperator:
         return float(np.trace(self.entries @ self.entries).real)
 
 
-StateOrOperator = Union[Ket, Operator, DensityOperator]
+def _derived(layout: QubitLayout, entries: np.ndarray) -> DensityOperator:
+    """A density operator computed from valid ones, frozen but not validated again."""
+    rho = object.__new__(DensityOperator)
+    entries = np.asarray(entries, dtype=complex)
+    entries.setflags(write=False)
+    object.__setattr__(rho, "layout", layout)
+    object.__setattr__(rho, "entries", entries)
+    return rho
+
+
+StateOrDensity = Union[Ket, DensityOperator]
 
 
 @dataclass(frozen=True)
@@ -198,11 +187,6 @@ def validate_density(rho: Union[np.ndarray, DensityOperator]) -> DensityValidati
     )
 
 
-def _require_same_layout(a: QubitLayout, b: QubitLayout) -> None:
-    if a.labels != b.labels:
-        raise ValueError(f"layout mismatch: {a.labels} vs {b.labels}")
-
-
 def basis_ket(layout: LabelSpec, bits: str) -> Ket:
     """Computational basis state from a bit string in layout order.
 
@@ -217,22 +201,17 @@ def basis_ket(layout: LabelSpec, bits: str) -> Ket:
     return Ket(layout, amps)
 
 
-def identity_operator(layout: LabelSpec) -> Operator:
-    layout = as_layout(layout)
-    return Operator(layout, np.eye(layout.dim, dtype=complex))
-
-
-def relabel(x: StateOrOperator, labels: LabelSpec) -> StateOrOperator:
+def relabel(x: StateOrDensity, labels: LabelSpec) -> StateOrDensity:
     """Same amplitudes/entries under new labels (positional renaming)."""
     layout = as_layout(labels)
     if layout.n_qubits != x.layout.n_qubits:
         raise ValueError("relabel must preserve the number of qubits")
     if isinstance(x, Ket):
         return Ket(layout, x.amplitudes)
-    return type(x)(layout, x.entries)
+    return _derived(layout, x.entries)
 
 
-def tensor_product(a: StateOrOperator, b: StateOrOperator) -> StateOrOperator:
+def tensor_product(a: StateOrDensity, b: StateOrDensity) -> StateOrDensity:
     """Kronecker composition; operand layouts must have disjoint labels."""
     if type(a) is not type(b):
         raise ValueError(f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}")
@@ -242,7 +221,7 @@ def tensor_product(a: StateOrOperator, b: StateOrOperator) -> StateOrOperator:
     layout = QubitLayout(a.layout.labels + b.layout.labels)
     if isinstance(a, Ket):
         return Ket(layout, np.kron(a.amplitudes, b.amplitudes))
-    return type(a)(layout, np.kron(a.entries, b.entries))
+    return _derived(layout, np.kron(a.entries, b.entries))
 
 
 def _permutation(old: QubitLayout, new_order: LabelSpec) -> tuple[QubitLayout, list[int]]:
@@ -252,8 +231,8 @@ def _permutation(old: QubitLayout, new_order: LabelSpec) -> tuple[QubitLayout, l
     return new_layout, [old.position(lbl) for lbl in new_layout.labels]
 
 
-def permute_subsystems(x: StateOrOperator, new_order: LabelSpec) -> StateOrOperator:
-    """Reorder the subsystems of a ket or operator to ``new_order``.
+def permute_subsystems(x: StateOrDensity, new_order: LabelSpec) -> StateOrDensity:
+    """Reorder the subsystems of a ket or density operator to ``new_order``.
 
     Pure relabeling of basis indices: the spectrum is untouched and applying
     the inverse permutation restores the original entries exactly.
@@ -263,10 +242,10 @@ def permute_subsystems(x: StateOrOperator, new_order: LabelSpec) -> StateOrOpera
     if isinstance(x, Ket):
         amps = x.amplitudes.reshape((2,) * n).transpose(perm).reshape(-1)
         return Ket(new_layout, amps)
-    # operators carry one axis per qubit for rows and one for columns
+    # matrices carry one axis per qubit for rows and one for columns
     axes = perm + [n + p for p in perm]
     entries = x.entries.reshape((2,) * (2 * n)).transpose(axes).reshape(x.layout.dim, x.layout.dim)
-    return type(x)(new_layout, entries)
+    return _derived(new_layout, entries)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
@@ -292,19 +271,20 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     axes = kept_pos + traced_pos + [n + p for p in kept_pos] + [n + p for p in traced_pos]
     m = rho.entries.reshape((2,) * (2 * n)).transpose(axes).reshape(dk, dt, dk, dt)
     reduced = np.einsum("itjt->ij", m)
-    return DensityOperator(QubitLayout(kept_labels), reduced)
+    return _derived(QubitLayout(kept_labels), reduced)
 
 
-def expectation_value(obs: Operator, rho: DensityOperator) -> float:
-    """Tr(obs . rho) for a Hermitian observable.
+def expectation_value(obs: np.ndarray, rho: DensityOperator) -> float:
+    """Tr(obs . rho) for a Hermitian observable, a matrix in ``rho``'s index order.
 
     The imaginary residue of the trace is checked against 1e-10 and then
     discarded.
     """
-    _require_same_layout(obs.layout, rho.layout)
-    if not obs.is_hermitian():
+    if obs.shape != rho.entries.shape:
+        raise ValueError(f"shape mismatch: observable {obs.shape}, state {rho.entries.shape}")
+    if hermiticity_defect(obs) > HERMITICITY_ATOL:
         raise ValueError("observable must be Hermitian")
-    tr = complex(np.trace(obs.entries @ rho.entries))
+    tr = complex(np.trace(obs @ rho.entries))
     if abs(tr.imag) >= IMAG_ATOL:
         raise ValueError(f"expectation has non-negligible imaginary part {tr.imag:.3e}")
     return tr.real

@@ -87,14 +87,13 @@ class PureEnsemble:
 
 
 def pure_concurrence(psi: Ket) -> float:
-    """Concurrence of a pure 2-qubit state, computed as 2 sqrt(det rho_A).
+    """Concurrence 2|ad - bc| of a pure 2-qubit state with amplitudes (a, b, c, d).
 
     Zero exactly for product states, 1 for maximally entangled ones.
     """
     _require_two_qubits(psi)
-    reduced = partial_trace(psi.density(), {psi.layout.labels[0]})
-    det = np.linalg.det(reduced.entries).real
-    return 2.0 * math.sqrt(max(det, 0.0))
+    a, b, c, d = psi.amplitudes
+    return 2.0 * float(abs(a * d - b * c))
 
 
 def wootters_concurrence(rho: DensityOperator) -> float:
@@ -102,18 +101,16 @@ def wootters_concurrence(rho: DensityOperator) -> float:
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the descending square
     roots of the eigenvalues of rho . rho_tilde and rho_tilde is the
-    spin-flipped state.  Eigenvalues slightly below zero (above -1e-9) are
-    clamped before the square root.
+    spin-flipped state.  They are the singular values of Y^T (sigma_y x
+    sigma_y) Y for rho = Y Y^dagger (eigenvectors scaled by the square roots
+    of their eigenvalues, clamped at zero): eigenvalues of the non-Hermitian
+    product carry solver noise that the square root would amplify.
     """
     _require_two_qubits(rho)
-    rho_tilde = _SPIN_FLIP @ rho.entries.conj() @ _SPIN_FLIP
-    eigs = np.linalg.eigvals(rho.entries @ rho_tilde).real
-    # eigensolver noise on true zeros scales with the matrix norm; clipping
-    # relative to the largest eigenvalue keeps sqrt from amplifying it
-    eigs[eigs < 1e-13 * max(eigs.max(), 0.0)] = 0.0
-    lam = np.sqrt(np.clip(eigs, 0.0, None))
-    lam[::-1].sort()
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    lam, vecs = np.linalg.eigh(rho.entries)
+    y = vecs * np.sqrt(np.clip(lam, 0.0, None))
+    s = np.linalg.svd(y.T @ _SPIN_FLIP @ y, compute_uv=False)
+    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

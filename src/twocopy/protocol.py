@@ -4,8 +4,8 @@ Alice projects her pair (A1, A2) onto the symmetric or antisymmetric
 subspace, Bob does the same on (B1, B2).  The estimator converts Alice's
 antisymmetric probability into a concurrence claim 2 sqrt(p_a); the
 two-sided extension also records whether the two outcomes ever differ.
-The embedded projectors commute (disjoint supports), so the joint
-distribution of ideal projective outcomes is unambiguous.
+Alice's and Bob's projectors act on disjoint pairs and commute, so each
+joint outcome is one projector, the Kronecker product of the two sides'.
 
 Sampling uses an explicitly seeded Philox counter-based generator, so a
 scenario report is reproducible bit for bit from its configuration.
@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Ket, Operator, expectation_value
+from .linalg import Ket, expectation_value
 from .measures import (
     ensemble_upper_bound_entanglement,
     wootters_concurrence,
 )
-from .projectors import ANTISYMMETRIC, SYMMETRIC, pair_projector, embed_pair_projector
-from .states import ALICE_PAIR, BOB_PAIR, COPY_MAJOR, TwoCopyState, single_copy_marginal
+from .states import ALICE_PAIR, PAIR_SWAP, TwoCopyState, single_copy_marginal
 
 PROBABILITY_ATOL = 1e-10
 # identical pure qubit copies force p_a = C^2/4 <= 1/4, so anything above
@@ -37,6 +35,24 @@ VALIDITY_TOL = 1e-9
 MAX_SHOTS = 2**63 - 1
 
 OUTCOMES = ("aa", "as", "sa", "ss")
+
+
+def _copy_major(side_major: np.ndarray) -> np.ndarray:
+    """A 16x16 matrix on (A1, A2, B1, B2) reordered to (A1, B1, A2, B2), frozen."""
+    m = side_major.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+    m.setflags(write=False)
+    return m
+
+
+_PAIR_PROJECTORS = {
+    "a": (np.eye(4, dtype=complex) - PAIR_SWAP) / 2.0,
+    "s": (np.eye(4, dtype=complex) + PAIR_SWAP) / 2.0,
+}
+# outcome "xy" (x Alice's, y Bob's; a antisymmetric, s symmetric) -> its
+# projector on the copy-major layout
+JOINT_PROJECTORS = {
+    xy: _copy_major(np.kron(_PAIR_PROJECTORS[xy[0]], _PAIR_PROJECTORS[xy[1]])) for xy in OUTCOMES
+}
 
 
 @dataclass(frozen=True)
@@ -97,12 +113,6 @@ class ShotRecord:
         return tuple(c / self.shots for c in self.counts)
 
 
-@lru_cache(maxsize=None)
-def _side_projector(side: str, kind: str) -> Operator:
-    pair = ALICE_PAIR if side == "alice" else BOB_PAIR
-    return embed_pair_projector(pair_projector(kind, pair), COPY_MAJOR)
-
-
 def _clamp_probability(x: float) -> float:
     if x < -PROBABILITY_ATOL or x > 1.0 + PROBABILITY_ATOL:
         raise ValueError(f"computed probability {x!r} outside [0, 1] beyond tolerance")
@@ -113,7 +123,9 @@ def antisym_probability(state: TwoCopyState, side: str = "alice") -> float:
     """Probability that ``side`` projects its pair onto the antisymmetric subspace."""
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    p = expectation_value(_side_projector(side, ANTISYMMETRIC), state.state)
+    # antisymmetric on this side, either outcome on the other
+    other = "as" if side == "alice" else "sa"
+    p = expectation_value(JOINT_PROJECTORS["aa"] + JOINT_PROJECTORS[other], state.state)
     return _clamp_probability(p)
 
 
@@ -131,16 +143,9 @@ def naive_concurrence_estimate(p_a: float) -> tuple[float, bool]:
 
 def joint_outcome_distribution(state: TwoCopyState) -> OutcomeDistribution:
     """Joint (Alice, Bob) outcome probabilities of the two commuting projections."""
-    kinds = {"a": ANTISYMMETRIC, "s": SYMMETRIC}
-    probs = {}
-    for xy in OUTCOMES:
-        op = Operator(
-            state.state.layout,
-            _side_projector("alice", kinds[xy[0]]).entries
-            @ _side_projector("bob", kinds[xy[1]]).entries,
-        )
-        probs[xy] = _clamp_probability(expectation_value(op, state.state))
-    return OutcomeDistribution(probs["aa"], probs["as"], probs["sa"], probs["ss"])
+    return OutcomeDistribution(
+        *(_clamp_probability(expectation_value(JOINT_PROJECTORS[xy], state.state)) for xy in OUTCOMES)
+    )
 
 
 def disagreement_probability(d: OutcomeDistribution) -> float:

@@ -25,10 +25,8 @@ from .linalg import (
     basis_ket,
     permute_subsystems,
     relabel,
-    tensor_product,
 )
 from .measures import PureEnsemble, check_weights
-from .projectors import SYMMETRIC, pair_projector
 
 COPY_MAJOR = ("A1", "B1", "A2", "B2")
 ALICE_PAIR = ("A1", "A2")
@@ -36,6 +34,12 @@ BOB_PAIR = ("B1", "B2")
 
 COPY_1 = ("A1", "B1")
 COPY_2 = ("A2", "B2")
+
+# exchange of the two qubits of a pair; (I - SWAP)/2 projects onto the
+# pair's antisymmetric subspace, spanned by the singlet, and (I + SWAP)/2
+# onto its 3-dimensional symmetric complement
+PAIR_SWAP = np.eye(4)[[0, 2, 1, 3]]
+PAIR_SWAP.setflags(write=False)
 
 DEFAULT_PHASE_POINTS = 64
 # Any grid of 3 or more points is already exact (see phase_averaged_state),
@@ -169,20 +173,13 @@ def eve_state(kind: str) -> TwoCopyState:
     """
     if kind == "antisymmetric":
         singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-        alice = Ket(QubitLayout(ALICE_PAIR), singlet).density()
-        bob = Ket(QubitLayout(BOB_PAIR), singlet).density()
+        pair = np.outer(singlet, singlet)
     elif kind == "symmetric":
-        alice = DensityOperator(
-            QubitLayout(ALICE_PAIR), pair_projector(SYMMETRIC, ALICE_PAIR).matrix.entries / 3.0
-        )
-        bob = DensityOperator(
-            QubitLayout(BOB_PAIR), pair_projector(SYMMETRIC, BOB_PAIR).matrix.entries / 3.0
-        )
+        pair = (np.eye(4) + PAIR_SWAP) / 6.0
     else:
         raise ValueError(f"kind must be 'antisymmetric' or 'symmetric', got {kind!r}")
-    side_major = tensor_product(alice, bob)
-    rho = permute_subsystems(side_major, COPY_MAJOR)
-    return TwoCopyState(rho, "adversarial")
+    side_major = DensityOperator(QubitLayout(ALICE_PAIR + BOB_PAIR), np.kron(pair, pair))
+    return TwoCopyState(permute_subsystems(side_major, COPY_MAJOR), "adversarial")
 
 
 def custom_state(rho: DensityOperator) -> TwoCopyState:

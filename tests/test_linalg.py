@@ -4,20 +4,23 @@ import pytest
 from twocopy import (
     DensityOperator,
     Ket,
-    Operator,
     QubitLayout,
     basis_ket,
     expectation_value,
-    identity_operator,
     partial_trace,
     permute_subsystems,
+    relabel,
     tensor_product,
     validate_density,
 )
-from twocopy.projectors import ANTISYMMETRIC, pair_projector
+from twocopy import linalg
 from twocopy.states import phase_averaged_state
 
 from conftest import random_density, random_ket
+
+# projector onto the antisymmetric subspace of a pair: the singlet's
+SINGLET = np.array([0, 1, -1, 0]) / np.sqrt(2)
+ANTISYM_PAIR = np.outer(SINGLET, SINGLET)
 
 
 def mixed(labels=("A",)):
@@ -103,8 +106,7 @@ class TestPartialTrace:
         alice = partial_trace(rho, {"A1", "A2"})
         assert alice.layout.labels == ("A1", "A2")
         assert np.max(np.abs(alice.entries - np.eye(4) / 4)) < 1e-14
-        proj = pair_projector(ANTISYMMETRIC, ("A1", "A2")).matrix
-        assert abs(expectation_value(proj, alice) - 0.25) < 1e-14
+        assert abs(expectation_value(ANTISYM_PAIR, alice) - 0.25) < 1e-14
 
     def test_trace_preserving_and_psd(self, rng):
         for _ in range(20):
@@ -175,31 +177,29 @@ class TestPermuteSubsystems:
 class TestExpectationValue:
     def test_normalization(self, rng):
         rho = random_density(rng, ("A", "B"))
-        assert abs(expectation_value(identity_operator(("A", "B")), rho) - 1.0) < 1e-12
+        assert abs(expectation_value(np.eye(4), rho) - 1.0) < 1e-12
 
     def test_antisym_on_maximally_mixed(self):
-        proj = pair_projector(ANTISYMMETRIC, ("A", "B")).matrix
-        assert abs(expectation_value(proj, mixed(("A", "B"))) - 0.25) < 1e-14
+        assert abs(expectation_value(ANTISYM_PAIR, mixed(("A", "B"))) - 0.25) < 1e-14
 
     def test_orthogonal_component(self):
         bell = Ket(QubitLayout(("A", "B")), np.array([0, 1, 1, 0]) / np.sqrt(2))
-        proj = Operator(QubitLayout(("A", "B")), np.diag([1.0, 0, 0, 0]).astype(complex))
+        proj = np.diag([1.0, 0, 0, 0])
         assert abs(expectation_value(proj, bell.density())) < 1e-14
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            expectation_value(identity_operator(("A", "B")), mixed(("B", "A")))
+            expectation_value(np.eye(4), mixed(("A",)))
 
     def test_non_hermitian_rejected(self):
-        obs = Operator(QubitLayout(("A",)), np.array([[0, 1], [0, 0]], dtype=complex))
+        obs = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             expectation_value(obs, mixed(("A",)))
 
     def test_projector_expectations_are_probabilities(self, rng):
-        proj = pair_projector(ANTISYMMETRIC, ("A", "B")).matrix
         for _ in range(50):
             rho = random_density(rng, ("A", "B"))
-            p = expectation_value(proj, rho)
+            p = expectation_value(ANTISYM_PAIR, rho)
             assert -1e-10 <= p <= 1.0 + 1e-10
 
 
@@ -227,3 +227,21 @@ class TestValidateDensity:
         rho = random_density(rng)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
+
+    def test_derived_densities_are_frozen_and_not_validated_again(self, rng, monkeypatch):
+        rho = random_density(rng, ("A", "B"))
+        psi = random_ket(rng, ("C",))
+        calls = []
+        monkeypatch.setattr(linalg, "validate_density", lambda m: calls.append(m))
+        derived = [
+            psi.density(),
+            tensor_product(rho, psi.density()),
+            permute_subsystems(rho, ("B", "A")),
+            relabel(rho, ("X", "Y")),
+            partial_trace(rho, {"A"}),
+        ]
+        assert calls == []
+        for d in derived:
+            assert validate_density(d.entries).passed
+            with pytest.raises(ValueError):
+                d.entries[0, 0] = 1.0

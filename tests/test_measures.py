@@ -17,9 +17,18 @@ from twocopy import (
 )
 from twocopy.states import logical_bell_state, phase_averaged_decomposition
 
-from conftest import random_density, random_ket
+from conftest import random_density, random_ket, random_product_ket
 
 AB = QubitLayout(("A", "B"))
+
+# a ket of concurrence 0.0273 on which the eigenvalues of rho . rho_tilde
+# gave a closed form 1.8e-8 away from 2|ad - bc|
+LOW_CONCURRENCE_KET = [
+    0.3073219140398079 + 0.20622369905219348j,
+    0.02629436783448504 - 0.5069816719225789j,
+    0.07250917327336644 - 0.45231072179846005j,
+    -0.5966129804102906 + 0.19878028070769385j,
+]
 
 
 def bell() -> Ket:
@@ -66,9 +75,16 @@ class TestWoottersConcurrence:
         assert abs(oracle - 0.25) < 1e-3
 
     def test_agreement_on_random_pure_states(self, rng):
-        for _ in range(50):
-            psi = random_ket(rng)
-            assert abs(wootters_concurrence(psi.density()) - pure_concurrence(psi)) < 1e-8
+        kets = [random_ket(rng) for _ in range(50)]
+        # weakly entangled kets, concurrence below 0.05, where the square
+        # root amplifies eigensolver noise on the near-zero Wootters values
+        for eps in (3e-2, 1e-2, 1e-3, 1e-4, 1e-6) * 4:
+            product = random_product_ket(rng, ("A", "B")).amplitudes
+            v = product + eps * random_ket(rng).amplitudes
+            kets.append(Ket(AB, v / np.linalg.norm(v)))
+        kets.append(Ket(AB, np.array(LOW_CONCURRENCE_KET) / np.linalg.norm(LOW_CONCURRENCE_KET)))
+        for psi in kets:
+            assert abs(wootters_concurrence(psi.density()) - pure_concurrence(psi)) < 1e-12
 
     def test_convexity(self, rng):
         for _ in range(20):

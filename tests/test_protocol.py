@@ -13,9 +13,11 @@ from twocopy import (
     sample_outcomes,
     wootters_concurrence,
 )
-from twocopy.protocol import OutcomeDistribution, ShotRecord
+from twocopy.protocol import JOINT_PROJECTORS, OutcomeDistribution, ShotRecord
 from twocopy.states import (
+    COPY_MAJOR,
     DeFinettiEnsemble,
+    custom_state,
     de_finetti_state,
     eve_state,
     identical_pure_copies,
@@ -36,6 +38,40 @@ def bell() -> Ket:
 
 def fully_mixed_two_copies():
     return de_finetti_state(DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),)))
+
+
+class TestJointProjectors:
+    def test_constant_arrays(self):
+        p = JOINT_PROJECTORS
+        assert list(p) == ["aa", "as", "sa", "ss"]
+        for x, m in p.items():
+            assert m.shape == (16, 16)
+            assert np.array_equal(m, m.conj().T)
+            assert np.array_equal(m @ m, m)
+            for y, n in p.items():
+                if y != x:
+                    assert np.array_equal(m @ n, np.zeros((16, 16)))
+        assert np.array_equal(sum(p.values()), np.eye(16))
+        assert [np.trace(m).real for m in p.values()] == [1.0, 3.0, 3.0, 9.0]
+        # singlet on (A1, A2) times singlet on (B1, B2), in copy-major
+        # (A1, B1, A2, B2) index order: (|0011> - |0110> - |1001> + |1100>)/2
+        singlets = np.zeros(16)
+        singlets[[0b0011, 0b1100]] = 0.5
+        singlets[[0b0110, 0b1001]] = -0.5
+        assert np.array_equal(p["aa"], np.outer(singlets, singlets))
+
+    def test_overlap_formula_on_random_kets(self, rng):
+        # Alice holds |x> x |y> on (A1, A2), so her antisymmetric outcome
+        # has probability (1 - |<x|y>|^2)/2; Bob holds |0> x |0>
+        zero = np.array([1.0, 0.0])
+        for _ in range(50):
+            x = random_ket(rng, ("Q",)).amplitudes
+            y = random_ket(rng, ("Q",)).amplitudes
+            ket = np.kron(np.kron(x, zero), np.kron(y, zero))
+            state = custom_state(DensityOperator(QubitLayout(COPY_MAJOR), np.outer(ket, ket.conj())))
+            want = (1.0 - abs(np.vdot(x, y)) ** 2) / 2.0
+            assert abs(antisym_probability(state, "alice") - want) < 1e-10
+            assert abs(antisym_probability(state, "bob")) < 1e-12
 
 
 class TestAntisymProbability:

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -374,7 +376,7 @@ class TestInputBounds:
 
 
 class TestComputedOnce:
-    def test_state_and_distribution_once_per_scenario(self, monkeypatch):
+    def test_state_and_distribution_once_per_scenario(self, monkeypatch, capsys):
         calls = {"build_state": 0, "joint_outcome_distribution": 0}
         for name in calls:
             original = getattr(scenarios, name)
@@ -387,3 +389,18 @@ class TestComputedOnce:
         for path in BUNDLED:
             run(parse_config(path.read_text()))
         assert calls == {"build_state": len(BUNDLED), "joint_outcome_distribution": len(BUNDLED)}
+        # --seed replaces the parsed config but leaves its state as it is
+        calls.update(build_state=0, joint_outcome_distribution=0)
+        assert main(["--seed", "7", *map(str, BUNDLED)]) == 0
+        assert calls == {"build_state": len(BUNDLED), "joint_outcome_distribution": len(BUNDLED)}
+
+
+def test_benchmark_traced_functions_exist():
+    # the benchmark's tracer wraps these by name; a missing one breaks its traced runs
+    spec = importlib.util.spec_from_file_location("tracer", REPO_ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, functions in tracer.LAYERS.items():
+        module = importlib.import_module(f"twocopy.{layer}")
+        for function in functions:
+            assert callable(getattr(module, function, None)), f"twocopy.{layer}.{function}"
