@@ -44,14 +44,17 @@ def _copy_major(side_major: np.ndarray) -> np.ndarray:
     return m
 
 
-_PAIR_PROJECTORS = {
+# one side's antisymmetric ("a") and symmetric ("s") projectors on its pair
+PAIR_PROJECTORS = {
     "a": (np.eye(4, dtype=complex) - PAIR_SWAP) / 2.0,
     "s": (np.eye(4, dtype=complex) + PAIR_SWAP) / 2.0,
 }
+for _m in PAIR_PROJECTORS.values():
+    _m.setflags(write=False)
 # outcome "xy" (x Alice's, y Bob's; a antisymmetric, s symmetric) -> its
 # projector on the copy-major layout
 JOINT_PROJECTORS = {
-    xy: _copy_major(np.kron(_PAIR_PROJECTORS[xy[0]], _PAIR_PROJECTORS[xy[1]])) for xy in OUTCOMES
+    xy: _copy_major(np.kron(PAIR_PROJECTORS[xy[0]], PAIR_PROJECTORS[xy[1]])) for xy in OUTCOMES
 }
 
 
