@@ -113,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     for path_str in args.configs:
         path = Path(path_str)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"twocopy: error reading {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         try:
@@ -130,7 +130,11 @@ def main(argv: list[str] | None = None) -> int:
 
     rendered = "\n\n".join(outputs)
     if args.output is not None:
-        args.output.write_text(rendered + "\n")
+        try:
+            args.output.write_text(rendered + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"twocopy: error writing {args.output}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(rendered)
     return EXIT_EXPECTATION_FAILED if any_failed else EXIT_OK

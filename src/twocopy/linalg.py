@@ -126,9 +126,6 @@ class DensityOperator:
             raise ValueError(f"not a valid density operator ({report})")
         object.__setattr__(self, "entries", entries)
 
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
-
 
 def _derived(layout: QubitLayout, entries: np.ndarray) -> DensityOperator:
     """A density operator computed from valid ones, frozen but not validated again."""

@@ -13,8 +13,6 @@ above; it shares no code path with the closed form it is compared against.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -155,123 +153,67 @@ def ensemble_upper_bound_entanglement(
 # ensemble is 2 sum_i |tau_ii| with tau = U tau0 U^T and
 # tau0 = Y^T Q Y for Y the matrix of scaled eigenvectors, so the search
 # space is the isometry manifold and every evaluated point is a genuine
-# decomposition (the result can only sit above the infimum).
+# decomposition (the result can only sit above the infimum).  Only tau is
+# tracked: a unitary mixing G of two rows maps tau to G tau G^T.
 #
-# Local refinement is coordinate descent over row pairs.  For one pair the
-# restricted objective depends on the 2x2 symmetric block, whose minimum
-# under unitary mixing is s1 - s2 in terms of the block's Takagi values.
-# The minimizing mixings form a one-parameter family; the split parameter is
-# drawn at random (from the seeded generator) because always placing the
-# whole remainder on one member creates sticky zero patterns that stall the
-# descent.
+# Local refinement is coordinate descent over row pairs, run on a stack of
+# all restarts at once.  For one pair the restricted objective depends on
+# the 2x2 symmetric block, whose minimum under unitary mixing is s1 - s2 in
+# terms of the block's Takagi values.  The minimizing mixings form a
+# one-parameter family; the split parameter is drawn at random (from the
+# seeded generator) because always placing the whole remainder on one member
+# creates sticky zero patterns that stall the descent.
+
+RANK_CUTOFF = 1e-12  # eigenvalues below this are rounding noise of a rank-deficient state
+MIN_GAIN = 1e-15  # a pair move predicted to gain less than this only moves rounding noise
+PRUNE_MARGIN = 0.02  # after the probe sweeps, starts this far above the best rarely win
+PROBE_SWEEPS = 3  # enough to tell which starts are worth pursuing
+DESCENT_SWEEPS = 22  # further sweeps for the starts that survive the probe
+FINISH_SWEEPS = 300  # the finalists' budget; FINISH_TOL ends them well before it
+DESCENT_TOL = 1e-7  # enough to rank the starts, whose gaps are far larger
+FINISH_TOL = 1e-9  # well inside the 1e-6 the oracle is held to below the closed form
+FINALISTS = 3  # candidates finished at full precision
 
 
-def _takagi2(t1: complex, t2: complex, t3: complex):
-    """Takagi factorization of [[t1, t3], [t3, t2]].
+def _refine(tau: np.ndarray, pairs, rng, max_sweeps: int, tol: float) -> np.ndarray:
+    """Coordinate descent over row pairs on an (R, m, m) stack, in place.
 
-    Returns (s1, s2, (v10, v11, v20, v21)) with s1 >= s2 >= 0 and V unitary
-    such that the matrix equals V diag(s1, s2) V^T, or (0, 0, None) for a
-    negligible block.
+    A restart stops once a sweep improves it by less than ``tol / 2``, the
+    stage once every restart has stopped.  Returns the (R,) values
+    2 sum_i |tau_ii|.
     """
-    a11 = abs(t1) ** 2 + abs(t3) ** 2
-    a22 = abs(t3) ** 2 + abs(t2) ** 2
-    a12 = t1 * t3.conjugate() + t3 * t2.conjugate()
-    mean = 0.5 * (a11 + a22)
-    disc = math.sqrt(max(0.25 * (a11 - a22) ** 2 + abs(a12) ** 2, 0.0))
-    mu2 = mean - disc
-    s1 = math.sqrt(max(mean + disc, 0.0))
-    s2 = math.sqrt(max(mu2, 0.0))
-    if s1 < 1e-300:
-        return 0.0, 0.0, None
-    # dominant eigenvector of the Hermitian product [[a11, a12], [a12*, a22]]
-    c10, c11 = a11 - mu2, a12.conjugate()
-    c20, c21 = a12, a22 - mu2
-    n1 = abs(c10) ** 2 + abs(c11) ** 2
-    n2 = abs(c20) ** 2 + abs(c21) ** 2
-    if n1 >= n2:
-        u0, u1, nu = c10, c11, math.sqrt(n1)
-    else:
-        u0, u1, nu = c20, c21, math.sqrt(n2)
-    if nu < 1e-300:
-        u0, u1 = 1.0, 0.0
-    else:
-        u0, u1 = u0 / nu, u1 / nu
-    # Takagi vector for s1: one of T u* + s1 u and i(T u* - s1 u) has norm
-    # at least sqrt(2) s1
-    tu0 = t1 * u0.conjugate() + t3 * u1.conjugate()
-    tu1 = t3 * u0.conjugate() + t2 * u1.conjugate()
-    va0, va1 = tu0 + s1 * u0, tu1 + s1 * u1
-    vb0, vb1 = 1j * (tu0 - s1 * u0), 1j * (tu1 - s1 * u1)
-    na = abs(va0) ** 2 + abs(va1) ** 2
-    nb = abs(vb0) ** 2 + abs(vb1) ** 2
-    if na >= nb:
-        v10, v11, nv = va0, va1, math.sqrt(na)
-    else:
-        v10, v11, nv = vb0, vb1, math.sqrt(nb)
-    v10, v11 = v10 / nv, v11 / nv
-    # orthogonal partner, rotated by the half phase that makes it a Takagi
-    # vector for s2
-    v20, v21 = -v11.conjugate(), v10.conjugate()
-    w0 = t1 * v20.conjugate() + t3 * v21.conjugate()
-    w1 = t3 * v20.conjugate() + t2 * v21.conjugate()
-    ph = v20.conjugate() * w0 + v21.conjugate() * w1
-    if abs(ph) > 1e-300:
-        e = cmath.exp(0.5j * cmath.phase(ph))
-        v20, v21 = v20 * e, v21 * e
-    return s1, s2, (v10, v11, v20, v21)
-
-
-def _refine(tau, U, m, r, pairs, rng, max_sweeps, tol) -> float:
-    """Coordinate descent over row pairs, in place; returns 2 sum_i |tau_ii|."""
+    live = np.arange(len(tau))
     for _ in range(max_sweeps):
-        improvement = 0.0
-        for i, j in pairs:
-            t1 = tau[i][i]
-            t2 = tau[j][j]
-            t3 = tau[i][j]
-            s1, s2, v = _takagi2(t1, t2, t3)
-            if v is None:
-                continue
-            gain = abs(t1) + abs(t2) - (s1 - s2)
-            if gain < 1e-15:
-                continue
-            improvement += gain
+        t = tau[live]
+        improvement = np.zeros(len(t))
+        for ij in pairs:
+            block = t[:, ij[:, None], ij]
+            # Takagi factors V diag(s) V^T of the symmetric block from its SVD
+            # W diag(s) Zh: symmetry makes Zh = diag(d) W^T with |d| = 1 for
+            # distinct s, so V = W diag(sqrt(d))
+            w, s, zh = np.linalg.svd(block)
+            d = np.einsum("rik,rki->rk", w.conj(), zh)
+            v = w * np.exp(0.5j * np.angle(d))[:, None, :]
+            s1, s2 = s[:, 0], s[:, 1]
+            gain = np.abs(block[:, 0, 0]) + np.abs(block[:, 1, 1]) - (s1 - s2)
+            move = gain >= MIN_GAIN
+            improvement += np.where(move, gain, 0.0)
             # any split g in [s2/(s1+s2), s1/(s1+s2)] realizes the pair
             # minimum; draw it at random to keep the descent exploring
-            tot = s1 + s2
-            lo = s2 / tot
-            g = lo + rng.random() * (s1 / tot - lo)
-            c = math.sqrt(g)
-            s = math.sqrt(1.0 - g)
-            v10, v11, v20, v21 = v
-            g00 = c * v10.conjugate() + 1j * s * v20.conjugate()
-            g01 = c * v11.conjugate() + 1j * s * v21.conjugate()
-            g10 = 1j * s * v10.conjugate() + c * v20.conjugate()
-            g11 = 1j * s * v11.conjugate() + c * v21.conjugate()
-            ui, uj = U[i], U[j]
-            for k in range(r):
-                a, b = ui[k], uj[k]
-                ui[k] = g00 * a + g01 * b
-                uj[k] = g10 * a + g11 * b
-            ti, tj = tau[i], tau[j]
-            for k in range(m):
-                if k == i or k == j:
-                    continue
-                a, b = ti[k], tj[k]
-                na = g00 * a + g01 * b
-                nb = g10 * a + g11 * b
-                ti[k] = na
-                tj[k] = nb
-                tau[k][i] = na
-                tau[k][j] = nb
-            ti[i] = g * s1 - (1.0 - g) * s2
-            tj[j] = g * s2 - (1.0 - g) * s1
-            off = 1j * c * s * tot
-            ti[j] = off
-            tj[i] = off
-        if 2.0 * improvement < tol:
+            g = ((s2 + rng.random(len(t)) * (s1 - s2)) / np.where(move, s1 + s2, 1.0))[:, None]
+            c, sn = np.sqrt(g), 1j * np.sqrt(1.0 - g)
+            # G = [[c, i s], [i s, c]] V^H is unitary whatever the accuracy of
+            # V, so every candidate stays an exact decomposition
+            vh = v.conj().transpose(0, 2, 1)
+            mix = np.stack([c * vh[:, 0] + sn * vh[:, 1], sn * vh[:, 0] + c * vh[:, 1]], axis=1)
+            mix = np.where(move[:, None, None], mix, np.eye(2))
+            t[:, ij, :] = mix @ t[:, ij, :]
+            t[:, :, ij] = t[:, :, ij] @ mix.transpose(0, 2, 1)
+        tau[live] = t
+        live = live[2.0 * improvement >= tol]
+        if not live.size:
             break
-    return 2.0 * sum(abs(tau[k][k]) for k in range(m))
+    return 2.0 * np.abs(np.diagonal(tau, axis1=1, axis2=2)).sum(axis=1)
 
 
 def decomposition_infimum_oracle(
@@ -295,7 +237,7 @@ def decomposition_infimum_oracle(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     lam, vecs = np.linalg.eigh(rho.entries)
-    keep = lam > 1e-12
+    keep = lam > RANK_CUTOFF
     rank = int(np.sum(keep))
     if ensemble_size < rank:
         raise ValueError(f"ensemble_size {ensemble_size} is below the state rank {rank}")
@@ -303,26 +245,15 @@ def decomposition_infimum_oracle(
     scaled = vecs[:, keep] * np.sqrt(lam[keep])
     tau0 = scaled.T @ _PRECONCURRENCE_FORM @ scaled
     rng = np.random.default_rng(np.random.Philox(seed))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    best = math.inf
-    finalists: list[tuple[float, list, list]] = []
-    for _ in range(restarts):
-        z = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-        q, _ = np.linalg.qr(z)
-        tau_np = q @ tau0 @ q.T
-        tau_np = (tau_np + tau_np.T) / 2.0
-        tau = [[complex(tau_np[a, b]) for b in range(m)] for a in range(m)]
-        u = [[complex(q[a, b]) for b in range(rank)] for a in range(m)]
-        # a few cheap sweeps decide whether this start is worth finishing
-        value = _refine(tau, u, m, rank, pairs, rng, 3, 1e-7)
-        if value > best + 0.02:
-            continue
-        value = _refine(tau, u, m, rank, pairs, rng, 22, 1e-7)
-        best = min(best, value)
-        finalists.append((value, tau, u))
-        finalists.sort(key=lambda t: t[0])
-        del finalists[3:]
+    pairs = [np.array([i, j]) for i in range(m) for j in range(i + 1, m)]
+    shape = (restarts, m, rank)
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    tau = q @ tau0 @ q.transpose(0, 2, 1)
+    tau = (tau + tau.transpose(0, 2, 1)) / 2.0
+    # a few cheap sweeps decide which starts are worth finishing
+    values = _refine(tau, pairs, rng, PROBE_SWEEPS, DESCENT_TOL)
+    tau = tau[values <= values.min() + PRUNE_MARGIN]
+    values = _refine(tau, pairs, rng, DESCENT_SWEEPS, DESCENT_TOL)
     # finish the leading candidates at full precision
-    for value, tau, u in finalists:
-        best = min(best, _refine(tau, u, m, rank, pairs, rng, 300, 1e-9))
-    return best
+    tau = tau[np.argsort(values)[:FINALISTS]]
+    return float(min(values.min(), _refine(tau, pairs, rng, FINISH_SWEEPS, FINISH_TOL).min()))

@@ -174,3 +174,17 @@ class TestDecompositionInfimumOracle:
         w = wootters_concurrence(rho)
         o = decomposition_infimum_oracle(rho, restarts=200, ensemble_size=6, seed=5)
         assert -1e-6 <= o - w < 1e-3
+
+    def test_single_restart_has_fewer_candidates_than_finalists(self, rng):
+        for rank in (1, 2, 3, 4):
+            rho = random_density(rng, rank=rank)
+            w = wootters_concurrence(rho)
+            o = decomposition_infimum_oracle(rho, restarts=1, seed=rank)
+            assert -1e-6 <= o - w < 1e-3
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_two_member_ensembles_leave_a_single_pair(self, rng, rank):
+        rho = random_density(rng, rank=rank)
+        w = wootters_concurrence(rho)
+        o = decomposition_infimum_oracle(rho, restarts=50, ensemble_size=2, seed=11)
+        assert -1e-6 <= o - w < 1e-3

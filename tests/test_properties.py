@@ -1,0 +1,97 @@
+"""Property-based tests: malformed configs, joint-distribution invariants."""
+
+import copy
+import json
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from twocopy import DensityOperator, joint_outcome_distribution, relabel
+from twocopy.protocol import PROBABILITY_ATOL
+from twocopy.scenarios import ConfigError, emit_report, parse_config, run
+from twocopy.states import COPY_MAJOR, custom_state
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# the bundled configs plus a custom one, so every scenario family is a base
+BASE_DOCS = [json.loads(p.read_text()) for p in sorted((REPO_ROOT / "scenarios").glob("*.json"))] + [
+    {"scenario": "custom", "parameters": {"rho": (np.eye(16) / 16).tolist()}, "shots": 10}
+]
+
+REPRODUCIBLE = settings(derandomize=True, deadline=None, max_examples=200)
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["exact", "ket", "rho", "weight", "members", "value", "tol"]),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A base config with the value at one random path deleted, nudged or replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        action = draw(st.sampled_from(["delete", "nudge", "replace"]))
+        if action == "delete":
+            del node[key]
+        elif action == "nudge" and type(child) is int:
+            node[key] = child + draw(st.integers(-2, 2))
+        elif action == "nudge" and type(child) is float:
+            node[key] = child + draw(st.floats(-1e-3, 1e-3))
+        else:
+            node[key] = draw(JSON)
+        return doc
+
+
+@st.composite
+def two_copy_states(draw):
+    """A valid 16x16 density matrix of rank 1 to 4 on the copy-major layout."""
+    rank = draw(st.integers(1, 4))
+    parts = draw(arrays(np.float64, (2, 16, rank), elements=st.floats(-1.0, 1.0)))
+    g = parts[0] + 1j * parts[1]
+    m = g @ g.conj().T
+    trace = np.trace(m).real
+    assume(trace > 1e-3)
+    return custom_state(DensityOperator(COPY_MAJOR, m / trace))
+
+
+@REPRODUCIBLE
+@given(st.one_of(mutated_configs(), JSON))
+def test_any_document_runs_or_raises_config_error(doc):
+    try:
+        config = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    emit_report(run(config), "json")
+
+
+@REPRODUCIBLE
+@given(two_copy_states())
+def test_joint_distribution_sums_to_one_and_aa_is_below_each_marginal(state):
+    d = joint_outcome_distribution(state)
+    assert abs(sum(d.as_tuple()) - 1.0) <= PROBABILITY_ATOL
+    assert d.p_aa <= min(d.marginal("alice"), d.marginal("bob"))
+
+
+@REPRODUCIBLE
+@given(two_copy_states())
+def test_exchanging_the_copies_leaves_the_joint_distribution_unchanged(state):
+    exchanged = custom_state(relabel(state.state, ("A2", "B2", "A1", "B1")))
+    before = joint_outcome_distribution(state).as_tuple()
+    after = joint_outcome_distribution(exchanged).as_tuple()
+    assert np.allclose(before, after, rtol=0.0, atol=1e-12)

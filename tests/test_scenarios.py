@@ -207,6 +207,18 @@ class TestCli:
     def test_no_configs_exits_two(self):
         assert main([]) == 2
 
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(MINIMAL_PHASE)
+        assert main([str(cfg), "--output", str(tmp_path / "missing" / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("twocopy: error writing")
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe" + MINIMAL_PHASE.encode())
+        assert main([str(path)]) == 2
+        assert capsys.readouterr().err.startswith("twocopy: error reading")
+
     def test_list_scenarios(self, capsys):
         assert main(["--list-scenarios"]) == 0
         out = capsys.readouterr().out
