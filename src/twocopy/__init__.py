@@ -8,15 +8,14 @@ correct, falsely positive, inflated, or adversarially pinned.
 """
 
 from .linalg import (
+    COPY_MAJOR,
+    SINGLE_COPY,
     DensityOperator,
     DensityValidation,
     Ket,
-    QubitLayout,
-    basis_ket,
     expectation_value,
     partial_trace,
     permute_subsystems,
-    relabel,
     tensor_product,
     validate_density,
 )
@@ -51,9 +50,6 @@ from .scenarios import (
     run,
 )
 from .states import (
-    ALICE_PAIR,
-    BOB_PAIR,
-    COPY_MAJOR,
     DeFinettiEnsemble,
     TwoCopyState,
     custom_state,

@@ -7,6 +7,7 @@ Exit codes: 0 when every embedded expectation holds (or none were given),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,7 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--phase-points",
         default=None,
-        help="override phase discretization for phase-averaged scenarios ('exact' or an integer)",
+        help=(
+            "override phase discretization for phase-averaged scenarios "
+            "('exact', 'discretized' or an integer)"
+        ),
     )
     parser.add_argument(
         "--output",
@@ -76,11 +80,10 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
         if config.scenario != "phase-averaged":
             raise ConfigError(["--phase-points only applies to phase-averaged scenarios"])
         points = args.phase_points
-        if points != "exact":
-            try:
-                points = int(points)
-            except ValueError:
-                raise ConfigError([f"--phase-points must be 'exact' or an integer, got {points!r}"])
+        try:
+            points = int(points)
+        except ValueError:
+            pass  # phase_averaged_state accepts or refuses what is not an integer
         updates["parameters"] = {**config.parameters, "points": points}
     if not updates:
         return config
@@ -136,7 +139,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"twocopy: error writing {args.output}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        print(rendered)
+        try:
+            print(rendered, flush=True)
+        except OSError as exc:
+            print(f"twocopy: error writing stdout: {exc}", file=sys.stderr)
+            # the interpreter flushes stdout again at exit; send that to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_USAGE
     return EXIT_EXPECTATION_FAILED if any_failed else EXIT_OK
 
 

@@ -1,77 +1,54 @@
-"""Dense complex linear algebra over small labeled qubit registers.
+"""Dense complex linear algebra on the package's two qubit registers.
 
-States carry a :class:`QubitLayout`, an ordered tuple of subsystem labels.
-The label order fixes the amplitude indexing, with the first label most
-significant.  For a layout ``("A", "B")`` the four basis
-states are ordered
+Every state lives on one of two registers.  ``SINGLE_COPY = ("A", "B")`` is
+one copy of a two-qubit state, Alice's qubit A and Bob's qubit B (4x4).
+``COPY_MAJOR = ("A1", "B1", "A2", "B2")`` is two copies of it, copy k being
+the pair (Ak, Bk) (16x16).  The first label is most significant, so on
+``SINGLE_COPY`` the four basis states are ordered
 
     index 0  ->  |A=0, B=0>
     index 1  ->  |A=0, B=1>
     index 2  ->  |A=1, B=0>
     index 3  ->  |A=1, B=1>
 
-so ``index = 2*a + b`` and ``np.kron`` composes amplitudes in layout order.
-Observables are plain matrices in the same index order.
+that is ``index = 2*a + b``, and on ``COPY_MAJOR`` the index is
+``8*a1 + 4*b1 + 2*a2 + b2``, so ``np.kron`` of two single-copy arrays is
+their two-copy product.  Observables are plain matrices in the same index
+order.  Alice holds the pair (A1, A2) and Bob (B1, B2); exchanging the
+middle two qubits gives the side-major order (A1, A2, B1, B2).
 
 Everything here is a pure function of its inputs.  Arrays are copied on
 construction and frozen, so values are safe to share between threads.
 A :class:`DensityOperator` built from a matrix is validated; one derived
-from valid ones (tensor product, permutation, relabeling, partial trace,
-``Ket.density``) is valid by construction and is not checked again.
+from valid ones (``tensor_product``, ``Ket.density``) is valid by
+construction and is not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-# Structural tolerances.  Matrices in this package are at most 2^MAX_QUBITS
-# on a side, where double-precision accumulation error stays far below these.
+# Structural tolerances.  Matrices in this package are at most 16 on a side,
+# where double-precision accumulation error stays far below these.
 NORM_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 IMAG_ATOL = 1e-10
-MAX_QUBITS = 8
 
-LabelSpec = Union["QubitLayout", Sequence[str]]
-
-
-@dataclass(frozen=True)
-class QubitLayout:
-    """Ordered register of uniquely labeled qubits."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        labels = tuple(str(x) for x in self.labels)
-        object.__setattr__(self, "labels", labels)
-        if not 1 <= len(labels) <= MAX_QUBITS:
-            raise ValueError(f"layout must have 1..{MAX_QUBITS} qubits, got {len(labels)}")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels in layout {labels}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.labels)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** len(self.labels)
-
-    def position(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"label {label!r} not in layout {self.labels}") from None
+SINGLE_COPY = ("A", "B")
+COPY_MAJOR = ("A1", "B1", "A2", "B2")
 
 
-def as_layout(layout: LabelSpec) -> QubitLayout:
-    if isinstance(layout, QubitLayout):
-        return layout
-    return QubitLayout(tuple(layout))
+def _register(labels) -> tuple[tuple[str, ...], int]:
+    """The register ``labels`` names and its dimension."""
+    labels = tuple(labels)
+    if labels not in (SINGLE_COPY, COPY_MAJOR):
+        raise ValueError(f"labels must be {SINGLE_COPY} or {COPY_MAJOR}, got {labels}")
+    return labels, 2 ** len(labels)
 
 
 def _frozen_complex(a, shape: tuple[int, ...]) -> np.ndarray:
@@ -86,15 +63,15 @@ def _frozen_complex(a, shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ket:
-    """Normalized pure state over a qubit layout."""
+    """Normalized pure state on ``SINGLE_COPY`` or ``COPY_MAJOR``."""
 
-    layout: QubitLayout
+    labels: tuple[str, ...]
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        layout = as_layout(self.layout)
-        object.__setattr__(self, "layout", layout)
-        amps = _frozen_complex(self.amplitudes, (layout.dim,))
+        labels, dim = _register(self.labels)
+        object.__setattr__(self, "labels", labels)
+        amps = _frozen_complex(self.amplitudes, (dim,))
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"ket must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -102,42 +79,39 @@ class Ket:
 
     def density(self) -> "DensityOperator":
         """Rank-1 density operator |psi><psi|."""
-        return _derived(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _derived(self.labels, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace operator.
+    """Hermitian, positive semidefinite, unit-trace operator on one of the two registers.
 
     Construction enforces the invariants (Hermitian within 1e-10, eigenvalues
     above -1e-9, trace 1 within 1e-10); use :func:`validate_density` to
     inspect a matrix without raising.
     """
 
-    layout: QubitLayout
+    labels: tuple[str, ...]
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        layout = as_layout(self.layout)
-        object.__setattr__(self, "layout", layout)
-        entries = _frozen_complex(self.entries, (layout.dim, layout.dim))
+        labels, dim = _register(self.labels)
+        object.__setattr__(self, "labels", labels)
+        entries = _frozen_complex(self.entries, (dim, dim))
         report = validate_density(entries)
         if not report.passed:
             raise ValueError(f"not a valid density operator ({report})")
         object.__setattr__(self, "entries", entries)
 
 
-def _derived(layout: QubitLayout, entries: np.ndarray) -> DensityOperator:
+def _derived(labels: tuple[str, ...], entries: np.ndarray) -> DensityOperator:
     """A density operator computed from valid ones, frozen but not validated again."""
     rho = object.__new__(DensityOperator)
     entries = np.asarray(entries, dtype=complex)
     entries.setflags(write=False)
-    object.__setattr__(rho, "layout", layout)
+    object.__setattr__(rho, "labels", labels)
     object.__setattr__(rho, "entries", entries)
     return rho
-
-
-StateOrDensity = Union[Ket, DensityOperator]
 
 
 @dataclass(frozen=True)
@@ -184,91 +158,39 @@ def validate_density(rho: Union[np.ndarray, DensityOperator]) -> DensityValidati
     )
 
 
-def basis_ket(layout: LabelSpec, bits: str) -> Ket:
-    """Computational basis state from a bit string in layout order.
+def tensor_product(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
+    """The two-copy state rho x sigma on ``COPY_MAJOR`` from two single-copy states."""
+    if not all(isinstance(x, DensityOperator) and x.labels == SINGLE_COPY for x in (rho, sigma)):
+        raise ValueError(f"both factors must be single-copy density operators on {SINGLE_COPY}")
+    return _derived(COPY_MAJOR, np.kron(rho.entries, sigma.entries))
 
-    ``basis_ket(("A", "B"), "01")`` is the state with A=0, B=1, amplitude 1
-    at index 1.
+
+def permute_subsystems(x: np.ndarray) -> np.ndarray:
+    """Exchange the middle two qubits of a 16-vector or 16x16 matrix.
+
+    Maps copy-major (A1, B1, A2, B2) index order to side-major
+    (A1, A2, B1, B2) and back.  A pure reordering of basis indices: the
+    spectrum is untouched and applying it twice restores ``x`` exactly.
     """
-    layout = as_layout(layout)
-    if len(bits) != layout.n_qubits or any(c not in "01" for c in bits):
-        raise ValueError(f"bits {bits!r} do not match layout of {layout.n_qubits} qubits")
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return Ket(layout, amps)
-
-
-def relabel(x: StateOrDensity, labels: LabelSpec) -> StateOrDensity:
-    """Same amplitudes/entries under new labels (positional renaming)."""
-    layout = as_layout(labels)
-    if layout.n_qubits != x.layout.n_qubits:
-        raise ValueError("relabel must preserve the number of qubits")
-    if isinstance(x, Ket):
-        return Ket(layout, x.amplitudes)
-    return _derived(layout, x.entries)
-
-
-def tensor_product(a: StateOrDensity, b: StateOrDensity) -> StateOrDensity:
-    """Kronecker composition; operand layouts must have disjoint labels."""
-    if type(a) is not type(b):
-        raise ValueError(f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}")
-    common = set(a.layout.labels) & set(b.layout.labels)
-    if common:
-        raise ValueError(f"label collision in tensor product: {sorted(common)}")
-    layout = QubitLayout(a.layout.labels + b.layout.labels)
-    if isinstance(a, Ket):
-        return Ket(layout, np.kron(a.amplitudes, b.amplitudes))
-    return _derived(layout, np.kron(a.entries, b.entries))
-
-
-def _permutation(old: QubitLayout, new_order: LabelSpec) -> tuple[QubitLayout, list[int]]:
-    new_layout = as_layout(new_order)
-    if sorted(new_layout.labels) != sorted(old.labels):
-        raise ValueError(f"{new_layout.labels} is not a permutation of {old.labels}")
-    return new_layout, [old.position(lbl) for lbl in new_layout.labels]
-
-
-def permute_subsystems(x: StateOrDensity, new_order: LabelSpec) -> StateOrDensity:
-    """Reorder the subsystems of a ket or density operator to ``new_order``.
-
-    Pure relabeling of basis indices: the spectrum is untouched and applying
-    the inverse permutation restores the original entries exactly.
-    """
-    new_layout, perm = _permutation(x.layout, new_order)
-    n = x.layout.n_qubits
-    if isinstance(x, Ket):
-        amps = x.amplitudes.reshape((2,) * n).transpose(perm).reshape(-1)
-        return Ket(new_layout, amps)
+    x = np.asarray(x)
+    if x.shape not in ((16,), (16, 16)):
+        raise ValueError(f"expected a 16-vector or a 16x16 matrix, got shape {x.shape}")
     # matrices carry one axis per qubit for rows and one for columns
-    axes = perm + [n + p for p in perm]
-    entries = x.entries.reshape((2,) * (2 * n)).transpose(axes).reshape(x.layout.dim, x.layout.dim)
-    return _derived(new_layout, entries)
+    axes = (0, 2, 1, 3, 4, 6, 5, 7)[: 4 * x.ndim]
+    return x.reshape((2,) * (4 * x.ndim)).transpose(axes).reshape(x.shape)
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
-    """Trace out every subsystem not in ``keep``.
-
-    The kept labels retain their original relative order.
-    """
-    keep = set(keep)
-    unknown = keep - set(rho.layout.labels)
-    if unknown:
-        raise ValueError(f"unknown labels in keep set: {sorted(unknown)}")
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    kept_labels = tuple(lbl for lbl in rho.layout.labels if lbl in keep)
-    traced = tuple(lbl for lbl in rho.layout.labels if lbl not in keep)
-    if not traced:
-        return rho
-    n = rho.layout.n_qubits
-    kept_pos = [rho.layout.position(lbl) for lbl in kept_labels]
-    traced_pos = [rho.layout.position(lbl) for lbl in traced]
-    dk = 2 ** len(kept_pos)
-    dt = 2 ** len(traced_pos)
-    axes = kept_pos + traced_pos + [n + p for p in kept_pos] + [n + p for p in traced_pos]
-    m = rho.entries.reshape((2,) * (2 * n)).transpose(axes).reshape(dk, dt, dk, dt)
-    reduced = np.einsum("itjt->ij", m)
-    return _derived(QubitLayout(kept_labels), reduced)
+def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
+    """Reduce a 16x16 matrix to its qubit pair ``keep``: 1 (first two qubits) or 2 (last two)."""
+    if keep not in (1, 2):
+        raise ValueError(f"keep must be pair 1 or 2, got {keep!r}")
+    m = np.asarray(m)
+    if m.shape != (16, 16):
+        raise ValueError(f"expected a 16x16 matrix, got shape {m.shape}")
+    m = m.reshape(4, 4, 4, 4)
+    if keep == 2:
+        m = m.transpose(1, 0, 3, 2)
+    return np.einsum("itjt->ij", m)
 
 
 def expectation_value(obs: np.ndarray, rho: DensityOperator) -> float:
@@ -285,4 +207,3 @@ def expectation_value(obs: np.ndarray, rho: DensityOperator) -> float:
     if abs(tr.imag) >= IMAG_ATOL:
         raise ValueError(f"expectation has non-negligible imaginary part {tr.imag:.3e}")
     return tr.real
-

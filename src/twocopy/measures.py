@@ -14,15 +14,18 @@ above; it shares no code path with the closed form it is compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
+    COPY_MAJOR,
+    NORM_ATOL,
+    SINGLE_COPY,
     DensityOperator,
     Ket,
-    NORM_ATOL,
     partial_trace,
+    permute_subsystems,
 )
 
 # spin flip on two qubits: (sigma_y x sigma_y), antidiagonal in the
@@ -50,9 +53,14 @@ _PRECONCURRENCE_FORM = np.array(
 )
 
 
+# eigenvalues below this are rounding noise of zero ones (some negative, where
+# log2 fails); dropping one moves the entropy by less than 5e-14 bits
+ENTROPY_EIGENVALUE_FLOOR = 1e-15
+
+
 def _require_two_qubits(x) -> None:
-    if x.layout.n_qubits != 2:
-        raise ValueError(f"expected a 2-qubit system, got layout {x.layout.labels}")
+    if x.labels != SINGLE_COPY:
+        raise ValueError(f"expected a 2-qubit system on {SINGLE_COPY}, got {x.labels}")
 
 
 def check_weights(weights: Sequence[float]) -> None:
@@ -69,7 +77,7 @@ def check_weights(weights: Sequence[float]) -> None:
 
 @dataclass(frozen=True)
 class PureEnsemble:
-    """Weighted list of normalized pure states on a shared 2-qubit space."""
+    """Weighted list of normalized pure single-copy states."""
 
     members: tuple[tuple[float, Ket], ...]
 
@@ -77,9 +85,6 @@ class PureEnsemble:
         members = tuple((float(w), psi) for w, psi in self.members)
         object.__setattr__(self, "members", members)
         check_weights([w for w, _ in members])
-        layouts = {psi.layout.labels for _, psi in members}
-        if len(layouts) != 1:
-            raise ValueError(f"ensemble members must share one layout, got {sorted(layouts)}")
         for _, psi in members:
             _require_two_qubits(psi)
 
@@ -111,36 +116,29 @@ def wootters_concurrence(rho: DensityOperator) -> float:
     return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy in bits; eigenvalues below 1e-15 are treated as zero."""
-    eigs = np.linalg.eigvalsh(rho.entries)
-    eigs = eigs[eigs > 1e-15]
+def von_neumann_entropy(m: np.ndarray) -> float:
+    """Entropy in bits of a density matrix; eigenvalues below 1e-15 are treated as zero."""
+    eigs = np.linalg.eigvalsh(m)
+    eigs = eigs[eigs > ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(eigs * np.log2(eigs)))
 
 
-def entanglement_entropy(psi: Ket, a_side: Iterable[str]) -> float:
-    """Entropy of entanglement (ebits) of a pure state across a label split."""
-    a_side = set(a_side)
-    labels = set(psi.layout.labels)
-    if not a_side or not a_side < labels:
-        raise ValueError(f"a_side must be a nonempty proper subset of {sorted(labels)}")
-    return von_neumann_entropy(partial_trace(psi.density(), a_side))
+def entanglement_entropy(psi: Ket) -> float:
+    """Entropy of entanglement (ebits) of a two-copy pure state across the Alice/Bob cut."""
+    if psi.labels != COPY_MAJOR:
+        raise ValueError(f"expected a two-copy state on {COPY_MAJOR}, got {psi.labels}")
+    # Alice's pair (A1, A2) is the first pair in side-major order
+    return von_neumann_entropy(partial_trace(permute_subsystems(psi.density().entries), 1))
 
 
-def ensemble_upper_bound_entanglement(
-    members: Sequence[tuple[float, Ket]], a_side: Iterable[str]
-) -> float:
-    """Average entanglement entropy of an explicit decomposition (ebits).
+def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> float:
+    """Average entanglement entropy of an explicit two-copy decomposition (ebits).
 
     Upper-bounds the entanglement of formation of the mixture
-    sum_i p_i |psi_i><psi_i| across the given bipartition.
+    sum_i p_i |psi_i><psi_i| across the Alice/Bob cut.
     """
-    a_side = frozenset(a_side)
     check_weights([float(w) for w, _ in members])
-    layouts = {psi.layout.labels for _, psi in members}
-    if len(layouts) != 1:
-        raise ValueError(f"inconsistent bipartitions: members span layouts {sorted(layouts)}")
-    return float(sum(w * entanglement_entropy(psi, a_side) for w, psi in members))
+    return float(sum(w * entanglement_entropy(psi) for w, psi in members))
 
 
 # ---------------------------------------------------------------------------

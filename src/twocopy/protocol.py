@@ -19,12 +19,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import IMAG_ATOL, Ket
+from .linalg import IMAG_ATOL, Ket, permute_subsystems
 from .measures import (
     ensemble_upper_bound_entanglement,
     wootters_concurrence,
 )
-from .states import ALICE_PAIR, PAIR_SWAP, TwoCopyState, single_copy_marginal
+from .states import PAIR_SWAP, TwoCopyState, single_copy_marginal
 
 PROBABILITY_ATOL = 1e-10
 # identical pure qubit copies force p_a = C^2/4 <= 1/4, so anything above
@@ -37,11 +37,6 @@ MAX_SHOTS = 2**63 - 1
 OUTCOMES = ("aa", "as", "sa", "ss")
 
 
-def _copy_major(side_major: np.ndarray) -> np.ndarray:
-    """A 16x16 matrix on (A1, A2, B1, B2) reordered to (A1, B1, A2, B2)."""
-    return side_major.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
-
-
 # one side's antisymmetric ("a") and symmetric ("s") projectors on its pair
 PAIR_PROJECTORS = {
     "a": (np.eye(4, dtype=complex) - PAIR_SWAP) / 2.0,
@@ -50,9 +45,10 @@ PAIR_PROJECTORS = {
 for _m in PAIR_PROJECTORS.values():
     _m.setflags(write=False)
 # the projector of each outcome "xy" (x Alice's, y Bob's; a antisymmetric,
-# s symmetric) on the copy-major layout, stacked in OUTCOMES order
+# s symmetric) on the copy-major register, stacked in OUTCOMES order; the
+# Kronecker product of the two sides' projectors is side major
 _JOINT_STACK = np.stack(
-    [_copy_major(np.kron(PAIR_PROJECTORS[xy[0]], PAIR_PROJECTORS[xy[1]])) for xy in OUTCOMES]
+    [permute_subsystems(np.kron(PAIR_PROJECTORS[xy[0]], PAIR_PROJECTORS[xy[1]])) for xy in OUTCOMES]
 )
 _JOINT_STACK.setflags(write=False)
 JOINT_PROJECTORS = dict(zip(OUTCOMES, _JOINT_STACK))
@@ -176,7 +172,6 @@ def evaluate_scenario(
     state: TwoCopyState,
     dist: OutcomeDistribution,
     decomposition: Optional[Sequence[tuple[float, Ket]]] = None,
-    decomposition_a_side: Sequence[str] = ALICE_PAIR,
 ) -> EstimateVerdict:
     """Set the protocol's outcome on one state beside the ground truth.
 
@@ -193,7 +188,7 @@ def evaluate_scenario(
     truth = wootters_concurrence(single_copy_marginal(state, copy=1))
     bound = None
     if decomposition is not None:
-        bound = ensemble_upper_bound_entanglement(decomposition, decomposition_a_side)
+        bound = ensemble_upper_bound_entanglement(decomposition)
     return EstimateVerdict(
         p_a_alice=p_alice,
         p_a_bob=p_bob,

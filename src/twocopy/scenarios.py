@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
-from .linalg import DensityOperator, Ket, QubitLayout
+from .linalg import COPY_MAJOR, SINGLE_COPY, DensityOperator, Ket
 from .measures import PureEnsemble
 from .protocol import (
     MAX_SHOTS,
@@ -49,7 +49,6 @@ from .protocol import (
     sample_outcomes,
 )
 from .states import (
-    COPY_MAJOR,
     DeFinettiEnsemble,
     TwoCopyState,
     custom_state,
@@ -76,7 +75,6 @@ METRIC_NAMES = (
 )
 
 DEFAULT_EXPECT_TOL = 1e-9
-SINGLE_COPY = ("A", "B")
 
 
 class ConfigError(ValueError):
@@ -297,7 +295,7 @@ def _parse_state(node, where: str, labels=SINGLE_COPY, pure: bool = False):
     if problems:
         raise ConfigError(problems)
     try:
-        return (Ket if pure else DensityOperator)(QubitLayout(labels), entries)
+        return (Ket if pure else DensityOperator)(labels, entries)
     except ValueError as exc:
         raise ConfigError([f"{where}: {exc}"]) from None
 

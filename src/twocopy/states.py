@@ -1,13 +1,10 @@
 """Constructors for every two-copy state family used by the scenarios.
 
-The canonical two-copy layout is copy major, (A1, B1, A2, B2): copy k is
+Two-copy states live on the copy-major register (A1, B1, A2, B2): copy k is
 the bipartite pair (Ak, Bk) shared by Alice and Bob.  Alice holds the pair
 (A1, A2) and Bob holds (B1, B2); the side-major view (A1, A2, B1, B2) is
-obtained by subsystem permutation when needed.
-
-Single-copy inputs may use any 2-qubit layout; the first label is taken as
-Alice's qubit and the second as Bob's, and copies are relabeled to
-(A1, B1) and (A2, B2) positionally.
+obtained by exchanging the middle two qubits when needed.  Single-copy
+inputs live on (A, B), Alice's qubit first.
 """
 
 from __future__ import annotations
@@ -19,21 +16,15 @@ from typing import Union
 import numpy as np
 
 from .linalg import (
+    COPY_MAJOR,
+    SINGLE_COPY,
     DensityOperator,
     Ket,
-    QubitLayout,
-    basis_ket,
+    _derived,
+    partial_trace,
     permute_subsystems,
-    relabel,
 )
 from .measures import PureEnsemble, check_weights
-
-COPY_MAJOR = ("A1", "B1", "A2", "B2")
-ALICE_PAIR = ("A1", "A2")
-BOB_PAIR = ("B1", "B2")
-
-COPY_1 = ("A1", "B1")
-COPY_2 = ("A2", "B2")
 
 # exchange of the two qubits of a pair; (I - SWAP)/2 projects onto the
 # pair's antisymmetric subspace, spanned by the singlet, and (I + SWAP)/2
@@ -49,14 +40,13 @@ MAX_PHASE_POINTS = 4096
 
 @dataclass(frozen=True)
 class TwoCopyState:
-    """Density operator on the canonical copy-major four-qubit layout."""
+    """Density operator on the copy-major four-qubit register."""
 
     state: DensityOperator
-    provenance: str
 
     def __post_init__(self) -> None:
-        if self.state.layout.labels != COPY_MAJOR:
-            raise ValueError(f"two-copy states live on {COPY_MAJOR}, got {self.state.layout.labels}")
+        if self.state.labels != COPY_MAJOR:
+            raise ValueError(f"two-copy states need the four qubits {COPY_MAJOR}, got {self.state.labels}")
 
 
 @dataclass(frozen=True)
@@ -70,14 +60,14 @@ class DeFinettiEnsemble:
         object.__setattr__(self, "members", members)
         check_weights([w for w, _ in members])
         for _, rho in members:
-            if rho.layout.n_qubits != 2:
-                raise ValueError("ensemble members must be single-copy 2-qubit states")
+            if rho.labels != SINGLE_COPY:
+                raise ValueError(f"ensemble members must be single-copy 2-qubit states on {SINGLE_COPY}")
 
 
-def _mixture_of_copies(weights, rhos: np.ndarray, provenance: str) -> TwoCopyState:
+def _mixture_of_copies(weights, rhos: np.ndarray) -> TwoCopyState:
     """sum_i w_i rho_i x rho_i from an (N, 4, 4) stack of single-copy matrices."""
     total = np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos).reshape(16, 16)
-    return TwoCopyState(DensityOperator(QubitLayout(COPY_MAJOR), total), provenance)
+    return TwoCopyState(DensityOperator(COPY_MAJOR, total))
 
 
 def _projectors(amplitudes: np.ndarray) -> np.ndarray:
@@ -87,21 +77,21 @@ def _projectors(amplitudes: np.ndarray) -> np.ndarray:
 
 def identical_pure_copies(psi: Ket) -> TwoCopyState:
     """Two exact copies |psi><psi| x |psi><psi| of one pure bipartite state."""
-    if psi.layout.n_qubits != 2:
-        raise ValueError("identical_pure_copies expects a 2-qubit ket")
-    return _mixture_of_copies([1.0], _projectors(psi.amplitudes[None]), "pure-copies")
+    if psi.labels != SINGLE_COPY:
+        raise ValueError(f"identical_pure_copies expects a 2-qubit ket on {SINGLE_COPY}")
+    return _mixture_of_copies([1.0], _projectors(psi.amplitudes[None]))
 
 
 def de_finetti_state(e: DeFinettiEnsemble) -> TwoCopyState:
     """Mixture of identical per-copy hypotheses, sum_i p_i rho_i x rho_i."""
     rhos = np.array([rho.entries for _, rho in e.members])
-    return _mixture_of_copies([w for w, _ in e.members], rhos, "de-finetti")
+    return _mixture_of_copies([w for w, _ in e.members], rhos)
 
 
 def pure_de_finetti_state(e: PureEnsemble) -> TwoCopyState:
     """De Finetti mixture whose hypotheses are all pure states."""
     amplitudes = np.array([psi.amplitudes for _, psi in e.members])
-    return _mixture_of_copies([w for w, _ in e.members], _projectors(amplitudes), "pure-de-finetti")
+    return _mixture_of_copies([w for w, _ in e.members], _projectors(amplitudes))
 
 
 def logical_bell_state() -> Ket:
@@ -115,7 +105,7 @@ def logical_bell_state() -> Ket:
     amps = np.zeros(16, dtype=complex)
     amps[0b0110] = 1.0 / math.sqrt(2.0)
     amps[0b1001] = 1.0 / math.sqrt(2.0)
-    return Ket(QubitLayout(COPY_MAJOR), amps)
+    return Ket(COPY_MAJOR, amps)
 
 
 def phase_averaged_decomposition() -> tuple[tuple[float, Ket], ...]:
@@ -125,8 +115,8 @@ def phase_averaged_decomposition() -> tuple[tuple[float, Ket], ...]:
     state with weight one half.
     """
     return (
-        (0.25, basis_ket(COPY_MAJOR, "0101")),
-        (0.25, basis_ket(COPY_MAJOR, "1010")),
+        (0.25, Ket(COPY_MAJOR, np.eye(16)[0b0101])),
+        (0.25, Ket(COPY_MAJOR, np.eye(16)[0b1010])),
         (0.5, logical_bell_state()),
     )
 
@@ -146,8 +136,7 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> TwoCopyState:
         total = np.zeros((16, 16), dtype=complex)
         for w, psi in phase_averaged_decomposition():
             total += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        rho = DensityOperator(QubitLayout(COPY_MAJOR), total)
-        return TwoCopyState(rho, "phase-averaged")
+        return TwoCopyState(DensityOperator(COPY_MAJOR, total))
     if points == "discretized":
         points = DEFAULT_PHASE_POINTS
     if isinstance(points, bool) or not isinstance(points, int):
@@ -159,7 +148,7 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> TwoCopyState:
     amplitudes[:, 1] = 1.0
     amplitudes[:, 2] = np.exp(2j * math.pi * np.arange(points) / points)
     amplitudes /= math.sqrt(2.0)
-    return _mixture_of_copies(np.full(points, 1.0 / points), _projectors(amplitudes), "phase-averaged")
+    return _mixture_of_copies(np.full(points, 1.0 / points), _projectors(amplitudes))
 
 
 def eve_state(kind: str) -> TwoCopyState:
@@ -178,30 +167,15 @@ def eve_state(kind: str) -> TwoCopyState:
         pair = (np.eye(4) + PAIR_SWAP) / 6.0
     else:
         raise ValueError(f"kind must be 'antisymmetric' or 'symmetric', got {kind!r}")
-    side_major = DensityOperator(QubitLayout(ALICE_PAIR + BOB_PAIR), np.kron(pair, pair))
-    return TwoCopyState(permute_subsystems(side_major, COPY_MAJOR), "adversarial")
+    # the two pairs side by side are side major: (A1, A2) then (B1, B2)
+    return TwoCopyState(DensityOperator(COPY_MAJOR, permute_subsystems(np.kron(pair, pair))))
 
 
 def custom_state(rho: DensityOperator) -> TwoCopyState:
-    """Wrap an arbitrary valid four-qubit density operator as a scenario state.
-
-    A state on the copy-major labels in another order is permuted; other
-    label sets are renamed positionally.
-    """
-    if rho.layout.n_qubits != 4:
-        raise ValueError("custom two-copy states need exactly four qubits")
-    if rho.layout.labels != COPY_MAJOR:
-        if set(rho.layout.labels) == set(COPY_MAJOR):
-            rho = permute_subsystems(rho, COPY_MAJOR)
-        else:
-            rho = relabel(rho, COPY_MAJOR)
-    return TwoCopyState(rho, "custom")
+    """Wrap an arbitrary valid density operator on (A1, B1, A2, B2) as a scenario state."""
+    return TwoCopyState(rho)
 
 
 def single_copy_marginal(state: TwoCopyState, copy: int = 1) -> DensityOperator:
-    """Reduced state of one copy, on labels (A1, B1) or (A2, B2)."""
-    if copy not in (1, 2):
-        raise ValueError("copy must be 1 or 2")
-    from .linalg import partial_trace
-
-    return partial_trace(state.state, COPY_1 if copy == 1 else COPY_2)
+    """Reduced state of copy 1 (A1, B1) or copy 2 (A2, B2), on (A, B)."""
+    return _derived(SINGLE_COPY, partial_trace(state.state.entries, copy))

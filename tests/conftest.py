@@ -3,30 +3,41 @@
 import numpy as np
 import pytest
 
-from twocopy import DensityOperator, Ket, PureEnsemble, QubitLayout, tensor_product
+from twocopy import SINGLE_COPY, DensityOperator, Ket, PureEnsemble
 from twocopy.states import DeFinettiEnsemble
 
 
-def random_ket(rng, labels=("A", "B")) -> Ket:
-    dim = 2 ** len(labels)
+def random_unit_vector(rng, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Ket(QubitLayout(tuple(labels)), v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
-def random_product_ket(rng, labels=("A", "B")) -> Ket:
-    parts = [random_ket(rng, (lbl,)) for lbl in labels]
-    out = parts[0]
-    for p in parts[1:]:
-        out = tensor_product(out, p)
-    return out
+def random_ket(rng, labels=SINGLE_COPY) -> Ket:
+    return Ket(labels, random_unit_vector(rng, 2 ** len(labels)))
 
 
-def random_density(rng, labels=("A", "B"), rank=None) -> DensityOperator:
+def basis_ket(labels, bits: str) -> Ket:
+    """The computational basis state with the given bits, first label first."""
+    return Ket(labels, np.eye(2 ** len(labels))[int(bits, 2)])
+
+
+def random_product_ket(rng) -> Ket:
+    """A single-copy product state: one random qubit for A, then one for B."""
+    a = random_unit_vector(rng, 2)
+    return Ket(SINGLE_COPY, np.kron(a, random_unit_vector(rng, 2)))
+
+
+def random_density(rng, labels=SINGLE_COPY, rank=None) -> DensityOperator:
     dim = 2 ** len(labels)
     rank = dim if rank is None else rank
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    return DensityOperator(QubitLayout(tuple(labels)), m / np.trace(m).real)
+    return DensityOperator(labels, m / np.trace(m).real)
+
+
+def exchange_copies(m: np.ndarray) -> np.ndarray:
+    """A copy-major 16x16 matrix with copies (A1, B1) and (A2, B2) exchanged."""
+    return m.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
 
 
 def random_weights(rng, k: int) -> np.ndarray:

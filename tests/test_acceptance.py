@@ -8,8 +8,8 @@ claims the package must reproduce.
 import numpy as np
 
 from twocopy import (
+    SINGLE_COPY,
     DensityOperator,
-    QubitLayout,
     antisym_probability,
     decomposition_infimum_oracle,
     disagreement_probability,
@@ -33,7 +33,7 @@ from twocopy.states import (
 
 from conftest import random_density, random_ket, random_product_ket, random_pure_ensemble
 
-AB = QubitLayout(("A", "B"))
+AB = SINGLE_COPY
 
 
 def report(number: int, description: str, passed: bool, detail: str = "") -> None:

@@ -2,67 +2,88 @@ import numpy as np
 import pytest
 
 from twocopy import (
+    COPY_MAJOR,
+    SINGLE_COPY,
     DensityOperator,
     Ket,
-    QubitLayout,
-    basis_ket,
     expectation_value,
     partial_trace,
     permute_subsystems,
-    relabel,
     tensor_product,
     validate_density,
 )
 from twocopy import linalg
-from twocopy.states import phase_averaged_state
+from twocopy.states import phase_averaged_state, single_copy_marginal
 
 from conftest import random_density, random_ket
 
 # projector onto the antisymmetric subspace of a pair: the singlet's
 SINGLET = np.array([0, 1, -1, 0]) / np.sqrt(2)
 ANTISYM_PAIR = np.outer(SINGLET, SINGLET)
+BELL = np.array([0, 1, 1, 0]) / np.sqrt(2)
+SIDE_MAJOR = ("A1", "A2", "B1", "B2")
 
 
-def mixed(labels=("A",)):
+def mixed(labels=SINGLE_COPY):
     dim = 2 ** len(labels)
-    return DensityOperator(QubitLayout(tuple(labels)), np.eye(dim) / dim)
+    return DensityOperator(labels, np.eye(dim) / dim)
+
+
+def basis_density(index: int) -> DensityOperator:
+    """|index><index| on the single-copy register."""
+    return Ket(SINGLE_COPY, np.eye(4)[index]).density()
 
 
 class TestLayout:
     def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            QubitLayout(("A", "A"))
+        with pytest.raises(ValueError, match="labels must be"):
+            Ket(("A", "A"), np.eye(4)[0])
 
     def test_index_convention(self):
-        # first label is most significant: |A=0,B=1> sits at index 1
-        ket = basis_ket(("A", "B"), "01")
+        # first label is most significant: |A=0>|B=1> sits at index 1, and
+        # on the copy-major register (A1, B1) = 01 with (A2, B2) = 00 at 0b0100
+        ket = Ket(SINGLE_COPY, np.kron([1, 0], [0, 1]))
         assert ket.amplitudes[1] == 1.0
         assert np.count_nonzero(ket.amplitudes) == 1
+        two_copy = tensor_product(ket.density(), basis_density(0)).entries
+        assert two_copy[0b0100, 0b0100] == 1.0
+        assert np.count_nonzero(two_copy) == 1
 
     def test_ket_must_be_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            Ket(QubitLayout(("A",)), np.array([1.0, 1.0]))
+            Ket(SINGLE_COPY, np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "labels", [("A",), ("A", "B", "C"), ("B", "A"), ("A2", "B2", "A1", "B1"), SIDE_MAJOR]
+    )
+    def test_only_the_two_registers(self, labels):
+        dim = 2 ** len(labels)
+        with pytest.raises(ValueError, match="labels must be"):
+            Ket(labels, np.eye(dim)[0])
+        with pytest.raises(ValueError, match="labels must be"):
+            DensityOperator(labels, np.eye(dim) / dim)
+
+    def test_labels_fix_the_shape(self):
+        assert Ket(list(COPY_MAJOR), np.eye(16)[0]).labels == COPY_MAJOR
+        with pytest.raises(ValueError, match="shape"):
+            DensityOperator(COPY_MAJOR, np.eye(4) / 4)
 
 
 class TestTensorProduct:
     def test_identity_composition(self):
-        out = tensor_product(mixed(("A1",)), mixed(("A2",)))
-        assert np.allclose(out.entries, np.eye(4) / 4)
-        assert out.layout.labels == ("A1", "A2")
+        out = tensor_product(mixed(), mixed())
+        assert np.allclose(out.entries, np.eye(16) / 16)
+        assert out.labels == COPY_MAJOR
 
     def test_basis_case(self):
-        out = tensor_product(basis_ket(("A1",), "0"), basis_ket(("B1",), "1"))
-        expected = np.zeros(4)
-        expected[0b01] = 1.0
-        assert np.array_equal(out.amplitudes, expected)
+        out = tensor_product(basis_density(0b00), basis_density(0b11))
+        expected = np.zeros((16, 16))
+        expected[0b0011, 0b0011] = 1.0
+        assert np.array_equal(out.entries, expected)
 
     def test_bell_squared_is_rank_one_trace_one(self, rng):
-        bell = Ket(QubitLayout(("A", "B")), np.array([0, 1, 1, 0]) / np.sqrt(2))
-        left = tensor_product(
-            Ket(QubitLayout(("A1", "B1")), bell.amplitudes),
-            Ket(QubitLayout(("A2", "B2")), bell.amplitudes),
-        )
-        rho = left.density()
+        bell = Ket(SINGLE_COPY, BELL)
+        rho = tensor_product(bell.density(), bell.density())
         # independent route: outer product of the kron'd amplitude vector
         vec = np.kron(bell.amplitudes, bell.amplitudes)
         assert rho.entries.shape == (16, 16)
@@ -70,18 +91,18 @@ class TestTensorProduct:
         eigs = np.linalg.eigvalsh(rho.entries)[::-1]
         assert abs(eigs[0] - 1.0) < 1e-12 and np.all(np.abs(eigs[1:]) < 1e-12)
 
-    def test_label_collision_rejected(self):
-        with pytest.raises(ValueError, match="collision"):
-            tensor_product(mixed(("A",)), mixed(("A",)))
+    def test_two_copy_factor_rejected(self):
+        with pytest.raises(ValueError, match="single-copy"):
+            tensor_product(mixed(COPY_MAJOR), mixed())
 
     def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValueError, match="same kind"):
-            tensor_product(basis_ket(("A",), "0"), mixed(("B",)))
+        with pytest.raises(ValueError, match="density operators"):
+            tensor_product(basis_density(0), Ket(SINGLE_COPY, np.eye(4)[0]))
 
     def test_trace_multiplicative(self, rng):
         for _ in range(20):
-            a = random_density(rng, ("A", "B"))
-            b = random_density(rng, ("C",))
+            a = random_density(rng)
+            b = random_density(rng)
             prod = tensor_product(a, b)
             ta = np.trace(a.entries) * np.trace(b.entries)
             assert abs(np.trace(prod.entries) - ta) < 1e-10
@@ -89,39 +110,51 @@ class TestTensorProduct:
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
-        bell = Ket(QubitLayout(("A", "B")), np.array([0, 1, 1, 0]) / np.sqrt(2))
-        reduced = partial_trace(bell.density(), {"A"})
-        assert np.allclose(reduced.entries, np.eye(2) / 2, atol=1e-12)
+        # a Bell pair on Alice's (A1, A2) and another on Bob's (B1, B2): each
+        # copy (Ak, Bk) holds one qubit of each pair, so it is maximally mixed
+        pairs = np.kron(BELL, BELL)
+        rho = np.outer(pairs, pairs)
+        for keep in (1, 2):
+            reduced = partial_trace(permute_subsystems(rho), keep)
+            assert np.allclose(reduced, np.eye(4) / 4, atol=1e-12)
 
     def test_product_reduces_to_factor(self, rng):
-        rho = random_density(rng, ("A1", "B1"))
-        sigma = random_density(rng, ("A2", "B2"))
-        out = partial_trace(tensor_product(rho, sigma), {"A1", "B1"})
-        assert np.max(np.abs(out.entries - rho.entries)) < 1e-12
-        assert out.layout.labels == ("A1", "B1")
+        rho = random_density(rng)
+        sigma = random_density(rng)
+        prod = tensor_product(rho, sigma).entries
+        assert np.max(np.abs(partial_trace(prod, 1) - rho.entries)) < 1e-12
+        assert np.max(np.abs(partial_trace(prod, 2) - sigma.entries)) < 1e-12
 
     def test_phase_averaged_alice_pair_is_maximally_mixed(self):
         # cross-checks the antisymmetric projection probability of 1/4
         rho = phase_averaged_state("exact").state
-        alice = partial_trace(rho, {"A1", "A2"})
-        assert alice.layout.labels == ("A1", "A2")
-        assert np.max(np.abs(alice.entries - np.eye(4) / 4)) < 1e-14
-        assert abs(expectation_value(ANTISYM_PAIR, alice) - 0.25) < 1e-14
+        alice = partial_trace(permute_subsystems(rho.entries), 1)
+        assert np.max(np.abs(alice - np.eye(4) / 4)) < 1e-14
+        assert abs(np.trace(ANTISYM_PAIR @ alice).real - 0.25) < 1e-14
 
     def test_trace_preserving_and_psd(self, rng):
         for _ in range(20):
-            rho = random_density(rng, ("A", "B", "C"))
-            out = partial_trace(rho, {"B"})
-            assert abs(np.trace(out.entries) - 1.0) < 1e-10
-            assert np.linalg.eigvalsh(out.entries)[0] >= -1e-9
+            rho = random_density(rng, COPY_MAJOR).entries
+            for m in (rho, permute_subsystems(rho)):
+                for keep in (1, 2):
+                    out = partial_trace(m, keep)
+                    assert abs(np.trace(out) - 1.0) < 1e-10
+                    assert np.linalg.eigvalsh(out)[0] >= -1e-9
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            partial_trace(mixed(("A", "B")), {"Z"})
+        # pairs are named 1 and 2; labels, other numbers and both pairs are refused
+        for keep in (0, 3, "A1", {"A1", "B1"}, (1, 2)):
+            with pytest.raises(ValueError, match="pair 1 or 2"):
+                partial_trace(np.eye(16) / 16, keep)
 
     def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            partial_trace(mixed(("A", "B")), set())
+        with pytest.raises(ValueError, match="pair 1 or 2"):
+            partial_trace(np.eye(16) / 16, set())
+
+    @pytest.mark.parametrize("shape", [(256,), (4, 4), (16, 4, 4)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="16x16"):
+            partial_trace(np.zeros(shape), 1)
 
 
 def brute_force_ket_permutation(amps, old_labels, new_labels):
@@ -137,68 +170,64 @@ def brute_force_ket_permutation(amps, old_labels, new_labels):
 
 
 class TestPermuteSubsystems:
-    def test_identity_permutation(self, rng):
-        psi = random_ket(rng, ("A", "B", "C"))
-        out = permute_subsystems(psi, ("A", "B", "C"))
-        assert np.array_equal(out.amplitudes, psi.amplitudes)
-
     def test_round_trip_exact(self, rng):
-        rho = random_density(rng, ("A", "B", "C"))
-        there = permute_subsystems(rho, ("C", "A", "B"))
-        back = permute_subsystems(there, ("A", "B", "C"))
-        assert np.array_equal(back.entries, rho.entries)
+        rho = random_density(rng, COPY_MAJOR).entries
+        there = permute_subsystems(rho)
+        assert not np.array_equal(there, rho)
+        assert np.array_equal(permute_subsystems(there), rho)
 
     def test_copy_major_to_side_major(self):
-        psi = basis_ket(("A1", "B1", "A2", "B2"), "0101")
-        out = permute_subsystems(psi, ("A1", "A2", "B1", "B2"))
-        expected = basis_ket(("A1", "A2", "B1", "B2"), "0011")
-        assert np.array_equal(out.amplitudes, expected.amplitudes)
+        # A1=0, B1=1, A2=0, B2=1 is A1A2 = 00, B1B2 = 11 side major
+        out = permute_subsystems(np.eye(16)[0b0101])
+        assert np.array_equal(out, np.eye(16)[0b0011])
 
     def test_against_brute_force_enumeration(self, rng):
         for _ in range(10):
-            psi = random_ket(rng, ("A", "B", "C", "D"))
-            new_order = list(rng.permutation(("A", "B", "C", "D")))
-            out = permute_subsystems(psi, new_order)
-            expected = brute_force_ket_permutation(psi.amplitudes, ("A", "B", "C", "D"), new_order)
-            assert np.max(np.abs(out.amplitudes - expected)) == 0.0
+            psi = random_ket(rng, COPY_MAJOR)
+            out = permute_subsystems(psi.amplitudes)
+            expected = brute_force_ket_permutation(psi.amplitudes, COPY_MAJOR, SIDE_MAJOR)
+            assert np.max(np.abs(out - expected)) == 0.0
+            # the matrix form permutes rows and columns alike
+            rho = psi.density().entries
+            assert np.array_equal(permute_subsystems(rho), np.outer(out, out.conj()))
 
     def test_spectrum_preserved_exactly(self, rng):
-        rho = random_density(rng, ("A", "B", "C"))
-        out = permute_subsystems(rho, ("B", "C", "A"))
-        assert np.allclose(
-            np.linalg.eigvalsh(out.entries), np.linalg.eigvalsh(rho.entries), atol=1e-13
-        )
+        rho = random_density(rng, COPY_MAJOR).entries
+        out = permute_subsystems(rho)
+        assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-13)
 
-    def test_non_permutation_rejected(self):
-        with pytest.raises(ValueError, match="permutation"):
-            permute_subsystems(mixed(("A", "B")), ("A", "C"))
+    @pytest.mark.parametrize("shape", [(4,), (4, 4), (16, 4), (2, 16, 16)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="16"):
+            permute_subsystems(np.zeros(shape))
 
 
 class TestExpectationValue:
     def test_normalization(self, rng):
-        rho = random_density(rng, ("A", "B"))
+        rho = random_density(rng)
         assert abs(expectation_value(np.eye(4), rho) - 1.0) < 1e-12
 
     def test_antisym_on_maximally_mixed(self):
-        assert abs(expectation_value(ANTISYM_PAIR, mixed(("A", "B"))) - 0.25) < 1e-14
+        assert abs(expectation_value(ANTISYM_PAIR, mixed()) - 0.25) < 1e-14
 
     def test_orthogonal_component(self):
-        bell = Ket(QubitLayout(("A", "B")), np.array([0, 1, 1, 0]) / np.sqrt(2))
+        bell = Ket(SINGLE_COPY, BELL)
         proj = np.diag([1.0, 0, 0, 0])
         assert abs(expectation_value(proj, bell.density())) < 1e-14
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            expectation_value(np.eye(4), mixed(("A",)))
+            expectation_value(np.eye(4), mixed(COPY_MAJOR))
 
     def test_non_hermitian_rejected(self):
-        obs = np.array([[0, 1], [0, 0]], dtype=complex)
+        obs = np.zeros((4, 4), dtype=complex)
+        obs[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
-            expectation_value(obs, mixed(("A",)))
+            expectation_value(obs, mixed())
 
     def test_projector_expectations_are_probabilities(self, rng):
         for _ in range(50):
-            rho = random_density(rng, ("A", "B"))
+            rho = random_density(rng)
             p = expectation_value(ANTISYM_PAIR, rho)
             assert -1e-10 <= p <= 1.0 + 1e-10
 
@@ -219,9 +248,9 @@ class TestValidateDensity:
 
     def test_constructor_enforces_invariants(self):
         with pytest.raises(ValueError, match="density"):
-            DensityOperator(QubitLayout(("A",)), np.array([[0.9, 0], [0, 0]], dtype=complex))
+            DensityOperator(SINGLE_COPY, np.diag([0.9, 0, 0, 0]))
         with pytest.raises(ValueError, match="density"):
-            DensityOperator(QubitLayout(("A",)), np.array([[1.5, 0], [0, -0.5]], dtype=complex))
+            DensityOperator(SINGLE_COPY, np.diag([1.5, -0.5, 0, 0]))
 
     def test_entries_and_amplitudes_are_frozen(self, rng):
         rho = random_density(rng)
@@ -229,16 +258,15 @@ class TestValidateDensity:
             rho.entries[0, 0] = 1.0
 
     def test_derived_densities_are_frozen_and_not_validated_again(self, rng, monkeypatch):
-        rho = random_density(rng, ("A", "B"))
-        psi = random_ket(rng, ("C",))
+        rho = random_density(rng)
+        psi = random_ket(rng)
+        pair = phase_averaged_state(4)
         calls = []
         monkeypatch.setattr(linalg, "validate_density", lambda m: calls.append(m))
         derived = [
             psi.density(),
             tensor_product(rho, psi.density()),
-            permute_subsystems(rho, ("B", "A")),
-            relabel(rho, ("X", "Y")),
-            partial_trace(rho, {"A"}),
+            single_copy_marginal(pair, 2),
         ]
         assert calls == []
         for d in derived:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from twocopy import (
+    COPY_MAJOR,
+    SINGLE_COPY,
     DensityOperator,
     Ket,
     PureEnsemble,
-    QubitLayout,
-    basis_ket,
     decomposition_infimum_oracle,
     ensemble_upper_bound_entanglement,
     entanglement_entropy,
@@ -17,9 +17,9 @@ from twocopy import (
 )
 from twocopy.states import logical_bell_state, phase_averaged_decomposition
 
-from conftest import random_density, random_ket, random_product_ket
+from conftest import basis_ket, random_density, random_ket, random_product_ket
 
-AB = QubitLayout(("A", "B"))
+AB = SINGLE_COPY
 
 # a ket of concurrence 0.0273 on which the eigenvalues of rho . rho_tilde
 # gave a closed form 1.8e-8 away from 2|ad - bc|
@@ -55,7 +55,7 @@ class TestPureConcurrence:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="2-qubit"):
-            pure_concurrence(basis_ket(("A",), "0"))
+            pure_concurrence(basis_ket(COPY_MAJOR, "0000"))
 
 
 class TestWoottersConcurrence:
@@ -79,7 +79,7 @@ class TestWoottersConcurrence:
         # weakly entangled kets, concurrence below 0.05, where the square
         # root amplifies eigensolver noise on the near-zero Wootters values
         for eps in (3e-2, 1e-2, 1e-3, 1e-4, 1e-6) * 4:
-            product = random_product_ket(rng, ("A", "B")).amplitudes
+            product = random_product_ket(rng).amplitudes
             v = product + eps * random_ket(rng).amplitudes
             kets.append(Ket(AB, v / np.linalg.norm(v)))
         kets.append(Ket(AB, np.array(LOW_CONCURRENCE_KET) / np.linalg.norm(LOW_CONCURRENCE_KET)))
@@ -114,30 +114,28 @@ class TestEnsembleAverageConcurrence:
 
 class TestEnsembleUpperBound:
     def test_phase_averaged_decomposition_gives_half_ebit(self):
-        bound = ensemble_upper_bound_entanglement(phase_averaged_decomposition(), ("A1", "A2"))
+        bound = ensemble_upper_bound_entanglement(phase_averaged_decomposition())
         assert abs(bound - 0.5) < 1e-10
 
     def test_all_product_decomposition(self):
         members = (
-            (0.5, basis_ket(("A1", "B1", "A2", "B2"), "0101")),
-            (0.5, basis_ket(("A1", "B1", "A2", "B2"), "1010")),
+            (0.5, basis_ket(COPY_MAJOR, "0101")),
+            (0.5, basis_ket(COPY_MAJOR, "1010")),
         )
-        assert ensemble_upper_bound_entanglement(members, ("A1", "A2")) == 0.0
+        assert ensemble_upper_bound_entanglement(members) == 0.0
 
     def test_single_maximally_entangled_member(self):
-        assert abs(ensemble_upper_bound_entanglement(((1.0, bell()),), ("A",)) - 1.0) < 1e-12
+        members = ((1.0, logical_bell_state()),)
+        assert abs(ensemble_upper_bound_entanglement(members) - 1.0) < 1e-12
 
     def test_logical_bell_is_one_ebit(self):
-        assert abs(entanglement_entropy(logical_bell_state(), ("A1", "A2")) - 1.0) < 1e-10
+        assert abs(entanglement_entropy(logical_bell_state()) - 1.0) < 1e-10
 
     def test_inconsistent_bipartitions_rejected(self):
-        members = ((0.5, bell()), (0.5, basis_ket(("A1", "B1", "A2", "B2"), "0101")))
-        with pytest.raises(ValueError, match="inconsistent"):
-            ensemble_upper_bound_entanglement(members, ("A",))
-
-    def test_split_must_be_proper_subset(self):
-        with pytest.raises(ValueError, match="subset"):
-            ensemble_upper_bound_entanglement(((1.0, bell()),), ("A", "B"))
+        # a single-copy member has no Alice/Bob cut between pairs
+        members = ((0.5, bell()), (0.5, basis_ket(COPY_MAJOR, "0101")))
+        with pytest.raises(ValueError, match="two-copy"):
+            ensemble_upper_bound_entanglement(members)
 
 
 class TestDecompositionInfimumOracle:

@@ -1,10 +1,10 @@
 import numpy as np
 
-from twocopy import basis_ket, expectation_value, tensor_product
+from twocopy import expectation_value
 from twocopy.protocol import JOINT_PROJECTORS, PAIR_PROJECTORS
 from twocopy.states import identical_pure_copies
 
-from conftest import random_ket
+from conftest import random_product_ket
 
 # one side's projector on the copy-major (A1, B1, A2, B2) space: that side's
 # outcome fixed, the other side's summed out
@@ -19,7 +19,8 @@ class TestPairProjector:
         assert np.allclose(PAIR_PROJECTORS["a"] @ singlet, singlet, atol=1e-15)
 
     def test_aligned_state_annihilated(self):
-        assert np.allclose(PAIR_PROJECTORS["a"] @ basis_ket(("A", "B"), "00").amplitudes, 0)
+        # |00>, the first basis state of a pair
+        assert np.allclose(PAIR_PROJECTORS["a"] @ np.eye(4)[0], 0)
 
     def test_subspace_dimensions(self):
         anti = PAIR_PROJECTORS["a"]
@@ -42,9 +43,7 @@ class TestEmbedPairProjector:
         assert abs(np.trace(ALICE_ANTISYM) - 4.0) < 1e-12
 
     def test_product_pure_copies_have_zero_antisym_probability(self, rng):
-        x = random_ket(rng, ("A",))
-        y = random_ket(rng, ("B",))
-        state = identical_pure_copies(tensor_product(x, y))
+        state = identical_pure_copies(random_product_ket(rng))
         assert abs(expectation_value(ALICE_ANTISYM, state.state)) < 1e-12
 
     def test_disjoint_embeddings_commute(self):

@@ -9,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twocopy import DensityOperator, joint_outcome_distribution, relabel
+from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution
 from twocopy.protocol import PROBABILITY_ATOL
 from twocopy.scenarios import ConfigError, emit_report, parse_config, run
-from twocopy.states import COPY_MAJOR, custom_state
+from twocopy.states import custom_state
+
+from conftest import exchange_copies
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # the bundled configs plus a custom one, so every scenario family is a base
@@ -91,7 +93,7 @@ def test_joint_distribution_sums_to_one_and_aa_is_below_each_marginal(state):
 @REPRODUCIBLE
 @given(two_copy_states())
 def test_exchanging_the_copies_leaves_the_joint_distribution_unchanged(state):
-    exchanged = custom_state(relabel(state.state, ("A2", "B2", "A1", "B1")))
+    exchanged = custom_state(DensityOperator(COPY_MAJOR, exchange_copies(state.state.entries)))
     before = joint_outcome_distribution(state).as_tuple()
     after = joint_outcome_distribution(exchanged).as_tuple()
     assert np.allclose(before, after, rtol=0.0, atol=1e-12)

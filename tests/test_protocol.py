@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from twocopy import (
+    SINGLE_COPY,
     DensityOperator,
     Ket,
-    QubitLayout,
     antisym_probability,
     disagreement_probability,
     evaluate_scenario,
@@ -27,9 +27,15 @@ from twocopy.states import (
     single_copy_marginal,
 )
 
-from conftest import random_de_finetti_ensemble, random_ket, random_product_ket, random_pure_ensemble
+from conftest import (
+    random_de_finetti_ensemble,
+    random_ket,
+    random_product_ket,
+    random_pure_ensemble,
+    random_unit_vector,
+)
 
-AB = QubitLayout(("A", "B"))
+AB = SINGLE_COPY
 
 
 def bell() -> Ket:
@@ -65,10 +71,10 @@ class TestJointProjectors:
         # has probability (1 - |<x|y>|^2)/2; Bob holds |0> x |0>
         zero = np.array([1.0, 0.0])
         for _ in range(50):
-            x = random_ket(rng, ("Q",)).amplitudes
-            y = random_ket(rng, ("Q",)).amplitudes
+            x = random_unit_vector(rng, 2)
+            y = random_unit_vector(rng, 2)
             ket = np.kron(np.kron(x, zero), np.kron(y, zero))
-            state = custom_state(DensityOperator(QubitLayout(COPY_MAJOR), np.outer(ket, ket.conj())))
+            state = custom_state(DensityOperator(COPY_MAJOR, np.outer(ket, ket.conj())))
             want = (1.0 - abs(np.vdot(x, y)) ** 2) / 2.0
             assert abs(antisym_probability(state, "alice") - want) < 1e-10
             assert abs(antisym_probability(state, "bob")) < 1e-12

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -259,6 +260,43 @@ class TestCli:
         path.write_text(de_finetti_mixed_config())
         assert main([str(path), "--phase-points", "8"]) == 2
 
+    @pytest.mark.parametrize("points", ["discretized", "exact", "5"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_phase_points_override_matches_config(self, points, fmt, tmp_path, capsys):
+        bundled = REPO_ROOT / "scenarios" / "phase-averaged.json"
+        doc = json.loads(bundled.read_text())
+        doc["parameters"]["points"] = int(points) if points.isdigit() else points
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([str(path), "--format", fmt]) == 0
+        from_config = capsys.readouterr().out
+        assert main([str(bundled), "--phase-points", points, "--format", fmt]) == 0
+        assert capsys.readouterr().out == from_config
+
+    @pytest.mark.parametrize("points", ["2", "foo", "1.5", ""])
+    def test_phase_points_refused_exits_two(self, points, capsys):
+        bundled = REPO_ROOT / "scenarios" / "phase-averaged.json"
+        assert main([str(bundled), "--phase-points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "points" in captured.err
+
+    def test_closed_stdout_exits_two_with_one_line(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nobody will read: every write to the pipe fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "twocopy.cli", "--format", "json", *map(str, BUNDLED)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("twocopy: error writing stdout")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
 
 class TestBundledSuite:
     def test_suite_is_nonempty(self):
@@ -416,3 +454,15 @@ def test_benchmark_traced_functions_exist():
         module = importlib.import_module(f"twocopy.{layer}")
         for function in functions:
             assert callable(getattr(module, function, None)), f"twocopy.{layer}.{function}"
+
+
+def test_benchmark_oracle_inputs_build(monkeypatch):
+    # the benchmark's worker builds its oracle inputs with DensityOperator(("A", "B"), m)
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    import twocopy
+
+    (item,) = worker.oracle_items(twocopy, workloads.oracle_sweep(1)[:1])
+    value = worker.oracle_operation(twocopy)(item)
+    assert -1e-6 <= value - twocopy.wootters_concurrence(item[0]) < 1e-3

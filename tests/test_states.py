@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from twocopy import (
+    COPY_MAJOR,
+    SINGLE_COPY,
     DensityOperator,
     Ket,
     PureEnsemble,
-    QubitLayout,
     antisym_probability,
-    basis_ket,
-    permute_subsystems,
     pure_concurrence,
-    relabel,
     validate_density,
     wootters_concurrence,
 )
 from twocopy.states import (
-    COPY_MAJOR,
     DeFinettiEnsemble,
     custom_state,
     de_finetti_state,
@@ -28,19 +25,13 @@ from twocopy.states import (
     single_copy_marginal,
 )
 
-from conftest import random_de_finetti_ensemble, random_ket, random_pure_ensemble
+from conftest import basis_ket, exchange_copies, random_de_finetti_ensemble, random_ket, random_pure_ensemble
 
-AB = QubitLayout(("A", "B"))
+AB = SINGLE_COPY
 
 
 def bell() -> Ket:
     return Ket(AB, np.array([0, 1, 1, 0]) / np.sqrt(2))
-
-
-def swap_copies(state):
-    """Exchange the two copies: relabel after permuting to (A2, B2, A1, B1)."""
-    permuted = permute_subsystems(state.state, ("A2", "B2", "A1", "B1"))
-    return relabel(permuted, COPY_MAJOR)
 
 
 ALL_CONSTRUCTED = [
@@ -78,7 +69,7 @@ class TestIdenticalPureCopies:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="2-qubit"):
-            identical_pure_copies(basis_ket(("A",), "0"))
+            identical_pure_copies(basis_ket(COPY_MAJOR, "0000"))
 
 
 class TestDeFinettiState:
@@ -191,7 +182,7 @@ class TestLogicalBellState:
     def test_one_ebit_across_sides(self):
         from twocopy import entanglement_entropy
 
-        assert abs(entanglement_entropy(logical_bell_state(), ("A1", "A2")) - 1.0) < 1e-10
+        assert abs(entanglement_entropy(logical_bell_state()) - 1.0) < 1e-10
 
     def test_decomposition_reconstructs_exact_state(self):
         total = np.zeros((16, 16), dtype=complex)
@@ -239,29 +230,22 @@ class TestConstructorInvariants:
     @pytest.mark.parametrize("build", ALL_CONSTRUCTED)
     def test_outputs_are_copy_exchange_invariant(self, build):
         state = build()
-        swapped = swap_copies(state)
-        assert np.max(np.abs(swapped.entries - state.state.entries)) < 1e-12
+        swapped = exchange_copies(state.state.entries)
+        assert np.max(np.abs(swapped - state.state.entries)) < 1e-12
 
     def test_random_de_finetti_copy_exchange(self, rng):
         for _ in range(5):
             state = de_finetti_state(random_de_finetti_ensemble(rng))
-            swapped = swap_copies(state)
-            assert np.max(np.abs(swapped.entries - state.state.entries)) < 1e-12
+            swapped = exchange_copies(state.state.entries)
+            assert np.max(np.abs(swapped - state.state.entries)) < 1e-12
 
 
 class TestCustomState:
-    def test_accepts_arbitrary_labels_positionally(self, rng):
-        psi = random_ket(rng, ("w", "x", "y", "z"))
-        state = custom_state(psi.density())
-        assert state.state.layout.labels == COPY_MAJOR
-        assert state.provenance == "custom"
-
-    def test_reorders_copy_major_labels(self):
-        rho = basis_ket(("A2", "B2", "A1", "B1"), "0111").density()
+    def test_wraps_a_copy_major_density_as_it_is(self, rng):
+        rho = random_ket(rng, COPY_MAJOR).density()
         state = custom_state(rho)
-        # A1=1, B1=1, A2=0, B2=1 in copy-major order
-        expected = basis_ket(COPY_MAJOR, "1101").density()
-        assert np.max(np.abs(state.state.entries - expected.entries)) == 0.0
+        assert state.state is rho
+        assert state.state.labels == COPY_MAJOR
 
     def test_wrong_qubit_count_rejected(self, rng):
         with pytest.raises(ValueError, match="four"):
