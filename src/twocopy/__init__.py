@@ -20,7 +20,6 @@ from .linalg import (
     validate_density,
 )
 from .measures import (
-    PureEnsemble,
     decomposition_infimum_oracle,
     ensemble_upper_bound_entanglement,
     entanglement_entropy,
@@ -50,8 +49,6 @@ from .scenarios import (
     run,
 )
 from .states import (
-    DeFinettiEnsemble,
-    TwoCopyState,
     custom_state,
     de_finetti_state,
     eve_state,

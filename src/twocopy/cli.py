@@ -17,10 +17,12 @@ from .scenarios import (
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
+    build_state,
     emit_report,
     parse_config,
     run,
 )
+from .states import MAX_PHASE_POINTS
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -83,15 +85,16 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
         try:
             points = int(points)
         except ValueError:
-            pass  # phase_averaged_state accepts or refuses what is not an integer
+            digits = points.strip().lstrip("+-")
+            # int() refuses an integer of over 4,300 digits, far outside the bound
+            if digits.isdecimal():
+                raise ConfigError(
+                    [f"--phase-points needs 3 to {MAX_PHASE_POINTS} points, got an integer of {len(digits)} digits"]
+                ) from None
+            # phase_averaged_state accepts or refuses any other string
         updates["parameters"] = {**config.parameters, "points": points}
-    if not updates:
-        return config
-    new = replace(config, **updates)
-    if "parameters" not in updates:
-        # seed and shots leave the state as it is: keep the one already built
-        vars(new)["state"] = config.state
-    return new
+        updates["state"] = build_state(config.scenario, updates["parameters"])
+    return replace(config, **updates)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,6 @@ above; it shares no code path with the closed form it is compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -73,20 +72,6 @@ def check_weights(weights: Sequence[float]) -> None:
     total = sum(weights)
     if not (min(weights) >= 0.0 and abs(total - 1.0) <= NORM_ATOL):
         raise ValueError(f"weights must be nonnegative and sum to 1, got sum {total!r}")
-
-
-@dataclass(frozen=True)
-class PureEnsemble:
-    """Weighted list of normalized pure single-copy states."""
-
-    members: tuple[tuple[float, Ket], ...]
-
-    def __post_init__(self) -> None:
-        members = tuple((float(w), psi) for w, psi in self.members)
-        object.__setattr__(self, "members", members)
-        check_weights([w for w, _ in members])
-        for _, psi in members:
-            _require_two_qubits(psi)
 
 
 def pure_concurrence(psi: Ket) -> float:

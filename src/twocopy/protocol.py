@@ -19,12 +19,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import IMAG_ATOL, Ket, permute_subsystems
+from .linalg import IMAG_ATOL, DensityOperator, Ket, permute_subsystems
 from .measures import (
     ensemble_upper_bound_entanglement,
     wootters_concurrence,
 )
-from .states import PAIR_SWAP, TwoCopyState, single_copy_marginal
+from .states import PAIR_SWAP, single_copy_marginal
 
 PROBABILITY_ATOL = 1e-10
 # identical pure qubit copies force p_a = C^2/4 <= 1/4, so anything above
@@ -118,7 +118,7 @@ def _clamp_probability(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def antisym_probability(state: TwoCopyState, side: str = "alice") -> float:
+def antisym_probability(state: DensityOperator, side: str = "alice") -> float:
     """Probability that ``side`` projects its pair onto the antisymmetric subspace."""
     return joint_outcome_distribution(state).marginal(side)
 
@@ -135,13 +135,13 @@ def naive_concurrence_estimate(p_a: float) -> tuple[float, bool]:
     return 2.0 * math.sqrt(p_a), p_a <= VALIDITY_THRESHOLD + VALIDITY_TOL
 
 
-def joint_outcome_distribution(state: TwoCopyState) -> OutcomeDistribution:
+def joint_outcome_distribution(state: DensityOperator) -> OutcomeDistribution:
     """Joint (Alice, Bob) outcome probabilities of the two commuting projections.
 
     The imaginary residues of the four traces are checked against 1e-10 and
     then discarded.
     """
-    tr = np.trace(_JOINT_STACK @ state.state.entries, axis1=1, axis2=2)
+    tr = np.trace(_JOINT_STACK @ state.entries, axis1=1, axis2=2)
     residue = float(np.abs(tr.imag).max())
     if residue >= IMAG_ATOL:
         raise ValueError(f"expectation has non-negligible imaginary part {residue:.3e}")
@@ -169,7 +169,7 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> ShotRec
 
 
 def evaluate_scenario(
-    state: TwoCopyState,
+    state: DensityOperator,
     dist: OutcomeDistribution,
     decomposition: Optional[Sequence[tuple[float, Ket]]] = None,
 ) -> EstimateVerdict:

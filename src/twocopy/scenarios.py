@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 from .linalg import COPY_MAJOR, SINGLE_COPY, DensityOperator, Ket
-from .measures import PureEnsemble
 from .protocol import (
     MAX_SHOTS,
     OUTCOMES,
@@ -49,8 +47,6 @@ from .protocol import (
     sample_outcomes,
 )
 from .states import (
-    DeFinettiEnsemble,
-    TwoCopyState,
     custom_state,
     de_finetti_state,
     eve_state,
@@ -94,21 +90,15 @@ class Expectation:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario with its two-copy state, built and validated once by :func:`build_state`."""
+
     scenario: str
     parameters: dict
+    state: DensityOperator = field(compare=False, repr=False)
     seed: int = 0
     shots: Optional[int] = None
     expectations: tuple[Expectation, ...] = ()
     default_tolerance: float = DEFAULT_EXPECT_TOL
-
-    @cached_property
-    def state(self) -> TwoCopyState:
-        """The scenario's two-copy state, built and validated on first use.
-
-        Raises :class:`ConfigError` when the parameters do not describe a
-        valid state.
-        """
-        return build_state(self.scenario, self.parameters)
 
     def to_dict(self) -> dict:
         doc: dict[str, Any] = {
@@ -236,7 +226,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond int()'s 4,300 digits
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ConfigError(["top-level document must be a JSON object"])
@@ -271,15 +261,14 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(parameters, dict):
         problems.append("parameters: must be a mapping")
     expectations = _parse_expectations(doc.get("expect"), default_tol, problems)
-    config = ScenarioConfig(scenario, parameters, seed, shots, expectations, default_tol)
     if isinstance(parameters, dict):
         try:
-            config.state
+            state = build_state(scenario, parameters)
         except ConfigError as exc:
             problems.extend(exc.problems)
     if problems:
         raise ConfigError(problems)
-    return config
+    return ScenarioConfig(scenario, parameters, state, seed, shots, expectations, default_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +326,7 @@ class Scenario:
     """
 
     summary: str
-    build: Callable[[dict], TwoCopyState]
+    build: Callable[[dict], DensityOperator]
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     decomposition: Optional[Callable[[], tuple[tuple[float, Ket], ...]]] = None
@@ -353,12 +342,12 @@ SCENARIOS = {
     ),
     "de-finetti": Scenario(
         "mixture of identical per-copy mixed-state hypotheses",
-        lambda p: de_finetti_state(DeFinettiEnsemble(_members(p["members"], "rho"))),
+        lambda p: de_finetti_state(_members(p["members"], "rho")),
         required=("members",),
     ),
     "pure-de-finetti": Scenario(
         "mixture of identical per-copy pure-state hypotheses",
-        lambda p: pure_de_finetti_state(PureEnsemble(_members(p["members"], "ket"))),
+        lambda p: pure_de_finetti_state(_members(p["members"], "ket")),
         required=("members",),
     ),
     "phase-averaged": Scenario(
@@ -383,7 +372,7 @@ SCENARIOS = {
 }
 
 
-def build_state(scenario: str, parameters: dict) -> TwoCopyState:
+def build_state(scenario: str, parameters: dict) -> DensityOperator:
     """Construct the scenario's two-copy state from its parameters.
 
     Raises :class:`ConfigError` listing every problem with the parameters.

@@ -1,17 +1,17 @@
 """Constructors for every two-copy state family used by the scenarios.
 
-Two-copy states live on the copy-major register (A1, B1, A2, B2): copy k is
-the bipartite pair (Ak, Bk) shared by Alice and Bob.  Alice holds the pair
-(A1, A2) and Bob holds (B1, B2); the side-major view (A1, A2, B1, B2) is
-obtained by exchanging the middle two qubits when needed.  Single-copy
-inputs live on (A, B), Alice's qubit first.
+Each constructor returns a validated :class:`DensityOperator` on the
+copy-major register (A1, B1, A2, B2): copy k is the bipartite pair (Ak, Bk)
+shared by Alice and Bob.  Alice holds the pair (A1, A2) and Bob holds
+(B1, B2); the side-major view (A1, A2, B1, B2) is obtained by exchanging
+the middle two qubits when needed.  Single-copy inputs live on (A, B),
+Alice's qubit first; an ensemble is a sequence of (weight, member) pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .linalg import (
     partial_trace,
     permute_subsystems,
 )
-from .measures import PureEnsemble, check_weights
+from .measures import check_weights
 
 # exchange of the two qubits of a pair; (I - SWAP)/2 projects onto the
 # pair's antisymmetric subspace, spanned by the singlet, and (I + SWAP)/2
@@ -38,36 +38,19 @@ DEFAULT_PHASE_POINTS = 64
 MAX_PHASE_POINTS = 4096
 
 
-@dataclass(frozen=True)
-class TwoCopyState:
-    """Density operator on the copy-major four-qubit register."""
-
-    state: DensityOperator
-
-    def __post_init__(self) -> None:
-        if self.state.labels != COPY_MAJOR:
-            raise ValueError(f"two-copy states need the four qubits {COPY_MAJOR}, got {self.state.labels}")
+def _checked_weights(members: Sequence[tuple[float, Union[Ket, DensityOperator]]]) -> list[float]:
+    """The weights of (weight, member) pairs, once they and the members' register are checked."""
+    weights = [float(w) for w, _ in members]
+    check_weights(weights)
+    if any(member.labels != SINGLE_COPY for _, member in members):
+        raise ValueError(f"each copy must be a 2-qubit state on {SINGLE_COPY}")
+    return weights
 
 
-@dataclass(frozen=True)
-class DeFinettiEnsemble:
-    """Weighted list of single-copy density operators, one per hypothesis."""
-
-    members: tuple[tuple[float, DensityOperator], ...]
-
-    def __post_init__(self) -> None:
-        members = tuple((float(w), rho) for w, rho in self.members)
-        object.__setattr__(self, "members", members)
-        check_weights([w for w, _ in members])
-        for _, rho in members:
-            if rho.labels != SINGLE_COPY:
-                raise ValueError(f"ensemble members must be single-copy 2-qubit states on {SINGLE_COPY}")
-
-
-def _mixture_of_copies(weights, rhos: np.ndarray) -> TwoCopyState:
+def _mixture_of_copies(weights, rhos: np.ndarray) -> DensityOperator:
     """sum_i w_i rho_i x rho_i from an (N, 4, 4) stack of single-copy matrices."""
     total = np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos).reshape(16, 16)
-    return TwoCopyState(DensityOperator(COPY_MAJOR, total))
+    return DensityOperator(COPY_MAJOR, total)
 
 
 def _projectors(amplitudes: np.ndarray) -> np.ndarray:
@@ -75,23 +58,21 @@ def _projectors(amplitudes: np.ndarray) -> np.ndarray:
     return np.einsum("ni,nj->nij", amplitudes, amplitudes.conj())
 
 
-def identical_pure_copies(psi: Ket) -> TwoCopyState:
+def identical_pure_copies(psi: Ket) -> DensityOperator:
     """Two exact copies |psi><psi| x |psi><psi| of one pure bipartite state."""
-    if psi.labels != SINGLE_COPY:
-        raise ValueError(f"identical_pure_copies expects a 2-qubit ket on {SINGLE_COPY}")
-    return _mixture_of_copies([1.0], _projectors(psi.amplitudes[None]))
+    return _mixture_of_copies(_checked_weights(((1.0, psi),)), _projectors(psi.amplitudes[None]))
 
 
-def de_finetti_state(e: DeFinettiEnsemble) -> TwoCopyState:
-    """Mixture of identical per-copy hypotheses, sum_i p_i rho_i x rho_i."""
-    rhos = np.array([rho.entries for _, rho in e.members])
-    return _mixture_of_copies([w for w, _ in e.members], rhos)
+def de_finetti_state(members: Sequence[tuple[float, DensityOperator]]) -> DensityOperator:
+    """Mixture of identical per-copy hypotheses, sum_i p_i rho_i x rho_i, from (p_i, rho_i) pairs."""
+    weights = _checked_weights(members)
+    return _mixture_of_copies(weights, np.array([rho.entries for _, rho in members]))
 
 
-def pure_de_finetti_state(e: PureEnsemble) -> TwoCopyState:
-    """De Finetti mixture whose hypotheses are all pure states."""
-    amplitudes = np.array([psi.amplitudes for _, psi in e.members])
-    return _mixture_of_copies([w for w, _ in e.members], _projectors(amplitudes))
+def pure_de_finetti_state(members: Sequence[tuple[float, Ket]]) -> DensityOperator:
+    """De Finetti mixture whose hypotheses are all pure, from (p_i, psi_i) pairs."""
+    weights = _checked_weights(members)
+    return _mixture_of_copies(weights, _projectors(np.array([psi.amplitudes for _, psi in members])))
 
 
 def logical_bell_state() -> Ket:
@@ -121,7 +102,7 @@ def phase_averaged_decomposition() -> tuple[tuple[float, Ket], ...]:
     )
 
 
-def phase_averaged_state(points: Union[int, str] = "exact") -> TwoCopyState:
+def phase_averaged_state(points: Union[int, str] = "exact") -> DensityOperator:
     """Two copies of a maximally entangled state with a shared unknown phase.
 
     ``points="exact"`` returns the closed form of the circle average,
@@ -136,7 +117,7 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> TwoCopyState:
         total = np.zeros((16, 16), dtype=complex)
         for w, psi in phase_averaged_decomposition():
             total += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return TwoCopyState(DensityOperator(COPY_MAJOR, total))
+        return DensityOperator(COPY_MAJOR, total)
     if points == "discretized":
         points = DEFAULT_PHASE_POINTS
     if isinstance(points, bool) or not isinstance(points, int):
@@ -151,7 +132,7 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> TwoCopyState:
     return _mixture_of_copies(np.full(points, 1.0 / points), _projectors(amplitudes))
 
 
-def eve_state(kind: str) -> TwoCopyState:
+def eve_state(kind: str) -> DensityOperator:
     """Adversarial preparation pinning both local pair measurements.
 
     ``antisymmetric`` places an exact singlet on Alice's pair and another
@@ -168,14 +149,16 @@ def eve_state(kind: str) -> TwoCopyState:
     else:
         raise ValueError(f"kind must be 'antisymmetric' or 'symmetric', got {kind!r}")
     # the two pairs side by side are side major: (A1, A2) then (B1, B2)
-    return TwoCopyState(DensityOperator(COPY_MAJOR, permute_subsystems(np.kron(pair, pair))))
+    return DensityOperator(COPY_MAJOR, permute_subsystems(np.kron(pair, pair)))
 
 
-def custom_state(rho: DensityOperator) -> TwoCopyState:
-    """Wrap an arbitrary valid density operator on (A1, B1, A2, B2) as a scenario state."""
-    return TwoCopyState(rho)
+def custom_state(rho: DensityOperator) -> DensityOperator:
+    """An arbitrary valid density operator on (A1, B1, A2, B2), as it is, as a scenario state."""
+    if rho.labels != COPY_MAJOR:
+        raise ValueError(f"two-copy states need the four qubits {COPY_MAJOR}, got {rho.labels}")
+    return rho
 
 
-def single_copy_marginal(state: TwoCopyState, copy: int = 1) -> DensityOperator:
-    """Reduced state of copy 1 (A1, B1) or copy 2 (A2, B2), on (A, B)."""
-    return _derived(SINGLE_COPY, partial_trace(state.state.entries, copy))
+def single_copy_marginal(state: DensityOperator, copy: int = 1) -> DensityOperator:
+    """Reduced state of copy 1 (A1, B1) or copy 2 (A2, B2) of a two-copy state, on (A, B)."""
+    return _derived(SINGLE_COPY, partial_trace(state.entries, copy))

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from twocopy import SINGLE_COPY, DensityOperator, Ket, PureEnsemble
-from twocopy.states import DeFinettiEnsemble
+from twocopy import SINGLE_COPY, DensityOperator, Ket
 
 
 def random_unit_vector(rng, dim: int) -> np.ndarray:
@@ -45,18 +44,14 @@ def random_weights(rng, k: int) -> np.ndarray:
     return w / w.sum()
 
 
-def random_pure_ensemble(rng, k: int = 3) -> PureEnsemble:
+def random_pure_ensemble(rng, k: int = 3) -> tuple[tuple[float, Ket], ...]:
     w = random_weights(rng, k)
-    return PureEnsemble(tuple((float(wi), random_ket(rng)) for wi in w))
+    return tuple((float(wi), random_ket(rng)) for wi in w)
 
 
-def random_de_finetti_ensemble(rng, k: int = 3, pure: bool = False) -> DeFinettiEnsemble:
+def random_de_finetti_ensemble(rng, k: int = 3) -> tuple[tuple[float, DensityOperator], ...]:
     w = random_weights(rng, k)
-    if pure:
-        members = tuple((float(wi), random_ket(rng).density()) for wi in w)
-    else:
-        members = tuple((float(wi), random_density(rng)) for wi in w)
-    return DeFinettiEnsemble(members)
+    return tuple((float(wi), random_density(rng)) for wi in w)
 
 
 @pytest.fixture

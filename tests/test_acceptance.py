@@ -21,7 +21,6 @@ from twocopy import (
     wootters_concurrence,
 )
 from twocopy.states import (
-    DeFinettiEnsemble,
     de_finetti_state,
     eve_state,
     identical_pure_copies,
@@ -70,7 +69,7 @@ def test_criterion_02_estimator_exact_on_identical_pure_copies():
 
 
 def test_criterion_03_completely_mixed_false_positive():
-    ens = DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),))
+    ens = ((1.0, DensityOperator(AB, np.eye(4) / 4)),)
     state = de_finetti_state(ens)
     p_alice = antisym_probability(state, "alice")
     p_bob = antisym_probability(state, "bob")
@@ -104,10 +103,10 @@ def test_criterion_04_phase_averaged_counterexample():
 
 
 def test_criterion_05_discretization_exactness():
-    exact = phase_averaged_state("exact").state.entries
+    exact = phase_averaged_state("exact").entries
     worst = 0.0
     for n in (3, 4, 8, 64):
-        approx = phase_averaged_state(n).state.entries
+        approx = phase_averaged_state(n).entries
         worst = max(worst, float(np.max(np.abs(approx - exact))))
     report(5, "phase discretization matches the closed form for N in {3,4,8,64}", worst <= 1e-13,
            f"worst entrywise {worst:.2e}")
@@ -119,7 +118,7 @@ def test_criterion_06_two_sided_check_discriminates_mixedness():
     for _ in range(100):
         dist = joint_outcome_distribution(identical_pure_copies(random_ket(rng)))
         worst = max(worst, disagreement_probability(dist))
-    mixed = de_finetti_state(DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),)))
+    mixed = de_finetti_state(((1.0, DensityOperator(AB, np.eye(4) / 4)),))
     d_mixed = disagreement_probability(joint_outcome_distribution(mixed))
     ok = worst <= 1e-12 and abs(d_mixed - 0.375) <= 1e-12
     report(6, "identical copies never disagree; fully mixed copies disagree 3/8", ok,
@@ -175,7 +174,7 @@ def test_criterion_09_overestimation_on_pure_de_finetti():
 
 
 def test_criterion_10_finite_statistics():
-    mixed = de_finetti_state(DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),)))
+    mixed = de_finetti_state(((1.0, DensityOperator(AB, np.eye(4) / 4)),))
     shots = 100_000
     record = sample_outcomes(joint_outcome_distribution(mixed), shots=shots, seed=1234)
     replay = sample_outcomes(joint_outcome_distribution(mixed), shots=shots, seed=1234)

@@ -127,7 +127,7 @@ class TestPartialTrace:
 
     def test_phase_averaged_alice_pair_is_maximally_mixed(self):
         # cross-checks the antisymmetric projection probability of 1/4
-        rho = phase_averaged_state("exact").state
+        rho = phase_averaged_state("exact")
         alice = partial_trace(permute_subsystems(rho.entries), 1)
         assert np.max(np.abs(alice - np.eye(4) / 4)) < 1e-14
         assert abs(np.trace(ANTISYM_PAIR @ alice).real - 0.25) < 1e-14
@@ -243,7 +243,7 @@ class TestValidateDensity:
         assert abs(report.trace_defect - 0.1) < 1e-12
 
     def test_discretized_phase_average_passes(self):
-        report = validate_density(phase_averaged_state(4).state)
+        report = validate_density(phase_averaged_state(4))
         assert report.passed
 
     def test_constructor_enforces_invariants(self):

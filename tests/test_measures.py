@@ -8,14 +8,13 @@ from twocopy import (
     SINGLE_COPY,
     DensityOperator,
     Ket,
-    PureEnsemble,
     decomposition_infimum_oracle,
     ensemble_upper_bound_entanglement,
     entanglement_entropy,
     pure_concurrence,
     wootters_concurrence,
 )
-from twocopy.states import logical_bell_state, phase_averaged_decomposition
+from twocopy.states import logical_bell_state, phase_averaged_decomposition, pure_de_finetti_state
 
 from conftest import basis_ket, random_density, random_ket, random_product_ket
 
@@ -107,9 +106,9 @@ class TestWoottersConcurrence:
 class TestEnsembleAverageConcurrence:
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            PureEnsemble(((0.7, bell()), (0.7, bell())))
+            pure_de_finetti_state(((0.7, bell()), (0.7, bell())))
         with pytest.raises(ValueError, match="nonnegative"):
-            PureEnsemble(((1.5, bell()), (-0.5, bell())))
+            pure_de_finetti_state(((1.5, bell()), (-0.5, bell())))
 
 
 class TestEnsembleUpperBound:

@@ -44,7 +44,7 @@ class TestEmbedPairProjector:
 
     def test_product_pure_copies_have_zero_antisym_probability(self, rng):
         state = identical_pure_copies(random_product_ket(rng))
-        assert abs(expectation_value(ALICE_ANTISYM, state.state)) < 1e-12
+        assert abs(expectation_value(ALICE_ANTISYM, state)) < 1e-12
 
     def test_disjoint_embeddings_commute(self):
         pa, pb = ALICE_ANTISYM, BOB_ANTISYM

@@ -1,4 +1,4 @@
-"""Property-based tests: malformed configs, joint-distribution invariants."""
+"""Property-based tests: malformed configs, CLI exit codes, joint-distribution invariants."""
 
 import copy
 import json
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution
+from twocopy.cli import main
 from twocopy.protocol import PROBABILITY_ATOL
 from twocopy.scenarios import ConfigError, emit_report, parse_config, run
 from twocopy.states import custom_state
@@ -24,13 +25,17 @@ BASE_DOCS = [json.loads(p.read_text()) for p in sorted((REPO_ROOT / "scenarios")
 
 REPRODUCIBLE = settings(derandomize=True, deadline=None, max_examples=200)
 
+# a leaf that documents() turns into an integer literal beyond int()'s
+# 4,300-digit limit, which json.dumps cannot write
+HUGE = "@huge"
+
 JSON = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats()
     | st.text(max_size=8)
-    | st.sampled_from(["exact", "ket", "rho", "weight", "members", "value", "tol"]),
+    | st.sampled_from(["exact", "ket", "rho", "weight", "members", "value", "tol", HUGE]),
     lambda children: st.lists(children, max_size=5)
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=20,
@@ -61,6 +66,12 @@ def mutated_configs(draw):
 
 
 @st.composite
+def documents(draw):
+    """The text of a mutated config or of any JSON value, with each HUGE leaf a 5,000-digit integer."""
+    return json.dumps(draw(st.one_of(mutated_configs(), JSON))).replace(json.dumps(HUGE), "9" * 5000)
+
+
+@st.composite
 def two_copy_states(draw):
     """A valid 16x16 density matrix of rank 1 to 4 on the copy-major layout."""
     rank = draw(st.integers(1, 4))
@@ -73,13 +84,21 @@ def two_copy_states(draw):
 
 
 @REPRODUCIBLE
-@given(st.one_of(mutated_configs(), JSON))
-def test_any_document_runs_or_raises_config_error(doc):
+@given(documents())
+def test_any_document_runs_or_raises_config_error(text):
     try:
-        config = parse_config(json.dumps(doc))
+        config = parse_config(text)
     except ConfigError:
         return
     emit_report(run(config), "json")
+
+
+@REPRODUCIBLE
+@given(text=documents())
+def test_cli_exits_zero_one_or_two_on_any_document(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(text)
+    assert main([str(path), "--format", "json"]) in (0, 1, 2)
 
 
 @REPRODUCIBLE
@@ -93,7 +112,7 @@ def test_joint_distribution_sums_to_one_and_aa_is_below_each_marginal(state):
 @REPRODUCIBLE
 @given(two_copy_states())
 def test_exchanging_the_copies_leaves_the_joint_distribution_unchanged(state):
-    exchanged = custom_state(DensityOperator(COPY_MAJOR, exchange_copies(state.state.entries)))
+    exchanged = custom_state(DensityOperator(COPY_MAJOR, exchange_copies(state.entries)))
     before = joint_outcome_distribution(state).as_tuple()
     after = joint_outcome_distribution(exchanged).as_tuple()
     assert np.allclose(before, after, rtol=0.0, atol=1e-12)

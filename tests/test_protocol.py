@@ -16,7 +16,6 @@ from twocopy import (
 from twocopy.protocol import JOINT_PROJECTORS, OutcomeDistribution, ShotRecord
 from twocopy.states import (
     COPY_MAJOR,
-    DeFinettiEnsemble,
     custom_state,
     de_finetti_state,
     eve_state,
@@ -43,7 +42,7 @@ def bell() -> Ket:
 
 
 def fully_mixed_two_copies():
-    return de_finetti_state(DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),)))
+    return de_finetti_state(((1.0, DensityOperator(AB, np.eye(4) / 4)),))
 
 
 class TestJointProjectors:

@@ -69,7 +69,7 @@ class TestParseConfig:
         doc = {"scenario": "custom", "parameters": {"rho": entries}}
         config = parse_config(json.dumps(doc))
         state = build_state(config.scenario, config.parameters)
-        assert validate_density(state.state).passed
+        assert validate_density(state).passed
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -280,6 +280,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "points" in captured.err
 
+    def test_phase_points_beyond_the_integer_digit_limit_refused_briefly(self, capsys):
+        # int() refuses integer strings of more than 4,300 digits
+        bundled = REPO_ROOT / "scenarios" / "phase-averaged.json"
+        assert main([str(bundled), "--phase-points", "1" * 5000]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"3 to {MAX_PHASE_POINTS} points" in captured.err
+        assert len(captured.err) < 300
+
     def test_closed_stdout_exits_two_with_one_line(self):
         read_end, write_end = os.pipe()
         os.close(read_end)  # nobody will read: every write to the pipe fails
@@ -346,6 +354,15 @@ NON_FINITE_DOCS = {
     "member-extra-key": {"scenario": "pure-de-finetti", "parameters": {"members": [
         {"weight": 1.0, "ket": [1, 0, 0, 0], "note": "@"}]}},
 }
+# within NORM_ATOL = 1e-10 of 1, yet two copies miss trace 1 by more than TRACE_ATOL = 1e-10
+NEARLY_ONE = 1.0 + 9e-11
+NEARLY_NORMALIZED_DOCS = {
+    "pure-copies-ket": {"scenario": "pure-copies", "parameters": {"ket": [NEARLY_ONE, 0, 0, 0]}},
+    "pure-de-finetti-ket": {"scenario": "pure-de-finetti", "parameters": {"members": [
+        {"weight": 1.0, "ket": [NEARLY_ONE, 0, 0, 0]}]}},
+    "de-finetti-rho": {"scenario": "de-finetti", "parameters": {"members": [
+        {"weight": 1.0, "rho": np.diag([NEARLY_ONE, 0, 0, 0]).tolist()}]}},
+}
 NON_FINITE_CASES = {
     f"{name}-{literal}": _with_literal(doc, literal)
     for name, doc in NON_FINITE_DOCS.items()
@@ -367,6 +384,23 @@ class TestInputBounds:
         path.write_text(text)
         assert main([str(path), "--format", "json"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_integer_literal_beyond_the_digit_limit_rejected(self, tmp_path, capsys):
+        # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+        text = '{"scenario": "phase-averaged", "parameters": {"points": ' + "1" * 5000 + "}}"
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config(text)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("doc", NEARLY_NORMALIZED_DOCS.values(), ids=NEARLY_NORMALIZED_DOCS.keys())
+    def test_two_copy_trace_bound_refuses_nearly_normalized_inputs(self, doc, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([str(path)]) == 2
+        assert "parameters: not a valid density operator" in capsys.readouterr().err
 
     def test_huge_integer_amplitude_rejected(self):
         doc = {"scenario": "pure-copies", "parameters": {"ket": [10**400, 0, 0, 0]}}

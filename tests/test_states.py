@@ -6,14 +6,12 @@ from twocopy import (
     SINGLE_COPY,
     DensityOperator,
     Ket,
-    PureEnsemble,
     antisym_probability,
     pure_concurrence,
     validate_density,
     wootters_concurrence,
 )
 from twocopy.states import (
-    DeFinettiEnsemble,
     custom_state,
     de_finetti_state,
     eve_state,
@@ -36,7 +34,7 @@ def bell() -> Ket:
 
 ALL_CONSTRUCTED = [
     lambda: identical_pure_copies(bell()),
-    lambda: de_finetti_state(DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),))),
+    lambda: de_finetti_state(((1.0, DensityOperator(AB, np.eye(4) / 4)),)),
     lambda: phase_averaged_state(5),
     lambda: phase_averaged_state("exact"),
     lambda: phase_averaged_state(7),
@@ -57,7 +55,7 @@ class TestIdenticalPureCopies:
         assert abs(antisym_probability(state, "bob")) < 1e-14
 
     def test_output_is_pure(self, rng):
-        m = identical_pure_copies(random_ket(rng)).state.entries
+        m = identical_pure_copies(random_ket(rng)).entries
         assert abs(np.trace(m @ m).real - 1.0) < 1e-10
 
     def test_probability_is_squared_concurrence_over_four(self, rng):
@@ -74,22 +72,20 @@ class TestIdenticalPureCopies:
 
 class TestDeFinettiState:
     def test_completely_mixed_member(self):
-        ens = DeFinettiEnsemble(((1.0, DensityOperator(AB, np.eye(4) / 4)),))
+        ens = ((1.0, DensityOperator(AB, np.eye(4) / 4)),)
         state = de_finetti_state(ens)
-        assert np.max(np.abs(state.state.entries - np.eye(16) / 16)) < 1e-14
+        assert np.max(np.abs(state.entries - np.eye(16) / 16)) < 1e-14
         assert abs(antisym_probability(state, "alice") - 0.25) < 1e-12
         assert abs(antisym_probability(state, "bob") - 0.25) < 1e-12
 
     def test_single_pure_member_degenerates_to_identical_copies(self, rng):
         psi = random_ket(rng)
-        via_ensemble = de_finetti_state(DeFinettiEnsemble(((1.0, psi.density()),)))
+        via_ensemble = de_finetti_state(((1.0, psi.density()),))
         direct = identical_pure_copies(psi)
-        assert np.max(np.abs(via_ensemble.state.entries - direct.state.entries)) < 1e-13
+        assert np.max(np.abs(via_ensemble.entries - direct.entries)) < 1e-13
 
     def test_classically_correlated_members_give_zero(self):
-        ens = DeFinettiEnsemble(
-            ((0.5, basis_ket(AB, "00").density()), (0.5, basis_ket(AB, "11").density()))
-        )
+        ens = ((0.5, basis_ket(AB, "00").density()), (0.5, basis_ket(AB, "11").density()))
         state = de_finetti_state(ens)
         # independent 16x16 route: kron the projectors by hand
         p00 = np.zeros((4, 4))
@@ -97,14 +93,14 @@ class TestDeFinettiState:
         p11 = np.zeros((4, 4))
         p11[3, 3] = 1.0
         expected = 0.5 * np.kron(p00, p00) + 0.5 * np.kron(p11, p11)
-        assert np.max(np.abs(state.state.entries - expected)) < 1e-14
+        assert np.max(np.abs(state.entries - expected)) < 1e-14
         assert abs(antisym_probability(state, "alice")) < 1e-14
 
     def test_marginals_equal_ensemble_average(self, rng):
         for _ in range(10):
             ens = random_de_finetti_ensemble(rng)
             state = de_finetti_state(ens)
-            avg = sum(w * rho.entries for w, rho in ens.members)
+            avg = sum(w * rho.entries for w, rho in ens)
             for copy in (1, 2):
                 marg = single_copy_marginal(state, copy)
                 assert np.max(np.abs(marg.entries - avg)) < 1e-12
@@ -112,31 +108,31 @@ class TestDeFinettiState:
     def test_weight_validation(self):
         rho = DensityOperator(AB, np.eye(4) / 4)
         with pytest.raises(ValueError, match="sum to 1"):
-            DeFinettiEnsemble(((0.7, rho), (0.7, rho)))
+            de_finetti_state(((0.7, rho), (0.7, rho)))
 
 
 class TestPureDeFinettiState:
     def test_four_point_phase_ensemble_matches_exact_average(self):
         state = phase_averaged_state(4)
         exact = phase_averaged_state("exact")
-        assert np.max(np.abs(state.state.entries - exact.state.entries)) < 1e-14
+        assert np.max(np.abs(state.entries - exact.entries)) < 1e-14
 
     def test_single_member_is_rank_one(self, rng):
-        state = pure_de_finetti_state(PureEnsemble(((1.0, random_ket(rng)),)))
-        eigs = np.linalg.eigvalsh(state.state.entries)[::-1]
+        state = pure_de_finetti_state(((1.0, random_ket(rng)),))
+        eigs = np.linalg.eigvalsh(state.entries)[::-1]
         assert abs(eigs[0] - 1.0) < 1e-10 and np.all(np.abs(eigs[1:]) < 1e-10)
 
     def test_probability_is_mean_squared_concurrence_over_four(self, rng):
         for _ in range(10):
             ens = random_pure_ensemble(rng, k=4)
             state = pure_de_finetti_state(ens)
-            want = sum(w * pure_concurrence(psi) ** 2 for w, psi in ens.members) / 4.0
+            want = sum(w * pure_concurrence(psi) ** 2 for w, psi in ens) / 4.0
             assert abs(antisym_probability(state, "alice") - want) < 1e-10
 
     def test_marginal_is_ensemble_mixture(self, rng):
         ens = random_pure_ensemble(rng, k=3)
         state = pure_de_finetti_state(ens)
-        avg = sum(w * psi.density().entries for w, psi in ens.members)
+        avg = sum(w * psi.density().entries for w, psi in ens)
         marg = single_copy_marginal(state, 1)
         assert np.max(np.abs(marg.entries - avg)) < 1e-12
 
@@ -152,17 +148,17 @@ class TestPhaseAveragedState:
         # the circle integrand has Fourier components of order <= 2 only
         approx = phase_averaged_state(points)
         exact = phase_averaged_state("exact")
-        assert np.max(np.abs(approx.state.entries - exact.state.entries)) < 1e-13
+        assert np.max(np.abs(approx.entries - exact.entries)) < 1e-13
 
     def test_four_points_hits_machine_precision(self):
         approx = phase_averaged_state(4)
         exact = phase_averaged_state("exact")
-        assert np.max(np.abs(approx.state.entries - exact.state.entries)) < 1e-14
+        assert np.max(np.abs(approx.entries - exact.entries)) < 1e-14
 
     def test_default_discretization(self):
         state = phase_averaged_state("discretized")
         exact = phase_averaged_state("exact")
-        assert np.max(np.abs(state.state.entries - exact.state.entries)) < 1e-13
+        assert np.max(np.abs(state.entries - exact.entries)) < 1e-13
 
     def test_single_copy_marginal_is_separable_mixture(self):
         marg = single_copy_marginal(phase_averaged_state("exact"), 1)
@@ -189,11 +185,11 @@ class TestLogicalBellState:
         for w, psi in phase_averaged_decomposition():
             total += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
         exact = phase_averaged_state("exact")
-        assert np.max(np.abs(total - exact.state.entries)) < 1e-12
+        assert np.max(np.abs(total - exact.entries)) < 1e-12
 
     def test_logical_bell_weight_is_half(self):
         psi = logical_bell_state().amplitudes
-        rho = phase_averaged_state("exact").state.entries
+        rho = phase_averaged_state("exact").entries
         assert abs((psi.conj() @ rho @ psi).real - 0.5) < 1e-14
 
 
@@ -225,27 +221,27 @@ class TestEveState:
 class TestConstructorInvariants:
     @pytest.mark.parametrize("build", ALL_CONSTRUCTED)
     def test_outputs_are_valid_densities(self, build):
-        assert validate_density(build().state).passed
+        assert validate_density(build()).passed
 
     @pytest.mark.parametrize("build", ALL_CONSTRUCTED)
     def test_outputs_are_copy_exchange_invariant(self, build):
         state = build()
-        swapped = exchange_copies(state.state.entries)
-        assert np.max(np.abs(swapped - state.state.entries)) < 1e-12
+        swapped = exchange_copies(state.entries)
+        assert np.max(np.abs(swapped - state.entries)) < 1e-12
 
     def test_random_de_finetti_copy_exchange(self, rng):
         for _ in range(5):
             state = de_finetti_state(random_de_finetti_ensemble(rng))
-            swapped = exchange_copies(state.state.entries)
-            assert np.max(np.abs(swapped - state.state.entries)) < 1e-12
+            swapped = exchange_copies(state.entries)
+            assert np.max(np.abs(swapped - state.entries)) < 1e-12
 
 
 class TestCustomState:
     def test_wraps_a_copy_major_density_as_it_is(self, rng):
         rho = random_ket(rng, COPY_MAJOR).density()
         state = custom_state(rho)
-        assert state.state is rho
-        assert state.state.labels == COPY_MAJOR
+        assert state is rho
+        assert state.labels == COPY_MAJOR
 
     def test_wrong_qubit_count_rejected(self, rng):
         with pytest.raises(ValueError, match="four"):
