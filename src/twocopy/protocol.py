@@ -77,9 +77,9 @@ class OutcomeDistribution:
     def marginal(self, side: str) -> float:
         """Antisymmetric-outcome probability of one side."""
         if side == "alice":
-            return self.p_aa + self.p_as
+            return _clamp_probability(self.p_aa + self.p_as)
         if side == "bob":
-            return self.p_aa + self.p_sa
+            return _clamp_probability(self.p_aa + self.p_sa)
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
 
 
@@ -150,7 +150,7 @@ def joint_outcome_distribution(state: DensityOperator) -> OutcomeDistribution:
 
 def disagreement_probability(d: OutcomeDistribution) -> float:
     """Probability that Alice's and Bob's outcomes differ."""
-    return d.p_as + d.p_sa
+    return _clamp_probability(d.p_as + d.p_sa)
 
 
 def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> ShotRecord:

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import reprlib
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
@@ -56,19 +57,8 @@ from .states import (
     pure_de_finetti_state,
 )
 
-METRIC_NAMES = (
-    "p_a_alice",
-    "p_a_bob",
-    "naive_concurrence",
-    "estimator_valid",
-    "disagreement_prob",
-    "truth_single_copy_concurrence",
-    "truth_decomposition_bound",
-    "p_aa",
-    "p_as",
-    "p_sa",
-    "p_ss",
-)
+# every field of the two report records is a metric an expectation may name
+METRIC_NAMES = tuple(f.name for record in (EstimateVerdict, OutcomeDistribution) for f in fields(record))
 
 DEFAULT_EXPECT_TOL = 1e-9
 
@@ -158,36 +148,20 @@ def _finite(node) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-def _parse_complex(node, where: str, problems: list[str]) -> complex:
-    # NaN and infinite amplitudes pass here and are refused by Ket and
-    # DensityOperator, which accept finite entries only
-    try:
-        if (
-            isinstance(node, (list, tuple))
-            and len(node) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
-        ):
-            return complex(node[0], node[1])
-        if isinstance(node, (int, float)) and not isinstance(node, bool):
-            return complex(node)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    problems.append(f"{where}: expected a number or [re, im] pair, got {node!r}")
-    return 0j
-
-
-def _parse_vector(node, length: int, where: str, problems: list[str]) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != length:
-        problems.append(f"{where}: expected a list of {length} amplitudes")
-        return np.zeros(length, dtype=complex)
-    return np.array([_parse_complex(v, f"{where}[{i}]", problems) for i, v in enumerate(node)])
-
-
-def _parse_matrix(node, side: int, where: str, problems: list[str]) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != side:
-        problems.append(f"{where}: expected a {side}x{side} matrix")
-        return np.zeros((side, side), dtype=complex)
-    return np.array([_parse_vector(row, side, f"{where}[{i}]", problems) for i, row in enumerate(node)])
+def _parse_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[str]):
+    """An array of ``shape`` amplitudes; each leaf is a number or an [re, im] pair of finite numbers."""
+    if not shape:
+        parts = node if isinstance(node, list) and len(node) == 2 else (node, 0)
+        re, im = _finite(parts[0]), _finite(parts[1])
+        if re is None or im is None:
+            problems.append(f"{where}: expected a finite number or [re, im] pair, got {reprlib.repr(node)}")
+            return 0j
+        return complex(re, im)
+    if not isinstance(node, list) or len(node) != shape[0]:
+        wanted = f"a list of {shape[0]} amplitudes" if len(shape) == 1 else f"a {'x'.join(map(str, shape))} matrix"
+        problems.append(f"{where}: expected {wanted}")
+        return np.zeros(shape, dtype=complex)
+    return np.array([_parse_amplitudes(v, shape[1:], f"{where}[{i}]", problems) for i, v in enumerate(node)])
 
 
 def _parse_expectations(node, default_tol: float, problems: list[str]) -> tuple[Expectation, ...]:
@@ -224,9 +198,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Raises :class:`ConfigError` listing every violation found.
     """
+    # ValueError also covers an integer literal beyond int()'s 4,300 digits;
+    # RecursionError comes from nesting deeper than the interpreter's limit
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also an integer literal beyond int()'s 4,300 digits
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ConfigError(["top-level document must be a JSON object"])
@@ -235,26 +211,25 @@ def parse_config(text: str) -> ScenarioConfig:
     known_keys = {"scenario", "parameters", "seed", "shots", "expect", "default_tolerance"}
     for key in doc:
         if key not in known_keys:
-            problems.append(f"unknown key {key!r}")
+            problems.append(f"unknown key {reprlib.repr(key)}")
 
     scenario = doc.get("scenario")
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
-        problems.append(f"scenario: must be one of {', '.join(SCENARIOS)}, got {scenario!r}")
+        problems.append(f"scenario: must be one of {', '.join(SCENARIOS)}, got {reprlib.repr(scenario)}")
         raise ConfigError(problems)
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        problems.append(f"seed: must be a nonnegative integer, got {seed!r}")
+        problems.append(f"seed: must be a nonnegative integer, got {reprlib.repr(seed)}")
         seed = 0
     shots = doc.get("shots")
     if shots is not None and (not isinstance(shots, int) or isinstance(shots, bool) or not 1 <= shots <= MAX_SHOTS):
-        problems.append(f"shots: must be an integer from 1 to {MAX_SHOTS}, got {shots!r}")
+        problems.append(f"shots: must be an integer from 1 to {MAX_SHOTS}, got {reprlib.repr(shots)}")
         shots = None
     default_tol = _finite(doc.get("default_tolerance", DEFAULT_EXPECT_TOL))
     if default_tol is None or default_tol < 0:
-        problems.append(
-            f"default_tolerance: must be a finite nonnegative number, got {doc['default_tolerance']!r}"
-        )
+        got = reprlib.repr(doc["default_tolerance"])
+        problems.append(f"default_tolerance: must be a finite nonnegative number, got {got}")
         default_tol = DEFAULT_EXPECT_TOL
 
     parameters = doc.get("parameters", {})
@@ -280,7 +255,7 @@ def _parse_state(node, where: str, labels=SINGLE_COPY, pure: bool = False):
     """A ket (``pure``) or density operator on ``labels``, validated exactly once."""
     problems: list[str] = []
     dim = 2 ** len(labels)
-    entries = _parse_vector(node, dim, where, problems) if pure else _parse_matrix(node, dim, where, problems)
+    entries = _parse_amplitudes(node, (dim,) if pure else (dim, dim), where, problems)
     if problems:
         raise ConfigError(problems)
     try:
@@ -298,7 +273,7 @@ def _members(node, key: str) -> tuple:
         if not isinstance(entry, dict) or "weight" not in entry:
             problems.append(f"members[{i}]: expected a mapping with 'weight'")
         elif unknown := [k for k in entry if k not in ("weight", key)]:
-            problems.append(f"members[{i}]: unknown keys {unknown}")
+            problems.append(f"members[{i}]: unknown keys {reprlib.repr(unknown)}")
         elif _finite(entry["weight"]) is None:
             problems.append(f"members[{i}].weight: must be a finite number")
         elif key not in entry:
@@ -434,11 +409,12 @@ def run(config: ScenarioConfig) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(r: ScenarioReport) -> dict:
+def report_to_json(r: ScenarioReport) -> str:
+    """Structured machine format; full precision, byte-stable across runs."""
     record = None
     if r.shot_record is not None:
         record = {**asdict(r.shot_record), "counts": dict(zip(OUTCOMES, r.shot_record.counts))}
-    return {
+    doc = {
         "config": r.config,
         "verdict": asdict(r.verdict),
         "joint_distribution": asdict(r.joint),
@@ -446,9 +422,11 @@ def report_to_dict(r: ScenarioReport) -> dict:
         "checks": [asdict(c) for c in r.checks],
         "all_passed": r.all_passed,
     }
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def report_from_dict(doc: dict) -> ScenarioReport:
+def report_from_json(text: str) -> ScenarioReport:
+    doc = json.loads(text)
     record = doc.get("shot_record")
     if record is not None:
         record = ShotRecord(**{**record, "counts": tuple(record["counts"][k] for k in OUTCOMES)})
@@ -459,15 +437,6 @@ def report_from_dict(doc: dict) -> ScenarioReport:
         shot_record=record,
         checks=tuple(CheckResult(**c) for c in doc.get("checks", [])),
     )
-
-
-def report_to_json(r: ScenarioReport) -> str:
-    """Structured machine format; full precision, byte-stable across runs."""
-    return json.dumps(report_to_dict(r), indent=2, sort_keys=True)
-
-
-def report_from_json(text: str) -> ScenarioReport:
-    return report_from_dict(json.loads(text))
 
 
 def _sig(x: Optional[float]) -> str:
@@ -485,13 +454,7 @@ def render_table(r: ScenarioReport) -> str:
     rows: list[tuple[str, str]] = [
         ("scenario", str(r.config.get("scenario"))),
         ("seed", str(r.config.get("seed"))),
-        ("p_a_alice", _sig(r.verdict.p_a_alice)),
-        ("p_a_bob", _sig(r.verdict.p_a_bob)),
-        ("naive_concurrence", _sig(r.verdict.naive_concurrence)),
-        ("estimator_valid", "yes" if r.verdict.estimator_valid else "no"),
-        ("disagreement_prob", _sig(r.verdict.disagreement_prob)),
-        ("truth_single_copy_concurrence", _sig(r.verdict.truth_single_copy_concurrence)),
-        ("truth_decomposition_bound", _sig(r.verdict.truth_decomposition_bound)),
+        *((f.name, _sig(getattr(r.verdict, f.name))) for f in fields(EstimateVerdict)),
         ("joint p_aa/p_as/p_sa/p_ss", "/".join(_sig(p) for p in r.joint.as_tuple())),
     ]
     if r.shot_record is not None:

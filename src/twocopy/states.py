@@ -11,6 +11,7 @@ Alice's qubit first; an ensemble is a sequence of (weight, member) pairs.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Sequence, Union
 
 import numpy as np
@@ -121,9 +122,9 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> DensityOperator:
     if points == "discretized":
         points = DEFAULT_PHASE_POINTS
     if isinstance(points, bool) or not isinstance(points, int):
-        raise ValueError(f"points must be 'exact', 'discretized', or an integer, got {points!r}")
+        raise ValueError(f"points must be 'exact', 'discretized', or an integer, got {reprlib.repr(points)}")
     if not 3 <= points <= MAX_PHASE_POINTS:
-        raise ValueError(f"phase discretization needs 3 to {MAX_PHASE_POINTS} points, got {points}")
+        raise ValueError(f"phase discretization needs 3 to {MAX_PHASE_POINTS} points, got {reprlib.repr(points)}")
     # members (|01> + exp(i phi)|10>)/sqrt(2) at the uniform grid phases
     amplitudes = np.zeros((points, 4), dtype=complex)
     amplitudes[:, 1] = 1.0

@@ -39,6 +39,12 @@ def exchange_copies(m: np.ndarray) -> np.ndarray:
     return m.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
 
 
+# Alice's antisymmetric projector (I - SWAP(A1, A2)) / 2 on the copy-major
+# register, where A1 and A2 are qubits 0 and 2
+_SWAP_A1_A2 = np.eye(16).reshape(2, 2, 2, 2, 16).transpose(2, 1, 0, 3, 4).reshape(16, 16)
+ALICE_ANTISYMMETRIC = (np.eye(16) - _SWAP_A1_A2) / 2
+
+
 def random_weights(rng, k: int) -> np.ndarray:
     w = rng.random(k) + 1e-3
     return w / w.sum()

@@ -11,11 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution
 from twocopy.cli import main
-from twocopy.protocol import PROBABILITY_ATOL
+from twocopy.protocol import PROBABILITY_ATOL, evaluate_scenario
 from twocopy.scenarios import ConfigError, emit_report, parse_config, run
 from twocopy.states import custom_state
 
-from conftest import exchange_copies
+from conftest import ALICE_ANTISYMMETRIC, exchange_copies
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # the bundled configs plus a custom one, so every scenario family is a base
@@ -83,6 +83,17 @@ def two_copy_states(draw):
     return custom_state(DensityOperator(COPY_MAJOR, m / trace))
 
 
+@st.composite
+def alice_antisymmetric_states(draw):
+    """A valid 16x16 density matrix whose Alice pair is antisymmetric with certainty."""
+    parts = draw(arrays(np.float64, (2, 16, 16), elements=st.floats(-1.0, 1.0)))
+    g = ALICE_ANTISYMMETRIC @ (parts[0] + 1j * parts[1])
+    m = g @ g.conj().T
+    trace = np.trace(m).real
+    assume(trace > 1e-3)
+    return custom_state(DensityOperator(COPY_MAJOR, m / trace))
+
+
 @REPRODUCIBLE
 @given(documents())
 def test_any_document_runs_or_raises_config_error(text):
@@ -116,3 +127,10 @@ def test_exchanging_the_copies_leaves_the_joint_distribution_unchanged(state):
     before = joint_outcome_distribution(state).as_tuple()
     after = joint_outcome_distribution(exchanged).as_tuple()
     assert np.allclose(before, after, rtol=0.0, atol=1e-12)
+
+
+@REPRODUCIBLE
+@given(alice_antisymmetric_states())
+def test_alice_certain_states_evaluate_with_p_a_one(state):
+    verdict = evaluate_scenario(state, joint_outcome_distribution(state))
+    assert abs(verdict.p_a_alice - 1.0) <= 1e-12

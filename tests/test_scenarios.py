@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twocopy import scenarios, validate_density
+from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution, scenarios, validate_density
 from twocopy.cli import main
 from twocopy.protocol import MAX_SHOTS
 from twocopy.scenarios import (
+    METRIC_NAMES,
     ConfigError,
     build_state,
     emit_report,
@@ -23,8 +25,13 @@ from twocopy.scenarios import (
 )
 from twocopy.states import MAX_PHASE_POINTS
 
+from conftest import ALICE_ANTISYMMETRIC
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = sorted((REPO_ROOT / "scenarios").glob("*.json"))
+
+# JSON literals that json.loads accepts but that are no finite float
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
 
 MINIMAL_PHASE = json.dumps(
     {"scenario": "phase-averaged", "seed": 1, "parameters": {"points": "exact"}}
@@ -80,6 +87,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="pair"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("literal", [*NON_FINITE, "-" + "9" * 400], ids=[*NON_FINITE, "huge-integer"])
+    @pytest.mark.parametrize("where", ["ket", "rho"])
+    def test_non_finite_amplitude_refused_where_it_stands(self, literal, where):
+        if where == "ket":
+            doc = {"scenario": "pure-copies", "parameters": {"ket": [[1, 0], [0, "@"], 0, 0]}}
+            at = r"ket\[1\]"
+        else:
+            rho = np.eye(16).tolist()
+            rho[2][5] = [0, "@"]
+            doc = {"scenario": "custom", "parameters": {"rho": rho}}
+            at = r"rho\[2\]\[5\]"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc).replace('"@"', literal))
+        assert len(exc.value.problems) == 1
+        assert re.fullmatch(at + r": expected a finite number or \[re, im\] pair, got .{1,60}", exc.value.problems[0])
+
+    def test_amplitude_shape_refusals(self):
+        doc = {"scenario": "custom", "parameters": {"rho": np.eye(16).tolist()}}
+        doc["parameters"]["rho"][3] = [1.0] * 15
+        with pytest.raises(ConfigError, match=r"rho\[3\]: expected a list of 16 amplitudes"):
+            parse_config(json.dumps(doc))
+        doc["parameters"]["rho"] = np.eye(4).tolist()
+        with pytest.raises(ConfigError, match="rho: expected a 16x16 matrix"):
+            parse_config(json.dumps(doc))
+        doc = {"scenario": "pure-copies", "parameters": {"ket": [1, 0, 0]}}
+        with pytest.raises(ConfigError, match="ket: expected a list of 4 amplitudes"):
+            parse_config(json.dumps(doc))
+
     def test_all_violations_listed(self):
         doc = {
             "scenario": "pure-copies",
@@ -101,6 +136,12 @@ class TestParseConfig:
     def test_not_json_rejected(self):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("scenario: phase-averaged")
+
+
+def test_readme_metric_list_is_metric_names():
+    readme = (REPO_ROOT / "README.md").read_text()
+    paragraph = readme.split("Metrics:", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", paragraph)) == METRIC_NAMES
 
 
 class TestRun:
@@ -288,6 +329,24 @@ class TestCli:
         assert captured.out == "" and f"3 to {MAX_PHASE_POINTS} points" in captured.err
         assert len(captured.err) < 300
 
+    def test_alice_certain_state_exits_zero(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            m = ALICE_ANTISYMMETRIC @ g @ g.conj().T @ ALICE_ANTISYMMETRIC
+            m /= np.trace(m).real
+            d = joint_outcome_distribution(DensityOperator(COPY_MAJOR, m))
+            if d.p_aa + d.p_as > 1.0:  # the two clamped outcomes add up to more than 1
+                break
+        else:
+            pytest.fail("no state whose Alice marginal rounds above 1")
+        path = tmp_path / "cfg.json"
+        doc = {"scenario": "custom", "parameters": {"rho": [[[z.real, z.imag] for z in row] for row in m]}}
+        path.write_text(json.dumps(doc))
+        assert main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^p_a_alice +1$", out, re.M) and re.search(r"^estimator_valid +no$", out, re.M)
+
     def test_closed_stdout_exits_two_with_one_line(self):
         read_end, write_end = os.pipe()
         os.close(read_end)  # nobody will read: every write to the pipe fails
@@ -333,9 +392,6 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
-
-
 def _with_literal(doc: dict, literal: str) -> str:
     """The document as JSON with the placeholder string replaced by a bare literal."""
     return json.dumps(doc).replace('"@"', literal)
@@ -368,6 +424,14 @@ NON_FINITE_CASES = {
     for name, doc in NON_FINITE_DOCS.items()
     for literal in NON_FINITE
 }
+# each refusal echoes a value of 4,001 digits
+HUGE_ECHO_DOCS = {
+    "points": {"scenario": "phase-averaged", "parameters": {"points": 10**4000}},
+    "seed": {"scenario": "eve-sym", "seed": -(10**4000)},
+    "shots": {"scenario": "eve-sym", "shots": 10**4000},
+    "default-tolerance": {"scenario": "eve-sym", "default_tolerance": -(10**4000)},
+    "ket-amplitude": {"scenario": "pure-copies", "parameters": {"ket": [10**4000, 0, 0, 0]}},
+}
 EMITTED_CASES = {
     **{path.stem: path.read_text() for path in BUNDLED},
     "de-finetti-shots": de_finetti_mixed_config(shots=500, expect={"p_a_alice": {"value": 0.25, "tol": 1e-12}}),
@@ -394,6 +458,24 @@ class TestInputBounds:
         path.write_text(text)
         assert main([str(path)]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_deeply_nested_document_rejected(self, tmp_path, capsys):
+        text = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config(text)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("doc", HUGE_ECHO_DOCS.values(), ids=HUGE_ECHO_DOCS.keys())
+    def test_refusal_echoes_a_bounded_value(self, doc, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err) < 300, captured.err[:300]
 
     @pytest.mark.parametrize("doc", NEARLY_NORMALIZED_DOCS.values(), ids=NEARLY_NORMALIZED_DOCS.keys())
     def test_two_copy_trace_bound_refuses_nearly_normalized_inputs(self, doc, tmp_path, capsys):
