@@ -141,11 +141,16 @@ def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> f
 #
 # Local refinement is coordinate descent over row pairs, run on a stack of
 # all restarts at once.  For one pair the restricted objective depends on
-# the 2x2 symmetric block, whose minimum under unitary mixing is s1 - s2 in
-# terms of the block's Takagi values.  The minimizing mixings form a
-# one-parameter family; the split parameter is drawn at random (from the
-# seeded generator) because always placing the whole remainder on one member
-# creates sticky zero patterns that stall the descent.
+# the 2x2 symmetric block B = [[a, b], [b, d]], whose minimum under unitary
+# mixing is s1 - s2 in terms of the block's Takagi values.  These and the
+# Takagi vectors have closed forms: s1 + s2 = sqrt(||B||_F^2 + 2|det B|),
+# s1^2 - s2^2 is the eigenvalue gap of the 2x2 Hermitian B B^H, whose
+# eigenvectors are the Takagi vectors up to a phase that w^H B conj(w) fixes.
+# The minimizing mixings form a one-parameter family; the split parameter is
+# drawn at random (from the seeded generator) because always placing the
+# whole remainder on one member creates sticky zero patterns that stall the
+# descent.  A sweep visits the pairs in round-robin rounds of disjoint pairs,
+# and each round moves all its pairs of all restarts in one batched update.
 
 RANK_CUTOFF = 1e-12  # eigenvalues below this are rounding noise of a rank-deficient state
 MIN_GAIN = 1e-15  # a pair move predicted to gain less than this only moves rounding noise
@@ -157,41 +162,100 @@ DESCENT_TOL = 1e-7  # enough to rank the starts, whose gaps are far larger
 FINISH_TOL = 1e-9  # well inside the 1e-6 the oracle is held to below the closed form
 FINALISTS = 3  # candidates finished at full precision
 
+# the two columns of the identity, the mixing of a block that does not move
+_STAY = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
+_ONE_I = np.array([[1.0], [1j]])
+_TINY = np.finfo(float).tiny
 
-def _refine(tau: np.ndarray, pairs, rng, max_sweeps: int, tol: float) -> np.ndarray:
+
+def _pair_rounds(m: int) -> list[np.ndarray]:
+    """Round-robin rounds of disjoint row pairs, each a (2, P) array of (i, j) with i < j.
+
+    One pass over the rounds visits every pair of ``range(m)`` exactly once;
+    for odd ``m`` the row paired with the phantom row ``m`` sits the round out.
+    """
+    n = m + m % 2
+    rounds = []
+    for r in range(n - 1):
+        ring = [0] + [1 + (r + k) % (n - 1) for k in range(n - 1)]
+        pairs = [(ring[0], ring[1])] + [(ring[1 + k], ring[n - k]) for k in range(1, n // 2)]
+        pairs = [sorted(p) for p in pairs if m not in p]
+        if pairs:
+            rounds.append(np.array(pairs).T)
+    return rounds
+
+
+def _pair_moves(a, b, d, u):
+    """Closed-form Takagi moves on symmetric blocks [[a, b], [b, d]], elementwise.
+
+    ``u`` in [0, 1) picks the split of each minimizing move.  Returns the
+    gain |a| + |d| - (s1 - s2) of each block that moves (0 for the rest) and
+    the two columns of each mixing G, stacked on a new axis 1 and with a
+    trailing axis, so that row x of the mixed pair is
+    ``g0[:, x] * row_i + g1[:, x] * row_j``.  A block gaining less than
+    MIN_GAIN gets the identity.
+    """
+    aa, bb, dd = np.abs(a), np.abs(b), np.abs(d)
+    # s1 + s2 = sqrt(|a|^2 + 2|b|^2 + |d|^2 + 2|ad - b^2|), and s1 - s2 as
+    # (s1^2 - s2^2) / (s1 + s2), where s1^2 - s2^2 is the eigenvalue gap of
+    # B B^H = [[p, q], [q*, r]]; unlike the square root of
+    # |a|^2 + 2|b|^2 + |d|^2 - 2|ad - b^2|, neither cancels at s1 ~ s2
+    total = np.sqrt(aa * aa + 2.0 * bb * bb + dd * dd + 2.0 * np.abs(a * d - b * b))
+    q = a * b.conj() + b * d.conj()
+    p_r, q2 = (aa - dd) * (aa + dd), 2.0 * np.abs(q)
+    ratio = np.hypot(p_r, q2) / np.maximum(total * total, _TINY)  # (s1 - s2) / (s1 + s2)
+    gain = aa + dd - ratio * total
+    move = gain >= MIN_GAIN
+    # unit eigenvectors of B B^H: w1 = (ct, st e) and w2 = (-st e*, ct), with
+    # e = exp(-i arg q) and 2 theta = arctan2(2|q|, p - r)
+    two_theta = np.arctan2(q2, p_r)
+    ct, st = np.cos(0.5 * two_theta), np.sin(0.5 * two_theta)
+    e_conj = np.exp(1j * np.angle(q))
+    beta, delta = e_conj * b, e_conj * e_conj * d
+    # twice w1^H B conj(w1) and twice e^-2 w2^H B conj(w2); with p1, p2 their
+    # half phases, the Takagi vectors are v1 = w1 p1 and v2 = w2 e p2
+    spread = np.cos(two_theta) * (a - delta) + 2.0 * np.sin(two_theta) * beta
+    zeta = (a + delta)[:, None] + _PLUS_MINUS * spread[:, None]
+    p_conj = np.exp(-0.5j * np.angle(zeta))
+    # any split g in [s2/(s1+s2), s1/(s1+s2)] realizes the pair minimum;
+    # draw it at random to keep the descent exploring.  M = [[c, i s], [i s, c]]
+    # with c = sqrt(g) and s = sqrt(1 - g) has the columns (c, i s) and (i s, c)
+    c_is = np.sqrt(0.5 + _PLUS_MINUS * ((u - 0.5) * ratio)[:, None]) * _ONE_I
+    # G = M V^H, with V^H = [[ct p1*, st e* p1*], [-st p2*, ct e* p2*]], is
+    # unitary whatever the accuracy of V, so every candidate stays an exact
+    # decomposition
+    left, right = c_is * p_conj[:, :1], c_is[:, ::-1] * p_conj[:, 1:]
+    ct, st, e_conj, keep = ct[:, None], st[:, None], e_conj[:, None], move[:, None]
+    g0 = np.where(keep, ct * left - st * right, _STAY[0])
+    g1 = np.where(keep, e_conj * (st * left + ct * right), _STAY[1])
+    return np.where(move, gain, 0.0), g0[..., None], g1[..., None]
+
+
+def _mix_rows(x: np.ndarray, ij: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> None:
+    """Replace rows (i, j) of each (m, m) matrix in the stack x by G @ rows, in place."""
+    rows = x[:, ij]
+    x[:, ij] = g0 * rows[:, :1] + g1 * rows[:, 1:]
+
+
+def _refine(tau: np.ndarray, rounds, rng, max_sweeps: int, tol: float) -> np.ndarray:
     """Coordinate descent over row pairs on an (R, m, m) stack, in place.
 
-    A restart stops once a sweep improves it by less than ``tol / 2``, the
-    stage once every restart has stopped.  Returns the (R,) values
-    2 sum_i |tau_ii|.
+    A sweep runs the rounds of disjoint pairs from :func:`_pair_rounds`, each
+    as one batched congruence G tau G^T.  A restart stops once a sweep
+    improves it by less than ``tol / 2``, the stage once every restart has
+    stopped.  Returns the (R,) values 2 sum_i |tau_ii|.
     """
     live = np.arange(len(tau))
     for _ in range(max_sweeps):
         t = tau[live]
         improvement = np.zeros(len(t))
-        for ij in pairs:
-            block = t[:, ij[:, None], ij]
-            # Takagi factors V diag(s) V^T of the symmetric block from its SVD
-            # W diag(s) Zh: symmetry makes Zh = diag(d) W^T with |d| = 1 for
-            # distinct s, so V = W diag(sqrt(d))
-            w, s, zh = np.linalg.svd(block)
-            d = np.einsum("rik,rki->rk", w.conj(), zh)
-            v = w * np.exp(0.5j * np.angle(d))[:, None, :]
-            s1, s2 = s[:, 0], s[:, 1]
-            gain = np.abs(block[:, 0, 0]) + np.abs(block[:, 1, 1]) - (s1 - s2)
-            move = gain >= MIN_GAIN
-            improvement += np.where(move, gain, 0.0)
-            # any split g in [s2/(s1+s2), s1/(s1+s2)] realizes the pair
-            # minimum; draw it at random to keep the descent exploring
-            g = ((s2 + rng.random(len(t)) * (s1 - s2)) / np.where(move, s1 + s2, 1.0))[:, None]
-            c, sn = np.sqrt(g), 1j * np.sqrt(1.0 - g)
-            # G = [[c, i s], [i s, c]] V^H is unitary whatever the accuracy of
-            # V, so every candidate stays an exact decomposition
-            vh = v.conj().transpose(0, 2, 1)
-            mix = np.stack([c * vh[:, 0] + sn * vh[:, 1], sn * vh[:, 0] + c * vh[:, 1]], axis=1)
-            mix = np.where(move[:, None, None], mix, np.eye(2))
-            t[:, ij, :] = mix @ t[:, ij, :]
-            t[:, :, ij] = t[:, :, ij] @ mix.transpose(0, 2, 1)
+        for ij in rounds:
+            i, j = ij
+            gain, g0, g1 = _pair_moves(t[:, i, i], t[:, i, j], t[:, j, j], rng.random((len(t), ij.shape[1])))
+            improvement += gain.sum(axis=1)
+            _mix_rows(t, ij, g0, g1)
+            _mix_rows(t.transpose(0, 2, 1), ij, g0, g1)
         tau[live] = t
         live = live[2.0 * improvement >= tol]
         if not live.size:
@@ -210,8 +274,10 @@ def decomposition_infimum_oracle(
     Minimizes the ensemble-averaged concurrence over decompositions of
     ``rho`` into ``ensemble_size`` pure states, using randomly seeded
     isometries (QR-orthonormalized complex Gaussians) refined by coordinate
-    descent on pair mixing angles (stopping once a sweep improves by less
-    than 1e-9).  Deterministic for fixed (seed, restarts).
+    descent on pair mixing angles.  A restart stops once a sweep improves it
+    by less than half its stage's tolerance: 5e-8 (DESCENT_TOL / 2) while
+    the starts are ranked, 5e-10 (FINISH_TOL / 2) for the finalists.
+    Deterministic for fixed (seed, restarts).
 
     Every candidate is an exact decomposition, so the result is always an
     upper bound on the infimum up to floating-point error.
@@ -228,15 +294,15 @@ def decomposition_infimum_oracle(
     scaled = vecs[:, keep] * np.sqrt(lam[keep])
     tau0 = scaled.T @ _PRECONCURRENCE_FORM @ scaled
     rng = np.random.default_rng(np.random.Philox(seed))
-    pairs = [np.array([i, j]) for i in range(m) for j in range(i + 1, m)]
+    rounds = _pair_rounds(m)
     shape = (restarts, m, rank)
     q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     tau = q @ tau0 @ q.transpose(0, 2, 1)
     tau = (tau + tau.transpose(0, 2, 1)) / 2.0
     # a few cheap sweeps decide which starts are worth finishing
-    values = _refine(tau, pairs, rng, PROBE_SWEEPS, DESCENT_TOL)
+    values = _refine(tau, rounds, rng, PROBE_SWEEPS, DESCENT_TOL)
     tau = tau[values <= values.min() + PRUNE_MARGIN]
-    values = _refine(tau, pairs, rng, DESCENT_SWEEPS, DESCENT_TOL)
+    values = _refine(tau, rounds, rng, DESCENT_SWEEPS, DESCENT_TOL)
     # finish the leading candidates at full precision
     tau = tau[np.argsort(values)[:FINALISTS]]
-    return float(min(values.min(), _refine(tau, pairs, rng, FINISH_SWEEPS, FINISH_TOL).min()))
+    return float(min(values.min(), _refine(tau, rounds, rng, FINISH_SWEEPS, FINISH_TOL).min()))

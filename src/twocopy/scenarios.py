@@ -133,6 +133,12 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+def _key(key: str) -> str:
+    """A config key as a refusal echoes it: as written, or shortened by ``reprlib`` when long."""
+    short = reprlib.repr(key)
+    return key if short == repr(key) else short
+
+
 def _finite(node) -> Optional[float]:
     """A JSON number as a finite float; None for anything else.
 
@@ -173,7 +179,7 @@ def _parse_expectations(node, default_tol: float, problems: list[str]) -> tuple[
     out = []
     for metric, spec in node.items():
         if metric not in METRIC_NAMES:
-            problems.append(f"expect.{metric}: unknown metric (choose from {', '.join(METRIC_NAMES)})")
+            problems.append(f"expect.{_key(metric)}: unknown metric (choose from {', '.join(METRIC_NAMES)})")
             continue
         if not isinstance(spec, dict) or "value" not in spec:
             problems.append(f"expect.{metric}: must be a mapping with a 'value' entry")
@@ -354,7 +360,7 @@ def build_state(scenario: str, parameters: dict) -> DensityOperator:
     """
     entry = SCENARIOS[scenario]
     problems = [
-        f"parameters.{key}: not a parameter of scenario {scenario!r}"
+        f"parameters.{_key(key)}: not a parameter of scenario {scenario!r}"
         for key in parameters
         if key not in entry.required + entry.optional
     ]

@@ -14,6 +14,7 @@ from twocopy import (
     pure_concurrence,
     wootters_concurrence,
 )
+from twocopy.measures import MIN_GAIN, _mix_rows, _pair_moves, _pair_rounds
 from twocopy.states import logical_bell_state, phase_averaged_decomposition, pure_de_finetti_state
 
 from conftest import basis_ket, random_density, random_ket, random_product_ket
@@ -185,3 +186,92 @@ class TestDecompositionInfimumOracle:
         w = wootters_concurrence(rho)
         o = decomposition_infimum_oracle(rho, restarts=50, ensemble_size=2, seed=11)
         assert -1e-6 <= o - w < 1e-3
+
+    def test_odd_ensembles_give_a_row_a_bye_each_round(self, rng):
+        rho = random_density(rng, rank=4)
+        w = wootters_concurrence(rho)
+        o = decomposition_infimum_oracle(rho, restarts=200, ensemble_size=5, seed=13)
+        assert -1e-6 <= o - w < 1e-3
+
+
+def symmetric_blocks(rng) -> np.ndarray:
+    """Random complex symmetric 2x2 blocks, then edge cases of the closed-form move."""
+    x = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    v = np.array([0.6 - 0.2j, 0.3 + 0.7j])
+    c, s = math.cos(0.4), math.sin(0.4)
+    edge = [
+        np.zeros((2, 2)),  # nothing to move
+        np.diag([0.3, -0.8j]),  # B B^H diagonal: no phase in q
+        np.array([[0, 1], [1, 0]]),  # s1 = s2 at the minimum already
+        np.outer(v, v),  # rank 1: s2 = 0
+        0.7 * np.exp(0.3j) * np.array([[c, 1j * s], [1j * s, c]]),  # unitary times a scalar: s1 = s2
+    ]
+    return np.concatenate([x + x.transpose(0, 2, 1), np.array(edge, dtype=complex)])
+
+
+def pair_move(blocks: np.ndarray, u: np.ndarray):
+    """Gains and mixings G (N, 2, 2) of the closed-form move on each block."""
+    gain, g0, g1 = _pair_moves(blocks[:, :1, 0], blocks[:, :1, 1], blocks[:, 1:, 1], u[:, None])
+    return gain[:, 0], np.stack([g0[:, :, 0, 0], g1[:, :, 0, 0]], axis=2)
+
+
+class TestClosedFormPairMove:
+    def test_gain_matches_takagi_values_from_svd(self, rng):
+        blocks = symmetric_blocks(rng)
+        gain, _ = pair_move(blocks, rng.random(len(blocks)))
+        s = np.linalg.svd(blocks, compute_uv=False)
+        available = np.abs(blocks[:, 0, 0]) + np.abs(blocks[:, 1, 1]) - (s[:, 0] - s[:, 1])
+        moved = gain > 0
+        assert np.all(np.abs(gain[moved] - available[moved]) < 1e-12)
+        assert np.all(available[~moved] < MIN_GAIN + 1e-12)
+        assert moved[:200].all() and list(moved[200:]) == [False, True, False, False, True]
+
+    def test_mixing_is_unitary(self, rng):
+        blocks = symmetric_blocks(rng)
+        _, g = pair_move(blocks, rng.random(len(blocks)))
+        assert np.max(np.abs(g @ g.conj().transpose(0, 2, 1) - np.eye(2))) < 1e-13
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 0.999])
+    def test_move_reaches_the_pair_minimum(self, rng, u):
+        # the degenerate unitary block is left out: B B^H ~ I fixes no
+        # Takagi vectors, so the move stays exact but need not be minimal
+        blocks = symmetric_blocks(rng)[:-1]
+        gain, g = pair_move(blocks, np.full(len(blocks), u))
+        after = g @ blocks @ g.transpose(0, 2, 1)
+        s = np.linalg.svd(blocks, compute_uv=False)
+        moved = gain > 0
+        reached = np.abs(after[:, 0, 0]) + np.abs(after[:, 1, 1])
+        assert np.all(np.abs(reached[moved] - (s[moved, 0] - s[moved, 1])) < 1e-12)
+
+    def test_a_block_that_does_not_move_is_left_unchanged(self, rng):
+        blocks = symmetric_blocks(rng)
+        gain, g0, g1 = _pair_moves(blocks[:, :1, 0], blocks[:, :1, 1], blocks[:, 1:, 1], rng.random((len(blocks), 1)))
+        stack = blocks.copy()
+        ij = np.array([[0], [1]])
+        _mix_rows(stack, ij, g0, g1)
+        _mix_rows(stack.transpose(0, 2, 1), ij, g0, g1)
+        still = gain[:, 0] == 0
+        assert still.sum() == 3
+        assert np.array_equal(stack[still], blocks[still])
+        assert not np.allclose(stack[~still], blocks[~still])
+
+
+class TestPairRounds:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_each_pair_once_per_sweep_in_disjoint_rounds(self, m):
+        rounds = _pair_rounds(m)
+        pairs = [(int(i), int(j)) for ij in rounds for i, j in ij.T]
+        assert sorted(pairs) == [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for ij in rounds:
+            assert np.all(ij[0] < ij[1])
+            assert len(set(ij.ravel().tolist())) == ij.size
+
+    def test_four_members_take_three_rounds_of_two(self):
+        rounds = [sorted(map(tuple, ij.T.tolist())) for ij in _pair_rounds(4)]
+        assert rounds == [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]]
+
+    def test_odd_members_leave_one_row_out_of_each_round(self):
+        rounds = _pair_rounds(5)
+        assert len(rounds) == 5 and all(ij.shape == (2, 2) for ij in rounds)
+        byes = [set(range(5)) - set(ij.ravel().tolist()) for ij in rounds]
+        assert sorted(b.pop() for b in byes) == [0, 1, 2, 3, 4]

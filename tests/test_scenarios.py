@@ -431,6 +431,7 @@ HUGE_ECHO_DOCS = {
     "shots": {"scenario": "eve-sym", "shots": 10**4000},
     "default-tolerance": {"scenario": "eve-sym", "default_tolerance": -(10**4000)},
     "ket-amplitude": {"scenario": "pure-copies", "parameters": {"ket": [10**4000, 0, 0, 0]}},
+    "parameter-key": {"scenario": "eve-sym", "parameters": {"k" * 5000: 1}},
 }
 EMITTED_CASES = {
     **{path.stem: path.read_text() for path in BUNDLED},
@@ -476,6 +477,25 @@ class TestInputBounds:
         assert main([str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err) < 300, captured.err[:300]
+
+    @pytest.mark.parametrize("section", ["parameters", "expect"])
+    def test_unknown_key_refusal_echoes_a_bounded_key(self, section, tmp_path, capsys):
+        # the unknown-metric refusal lists every metric name, so with the
+        # temporary path it is over 300 characters even for a short key;
+        # an ordinary key keeps its text and a long one adds under 30 characters
+        texts = {
+            "parameters": "  - parameters.mm: not a parameter of scenario 'eve-sym'\n",
+            "expect": f"  - expect.mm: unknown metric (choose from {', '.join(METRIC_NAMES)})\n",
+        }
+        errs = []
+        for key in ("mm", "m" * 5000):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scenario": "eve-sym", section: {key: {"value": 0}}}))
+            assert main([str(path)]) == 2
+            errs.append(capsys.readouterr().err)
+        short, long = errs
+        assert texts[section] in short
+        assert len(long) < len(short) + 30, long[:400]
 
     @pytest.mark.parametrize("doc", NEARLY_NORMALIZED_DOCS.values(), ids=NEARLY_NORMALIZED_DOCS.keys())
     def test_two_copy_trace_bound_refuses_nearly_normalized_inputs(self, doc, tmp_path, capsys):
