@@ -24,7 +24,6 @@ from .measures import (
     ensemble_upper_bound_entanglement,
     entanglement_entropy,
     pure_concurrence,
-    von_neumann_entropy,
     wootters_concurrence,
 )
 from .protocol import (

@@ -23,7 +23,6 @@ from .linalg import (
     SINGLE_COPY,
     DensityOperator,
     Ket,
-    partial_trace,
     permute_subsystems,
 )
 
@@ -50,11 +49,6 @@ _PRECONCURRENCE_FORM = np.array(
     ],
     dtype=complex,
 )
-
-
-# eigenvalues below this are rounding noise of zero ones (some negative, where
-# log2 fails); dropping one moves the entropy by less than 5e-14 bits
-ENTROPY_EIGENVALUE_FLOOR = 1e-15
 
 
 def _require_two_qubits(x) -> None:
@@ -101,19 +95,15 @@ def wootters_concurrence(rho: DensityOperator) -> float:
     return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 
 
-def von_neumann_entropy(m: np.ndarray) -> float:
-    """Entropy in bits of a density matrix; eigenvalues below 1e-15 are treated as zero."""
-    eigs = np.linalg.eigvalsh(m)
-    eigs = eigs[eigs > ENTROPY_EIGENVALUE_FLOOR]
-    return float(-np.sum(eigs * np.log2(eigs)))
-
-
 def entanglement_entropy(psi: Ket) -> float:
     """Entropy of entanglement (ebits) of a two-copy pure state across the Alice/Bob cut."""
     if psi.labels != COPY_MAJOR:
         raise ValueError(f"expected a two-copy state on {COPY_MAJOR}, got {psi.labels}")
-    # Alice's pair (A1, A2) is the first pair in side-major order
-    return von_neumann_entropy(partial_trace(permute_subsystems(psi.density().entries), 1))
+    # Shannon entropy of the squared Schmidt coefficients; in side-major order
+    # the rows of the 4x4 amplitude matrix are Alice's pair (A1, A2)
+    p = np.linalg.svd(permute_subsystems(psi.amplitudes).reshape(4, 4), compute_uv=False) ** 2
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
 
 
 def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> float:
@@ -149,9 +139,11 @@ def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> f
 # The minimizing mixings form a one-parameter family; the split parameter is
 # drawn at random (from the seeded generator) because always placing the
 # whole remainder on one member creates sticky zero patterns that stall the
-# descent.  A sweep visits the pairs in round-robin rounds of disjoint pairs,
-# and each round moves all its pairs of all restarts in one batched update.
+# descent.  A sweep visits the pairs in rounds of disjoint pairs, and each
+# round moves all its pairs of all restarts in one batched update.
 
+MEMBERS = 4  # an optimal decomposition needs at most 4 (Wootters, PRL 80, 2245); no rank exceeds 4
+RESTARTS = 200  # random starts; at this count criterion 8's 50 states stay within 1e-3 of the truth
 RANK_CUTOFF = 1e-12  # eigenvalues below this are rounding noise of a rank-deficient state
 MIN_GAIN = 1e-15  # a pair move predicted to gain less than this only moves rounding noise
 PRUNE_MARGIN = 0.02  # after the probe sweeps, starts this far above the best rarely win
@@ -161,29 +153,18 @@ FINISH_SWEEPS = 300  # the finalists' budget; FINISH_TOL ends them well before i
 DESCENT_TOL = 1e-7  # enough to rank the starts, whose gaps are far larger
 FINISH_TOL = 1e-9  # well inside the 1e-6 the oracle is held to below the closed form
 FINALISTS = 3  # candidates finished at full precision
+# (s1 - s2) / (s1 + s2) below this is rounding: B B^H is s^2 I, whose computed
+# eigenvectors are arbitrary (18 ulps; scaled random symmetric unitaries give up to 4)
+DEGENERATE_RATIO = 4e-15
 
 # the two columns of the identity, the mixing of a block that does not move
 _STAY = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
 _PLUS_MINUS = np.array([[1.0], [-1.0]])
 _ONE_I = np.array([[1.0], [1j]])
 _TINY = np.finfo(float).tiny
-
-
-def _pair_rounds(m: int) -> list[np.ndarray]:
-    """Round-robin rounds of disjoint row pairs, each a (2, P) array of (i, j) with i < j.
-
-    One pass over the rounds visits every pair of ``range(m)`` exactly once;
-    for odd ``m`` the row paired with the phantom row ``m`` sits the round out.
-    """
-    n = m + m % 2
-    rounds = []
-    for r in range(n - 1):
-        ring = [0] + [1 + (r + k) % (n - 1) for k in range(n - 1)]
-        pairs = [(ring[0], ring[1])] + [(ring[1 + k], ring[n - k]) for k in range(1, n // 2)]
-        pairs = [sorted(p) for p in pairs if m not in p]
-        if pairs:
-            rounds.append(np.array(pairs).T)
-    return rounds
+# a sweep's rounds (0,1)(2,3), (0,2)(1,3), (0,3)(1,2), as rows i over rows j; the
+# order fixes which random split each move draws, so reordering changes every result
+_ROUNDS = np.array([[[0, 2], [1, 3]], [[0, 1], [2, 3]], [[0, 1], [3, 2]]])
 
 
 def _pair_moves(a, b, d, u):
@@ -207,6 +188,16 @@ def _pair_moves(a, b, d, u):
     ratio = np.hypot(p_r, q2) / np.maximum(total * total, _TINY)  # (s1 - s2) / (s1 + s2)
     gain = aa + dd - ratio * total
     move = gain >= MIN_GAIN
+    flat = move & (ratio <= DEGENERATE_RATIO)
+    if flat.any():
+        # B B^H = s^2 I: any vector is its eigenvector, but a Takagi vector is
+        # v = B conj(x) + s x, for x = (1, 0) or, where Re a < 0 would cancel
+        # it, i x; below, v is the top eigenvector of v v^H, from its q, p - r
+        sign = np.where(a.real < 0.0, -1.0, 1.0)
+        v0, v1 = 0.5 * total + sign * a, sign * b
+        q = np.where(flat, v0 * v1.conj(), q)
+        p_r = np.where(flat, (np.abs(v0) - np.abs(v1)) * (np.abs(v0) + np.abs(v1)), p_r)
+        q2 = 2.0 * np.abs(q)
     # unit eigenvectors of B B^H: w1 = (ct, st e) and w2 = (-st e*, ct), with
     # e = exp(-i arg q) and 2 theta = arctan2(2|q|, p - r)
     two_theta = np.arctan2(q2, p_r)
@@ -238,21 +229,21 @@ def _mix_rows(x: np.ndarray, ij: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> 
     x[:, ij] = g0 * rows[:, :1] + g1 * rows[:, 1:]
 
 
-def _refine(tau: np.ndarray, rounds, rng, max_sweeps: int, tol: float) -> np.ndarray:
-    """Coordinate descent over row pairs on an (R, m, m) stack, in place.
+def _refine(tau: np.ndarray, rng, max_sweeps: int, tol: float) -> np.ndarray:
+    """Coordinate descent over row pairs on an (R, 4, 4) stack, in place.
 
-    A sweep runs the rounds of disjoint pairs from :func:`_pair_rounds`, each
-    as one batched congruence G tau G^T.  A restart stops once a sweep
-    improves it by less than ``tol / 2``, the stage once every restart has
-    stopped.  Returns the (R,) values 2 sum_i |tau_ii|.
+    A sweep runs the three rounds of ``_ROUNDS``, each as one batched
+    congruence G tau G^T.  A restart stops once a sweep improves it by less
+    than ``tol / 2``, the stage once every restart has stopped.  Returns the
+    (R,) values 2 sum_i |tau_ii|.
     """
     live = np.arange(len(tau))
     for _ in range(max_sweeps):
         t = tau[live]
         improvement = np.zeros(len(t))
-        for ij in rounds:
+        for ij in _ROUNDS:
             i, j = ij
-            gain, g0, g1 = _pair_moves(t[:, i, i], t[:, i, j], t[:, j, j], rng.random((len(t), ij.shape[1])))
+            gain, g0, g1 = _pair_moves(t[:, i, i], t[:, i, j], t[:, j, j], rng.random((len(t), 2)))
             improvement += gain.sum(axis=1)
             _mix_rows(t, ij, g0, g1)
             _mix_rows(t.transpose(0, 2, 1), ij, g0, g1)
@@ -263,46 +254,34 @@ def _refine(tau: np.ndarray, rounds, rng, max_sweeps: int, tol: float) -> np.nda
     return 2.0 * np.abs(np.diagonal(tau, axis1=1, axis2=2)).sum(axis=1)
 
 
-def decomposition_infimum_oracle(
-    rho: DensityOperator,
-    restarts: int = 200,
-    ensemble_size: int = 4,
-    seed: int = 0,
-) -> float:
+def decomposition_infimum_oracle(rho: DensityOperator, seed: int = 0) -> float:
     """Approximate convex-roof concurrence by explicit decomposition search.
 
     Minimizes the ensemble-averaged concurrence over decompositions of
-    ``rho`` into ``ensemble_size`` pure states, using randomly seeded
-    isometries (QR-orthonormalized complex Gaussians) refined by coordinate
-    descent on pair mixing angles.  A restart stops once a sweep improves it
-    by less than half its stage's tolerance: 5e-8 (DESCENT_TOL / 2) while
-    the starts are ranked, 5e-10 (FINISH_TOL / 2) for the finalists.
-    Deterministic for fixed (seed, restarts).
+    ``rho`` into 4 pure states (MEMBERS), from 200 (RESTARTS) randomly
+    seeded isometries (QR-orthonormalized complex Gaussians) refined by
+    coordinate descent on pair mixing angles.  A restart stops once a sweep
+    improves it by less than half its stage's tolerance: 5e-8 (DESCENT_TOL
+    / 2) while the starts are ranked, 5e-10 (FINISH_TOL / 2) for the finalists.
+    Deterministic for a fixed seed.
 
     Every candidate is an exact decomposition, so the result is always an
     upper bound on the infimum up to floating-point error.
     """
     _require_two_qubits(rho)
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     lam, vecs = np.linalg.eigh(rho.entries)
     keep = lam > RANK_CUTOFF
-    rank = int(np.sum(keep))
-    if ensemble_size < rank:
-        raise ValueError(f"ensemble_size {ensemble_size} is below the state rank {rank}")
-    m = ensemble_size
     scaled = vecs[:, keep] * np.sqrt(lam[keep])
     tau0 = scaled.T @ _PRECONCURRENCE_FORM @ scaled
     rng = np.random.default_rng(np.random.Philox(seed))
-    rounds = _pair_rounds(m)
-    shape = (restarts, m, rank)
+    shape = (RESTARTS, MEMBERS, scaled.shape[1])
     q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     tau = q @ tau0 @ q.transpose(0, 2, 1)
     tau = (tau + tau.transpose(0, 2, 1)) / 2.0
     # a few cheap sweeps decide which starts are worth finishing
-    values = _refine(tau, rounds, rng, PROBE_SWEEPS, DESCENT_TOL)
+    values = _refine(tau, rng, PROBE_SWEEPS, DESCENT_TOL)
     tau = tau[values <= values.min() + PRUNE_MARGIN]
-    values = _refine(tau, rounds, rng, DESCENT_SWEEPS, DESCENT_TOL)
+    values = _refine(tau, rng, DESCENT_SWEEPS, DESCENT_TOL)
     # finish the leading candidates at full precision
     tau = tau[np.argsort(values)[:FINALISTS]]
-    return float(min(values.min(), _refine(tau, rounds, rng, FINISH_SWEEPS, FINISH_TOL).min()))
+    return float(min(values.min(), _refine(tau, rng, FINISH_SWEEPS, FINISH_TOL).min()))

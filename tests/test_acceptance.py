@@ -152,7 +152,7 @@ def test_criterion_08_oracle_agrees_with_closed_form():
     worst_below = 0.0
     for k in range(50):
         rho = random_density(rng)
-        gap = decomposition_infimum_oracle(rho, restarts=200, seed=k) - wootters_concurrence(rho)
+        gap = decomposition_infimum_oracle(rho, seed=k) - wootters_concurrence(rho)
         worst_above = max(worst_above, gap)
         worst_below = min(worst_below, gap)
     ok = worst_above < 1e-3 and worst_below >= -1e-6
