@@ -16,7 +16,7 @@ from twocopy import (
     pure_concurrence,
     wootters_concurrence,
 )
-from twocopy.measures import _ROUNDS, MIN_GAIN, _mix_rows, _pair_moves
+from twocopy.measures import _PRECONCURRENCE_FORM, _ROUNDS, MEMBERS, MIN_GAIN, RANK_CUTOFF, _mix_rows, _pair_moves
 from twocopy.states import logical_bell_state, phase_averaged_decomposition, pure_de_finetti_state
 
 from conftest import basis_ket, random_density, random_ket, random_product_ket
@@ -177,6 +177,34 @@ class TestDecompositionInfimumOracle:
             assert o >= w - 1e-6
             assert o - w < 1e-3
 
+    def test_larger_ensembles_also_converge(self, rng):
+        # the 4 members outnumber the rank of these states, so the search
+        # runs on a (R, 4, rank) isometry with more rows than columns
+        for rank in (1, 2, 3):
+            rho = random_density(rng, rank=rank)
+            w = wootters_concurrence(rho)
+            o = decomposition_infimum_oracle(rho, seed=5)
+            assert -1e-6 <= o - w < 1e-3
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_two_member_ensembles_leave_a_single_pair(self, rng, rank):
+        # a state of rank <= 2 has an optimal two-member decomposition; its
+        # members form one pair, and a single closed-form move of the pair
+        # reaches the closed form from any random start
+        rho = random_density(rng, rank=rank)
+        lam, vecs = np.linalg.eigh(rho.entries)
+        scaled = vecs[:, lam > RANK_CUTOFF] * np.sqrt(lam[lam > RANK_CUTOFF])
+        assert scaled.shape[1] == rank
+        tau0 = scaled.T @ _PRECONCURRENCE_FORM @ scaled
+        for _ in range(20):
+            g = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+            q, _ = np.linalg.qr(g)
+            block = q @ tau0 @ q.T
+            _, mixing = pair_move(block[None], rng.random(1))
+            after = mixing[0] @ block @ mixing[0].T
+            o = 2.0 * (abs(after[0, 0]) + abs(after[1, 1]))
+            assert abs(o - wootters_concurrence(rho)) < 1e-12
+
 
 def symmetric_blocks(rng) -> np.ndarray:
     """Random complex symmetric 2x2 blocks, then edge cases of the closed-form move."""
@@ -254,9 +282,10 @@ class TestClosedFormPairMove:
 
 
 class TestPairRounds:
-    def test_each_pair_once_per_sweep_in_disjoint_rounds(self):
+    @pytest.mark.parametrize("m", [MEMBERS])
+    def test_each_pair_once_per_sweep_in_disjoint_rounds(self, m):
         pairs = [(int(i), int(j)) for ij in _ROUNDS for i, j in ij.T]
-        assert sorted(pairs) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        assert sorted(pairs) == [(i, j) for i in range(m) for j in range(i + 1, m)]
         for ij in _ROUNDS:
             assert np.all(ij[0] < ij[1])
             assert len(set(ij.ravel().tolist())) == ij.size
