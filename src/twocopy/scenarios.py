@@ -31,7 +31,8 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
@@ -155,7 +156,27 @@ def _finite(node) -> Optional[float]:
 
 
 def _parse_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[str]):
-    """An array of ``shape`` amplitudes; each leaf is a number or an [re, im] pair of finite numbers."""
+    """An array of ``shape`` amplitudes; each leaf is a number or an [re, im] pair of finite numbers.
+
+    An array written in one form throughout, all bare numbers or all pairs,
+    is read in one step; anything else takes the leaf-by-leaf walk, which
+    alone reads mixed forms and writes refusals.
+    """
+    leaves = np.array(node, dtype=object)
+    if leaves.shape in (shape, shape + (2,)) and set(map(type, leaves.flat)) <= {int, float}:
+        try:
+            parts = leaves.astype(float)
+        except OverflowError:
+            parts = None
+        if parts is not None and np.isfinite(parts).all():
+            out = np.empty(shape, dtype=complex)
+            out.real, out.imag = (parts, 0.0) if leaves.shape == shape else (parts[..., 0], parts[..., 1])
+            return out
+    return _walk_amplitudes(node, shape, where, problems)
+
+
+def _walk_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[str]):
+    """:func:`_parse_amplitudes` one leaf at a time, appending a refusal for each bad leaf or list."""
     if not shape:
         parts = node if isinstance(node, list) and len(node) == 2 else (node, 0)
         re, im = _finite(parts[0]), _finite(parts[1])
@@ -167,7 +188,7 @@ def _parse_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[s
         wanted = f"a list of {shape[0]} amplitudes" if len(shape) == 1 else f"a {'x'.join(map(str, shape))} matrix"
         problems.append(f"{where}: expected {wanted}")
         return np.zeros(shape, dtype=complex)
-    return np.array([_parse_amplitudes(v, shape[1:], f"{where}[{i}]", problems) for i, v in enumerate(node)])
+    return np.array([_walk_amplitudes(v, shape[1:], f"{where}[{i}]", problems) for i, v in enumerate(node)])
 
 
 def _parse_expectations(node, default_tol: float, problems: list[str]) -> tuple[Expectation, ...]:
@@ -183,6 +204,9 @@ def _parse_expectations(node, default_tol: float, problems: list[str]) -> tuple[
             continue
         if not isinstance(spec, dict) or "value" not in spec:
             problems.append(f"expect.{metric}: must be a mapping with a 'value' entry")
+            continue
+        if unknown := [k for k in spec if k not in ("value", "tol")]:
+            problems.append(f"expect.{metric}: unknown keys {reprlib.repr(unknown)}")
             continue
         value = spec["value"]
         if isinstance(value, bool):
@@ -415,20 +439,49 @@ def run(config: ScenarioConfig) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+def _dumps(node, indent: str = "") -> str:
+    """The text of ``json.dumps(node, indent=2, sort_keys=True)`` for string-keyed mappings.
+
+    ``json.dumps`` writes indented JSON only through its pure-Python
+    encoder, one generator step per node; this writes the same bytes with
+    the same scalar encoders and one call per node.
+    """
+    if isinstance(node, float) and math.isfinite(node):
+        return float.__repr__(node)
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    if node and isinstance(node, (list, tuple, dict)):
+        inner = indent + "  "
+        if isinstance(node, dict):
+            items = [f"{encode_basestring_ascii(k)}: {_dumps(node[k], inner)}" for k in sorted(node)]
+            opening, closing = "{", "}"
+        else:
+            items = [_dumps(v, inner) for v in node]
+            opening, closing = "[", "]"
+        return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+    # None, booleans, integers, non-finite floats and empty containers
+    return json.dumps(node)
+
+
 def report_to_json(r: ScenarioReport) -> str:
-    """Structured machine format; full precision, byte-stable across runs."""
+    """Structured machine format; full precision, byte-stable across runs.
+
+    The text is that of ``json.dumps(..., indent=2, sort_keys=True)`` byte
+    for byte: two-space indents, sorted keys, ASCII escapes in strings and
+    floats as Python writes them with ``repr``.
+    """
     record = None
     if r.shot_record is not None:
-        record = {**asdict(r.shot_record), "counts": dict(zip(OUTCOMES, r.shot_record.counts))}
+        record = {**vars(r.shot_record), "counts": dict(zip(OUTCOMES, r.shot_record.counts))}
     doc = {
         "config": r.config,
-        "verdict": asdict(r.verdict),
-        "joint_distribution": asdict(r.joint),
+        "verdict": vars(r.verdict),
+        "joint_distribution": vars(r.joint),
         "shot_record": record,
-        "checks": [asdict(c) for c in r.checks],
+        "checks": [vars(c) for c in r.checks],
         "all_passed": r.all_passed,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _dumps(doc)
 
 
 def report_from_json(text: str) -> ScenarioReport:

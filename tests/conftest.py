@@ -1,9 +1,13 @@
-"""Shared helpers: seeded random states and ensembles."""
+"""Shared helpers: seeded random states and ensembles, and the standard library's report text."""
+
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from twocopy import SINGLE_COPY, DensityOperator, Ket
+from twocopy.protocol import OUTCOMES
 
 
 def random_unit_vector(rng, dim: int) -> np.ndarray:
@@ -63,3 +67,19 @@ def random_de_finetti_ensemble(rng, k: int = 3) -> tuple[tuple[float, DensityOpe
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def stdlib_report_json(r) -> str:
+    """A report's JSON text as the standard library writes it, from ``dataclasses.asdict`` copies."""
+    record = None
+    if r.shot_record is not None:
+        record = {**asdict(r.shot_record), "counts": dict(zip(OUTCOMES, r.shot_record.counts))}
+    doc = {
+        "config": r.config,
+        "verdict": asdict(r.verdict),
+        "joint_distribution": asdict(r.joint),
+        "shot_record": record,
+        "checks": [asdict(c) for c in r.checks],
+        "all_passed": r.all_passed,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)

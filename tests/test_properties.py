@@ -15,7 +15,7 @@ from twocopy.protocol import PROBABILITY_ATOL, evaluate_scenario
 from twocopy.scenarios import ConfigError, emit_report, parse_config, run
 from twocopy.states import custom_state
 
-from conftest import ALICE_ANTISYMMETRIC, exchange_copies
+from conftest import ALICE_ANTISYMMETRIC, exchange_copies, stdlib_report_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # the bundled configs plus a custom one, so every scenario family is a base
@@ -101,7 +101,8 @@ def test_any_document_runs_or_raises_config_error(text):
         config = parse_config(text)
     except ConfigError:
         return
-    emit_report(run(config), "json")
+    report = run(config)
+    assert emit_report(report, "json") == stdlib_report_json(report)
 
 
 @REPRODUCIBLE

@@ -1,8 +1,10 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
 import os
 import re
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +27,7 @@ from twocopy.scenarios import (
 )
 from twocopy.states import MAX_PHASE_POINTS
 
-from conftest import ALICE_ANTISYMMETRIC
+from conftest import ALICE_ANTISYMMETRIC, stdlib_report_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = sorted((REPO_ROOT / "scenarios").glob("*.json"))
@@ -138,6 +140,74 @@ class TestParseConfig:
             parse_config("scenario: phase-averaged")
 
 
+def _bad_leaf(where: str, leaf: str) -> str:
+    return f"{where}: expected a finite number or [re, im] pair, got {leaf}"
+
+
+# malformed amplitude arrays and the exact refusals the leaf-by-leaf walk writes for them;
+# the all-pairs and all-bare cases have the shape the one-step read accepts, so only
+# the leaf type check stands between a bool or a numeric string and an array
+REFUSED_AMPLITUDES = {
+    "bool": (True, (), [_bad_leaf("x", "True")]),
+    "bool-part": ([1.0, False], (), [_bad_leaf("x", "[1.0, False]")]),
+    "string": ("1", (), [_bad_leaf("x", "'1'")]),
+    "none": (None, (), [_bad_leaf("x", "None")]),
+    "mapping": ({"a": 1}, (), [_bad_leaf("x", "{'a': 1}")]),
+    "huge-integer": (10**400, (), [_bad_leaf("x", reprlib.repr(10**400))]),
+    "overflowing-part": ([1e400, 0], (), [_bad_leaf("x", "[inf, 0]")]),
+    "ket-of-bools": ([True, False, False, False], (4,), [_bad_leaf(f"x[{i}]", b) for i, b in
+                                                        enumerate(["True", "False", "False", "False"])]),
+    "bool-in-a-pair": ([[1, 0], [0, 0], [0, 0], [0, True]], (4,), [_bad_leaf("x[3]", "[0, True]")]),
+    "ket-of-numeric-strings": ([["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]], (4,),
+                               [_bad_leaf(f"x[{i}]", f"['{i == 0:d}', '0']") for i in range(4)]),
+    "string-leaf": (["1", 0, 0, 0], (4,), [_bad_leaf("x[0]", "'1'")]),
+    "none-leaf": ([None, 0, 0, 0], (4,), [_bad_leaf("x[0]", "None")]),
+    "huge-integer-leaf": ([10**400, 0, 0, 0], (4,),
+                          [_bad_leaf("x[0]", reprlib.repr(10**400))]),
+    "overflowing-leaf": ([[1e400, 0], 0, 0, 0], (4,), [_bad_leaf("x[0]", "[inf, 0]")]),
+    "three-element-leaf": ([[1, 0, 0], 0, 0, 0], (4,), [_bad_leaf("x[0]", "[1, 0, 0]")]),
+    "nested-pair-leaf": ([[[1, 0]], 0, 0, 0], (4,), [_bad_leaf("x[0]", "[[1, 0]]")]),
+    "short-ket": ([1, 0, 0], (4,), ["x: expected a list of 4 amplitudes"]),
+    "bool-ket": (True, (4,), ["x: expected a list of 4 amplitudes"]),
+    "mixed-forms-with-a-string": ([[0.6, 0], 0.8, 0, "0"], (4,), [_bad_leaf("x[3]", "'0'")]),
+    "matrix-of-bool-pairs": ([[1.0, False]] * 16, (4, 4), ["x: expected a 4x4 matrix"]),
+    "row-of-bools": ([[True] * 4] + [[0] * 4] * 3, (4, 4), [_bad_leaf(f"x[0][{j}]", "True") for j in range(4)]),
+}
+ACCEPTED_AMPLITUDES = {
+    "pairs": ([[0.6, 0.0], [0.0, -0.8], [0, 0], [0, 0]], (4,)),
+    "bare": ([0.6, 0.8, 0.0, 0.0], (4,)),
+    "integers": ([1, 0, 0, 2**53 + 1], (4,)),
+    "negative-zero-pairs": ([[-0.0, -0.0], [1.0, -0.0], [0.0, 0.0], [-0.0, 0.0]], (4,)),
+    "negative-zero-bare": ([-0.0, 1, -0.0, 0], (4,)),
+    "mixed-forms": ([[0.5, 0.5], 0.5, [0.5, 0], -0.0], (4,)),
+    "matrix-of-pairs": ([[[0.25 * (i == j), -0.0] for j in range(4)] for i in range(4)], (4, 4)),
+    "matrix-bare": ([[0.25 * (i == j) for j in range(4)] for i in range(4)], (4, 4)),
+}
+
+
+def _leaf(node) -> complex:
+    """One amplitude as ``complex(re, im)`` of its parts made floats, the walk's own construction."""
+    re, im = node if isinstance(node, list) else (node, 0)
+    return complex(float(re), float(im))
+
+
+class TestParseAmplitudes:
+    @pytest.mark.parametrize("node, shape, refusals", REFUSED_AMPLITUDES.values(), ids=REFUSED_AMPLITUDES.keys())
+    def test_refusals_are_the_walks(self, node, shape, refusals):
+        problems = []
+        scenarios._parse_amplitudes(node, shape, "x", problems)
+        assert problems == refusals
+
+    @pytest.mark.parametrize("node, shape", ACCEPTED_AMPLITUDES.values(), ids=ACCEPTED_AMPLITUDES.keys())
+    def test_accepted_arrays_keep_every_bit(self, node, shape):
+        problems = []
+        entries = scenarios._parse_amplitudes(node, shape, "x", problems)
+        leaves = [_leaf(v) for v in node] if len(shape) == 1 else [[_leaf(v) for v in row] for row in node]
+        assert problems == []
+        assert entries.shape == shape and entries.dtype == complex
+        assert entries.tobytes() == np.array(leaves).tobytes()
+
+
 def test_readme_metric_list_is_metric_names():
     readme = (REPO_ROOT / "README.md").read_text()
     paragraph = readme.split("Metrics:", 1)[1].split("\n\n", 1)[0]
@@ -222,6 +292,45 @@ class TestEmission:
         report = run(parse_config(MINIMAL_PHASE))
         with pytest.raises(ValueError, match="format"):
             emit_report(report, "yaml")
+
+
+def _custom_doc(entry) -> dict:
+    """A custom document whose 16x16 matrix has ``entry(i, j, x)`` for each entry x of the mixed state I/16."""
+    return {"scenario": "custom", "parameters": {"rho": [
+        [entry(i, j, 1 / 16 if i == j else 0.0) for j in range(16)] for i in range(16)]}}
+
+
+WRITER_DOCS = {
+    "custom-pairs": _custom_doc(lambda i, j, x: [x, 0.0]),
+    "custom-bare": _custom_doc(lambda i, j, x: x),
+    "custom-integers": _custom_doc(lambda i, j, x: int(i == j == 0)),
+    "custom-negative-zeros": _custom_doc(lambda i, j, x: [x or -0.0, -0.0]),
+    "custom-mixed-forms": _custom_doc(lambda i, j, x: [x, 0] if i == j else x),
+    "de-finetti": json.loads(de_finetti_mixed_config(shots=500, expect={"p_a_alice": {"value": 0.25}})),
+    "pure-de-finetti": {"scenario": "pure-de-finetti", "parameters": {"members": [
+        {"weight": 0.5, "ket": [[0.5**0.5, 0], 0, 0, [0, -(0.5**0.5)]]}, {"weight": 0.5, "ket": [0, 1, 0, 0]}]}},
+    "phase-averaged-grid": {"scenario": "phase-averaged", "parameters": {"points": 7},
+                            "expect": {"truth_decomposition_bound": {"value": 0.5, "tol": 1e-12}}},
+    "seed-of-4000-digits": {"scenario": "eve-sym", "seed": 10**3999, "shots": 10},
+    "no-checks-no-shots": {"scenario": "eve-antisym"},
+}
+
+
+@pytest.mark.parametrize("doc", WRITER_DOCS.values(), ids=WRITER_DOCS.keys())
+def test_json_writer_matches_the_standard_library(doc):
+    report = run(parse_config(json.dumps(doc)))
+    assert report_to_json(report) == stdlib_report_json(report)
+
+
+def test_json_writer_matches_the_standard_library_on_every_scalar():
+    report = run(parse_config(MINIMAL_PHASE))
+    report = dataclasses.replace(report, config={
+        "floats": [0.1, -0.0, 1e-300, 5e-324, 1e16, 2.5e300, float("nan"), float("inf"), -float("inf")],
+        "numpy": [np.float64(0.1), np.float64(-2.0)],
+        "others": [None, True, False, 0, -7, 2**64, "", "t\u00e9xt \"quoted\"\n\u2603", [], {}, ()],
+        "\u00e9": {"b": [[1, [2]], {}], "a": ()},
+    })
+    assert report_to_json(report) == stdlib_report_json(report)
 
 
 class TestCli:
@@ -432,6 +541,7 @@ HUGE_ECHO_DOCS = {
     "default-tolerance": {"scenario": "eve-sym", "default_tolerance": -(10**4000)},
     "ket-amplitude": {"scenario": "pure-copies", "parameters": {"ket": [10**4000, 0, 0, 0]}},
     "parameter-key": {"scenario": "eve-sym", "parameters": {"k" * 5000: 1}},
+    "expect-entry-key": {"scenario": "eve-sym", "expect": {"p_a_alice": {"value": 0.0, "k" * 5000: 1}}},
 }
 EMITTED_CASES = {
     **{path.stem: path.read_text() for path in BUNDLED},
@@ -496,6 +606,19 @@ class TestInputBounds:
         short, long = errs
         assert texts[section] in short
         assert len(long) < len(short) + 30, long[:400]
+
+    def test_unknown_key_in_an_expect_entry_refused(self, tmp_path, capsys):
+        # "tolerance" is a typo for "tol"; read as the default tol of 1e-9, the
+        # entry would fail its check and exit 1, the code for a violated expectation
+        text = de_finetti_mixed_config(expect={"p_a_alice": {"value": 0.2500001, "tolerance": 1e-3}})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.problems == ["expect.p_a_alice: unknown keys ['tolerance']"]
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expect.p_a_alice: unknown keys ['tolerance']" in captured.err
 
     @pytest.mark.parametrize("doc", NEARLY_NORMALIZED_DOCS.values(), ids=NEARLY_NORMALIZED_DOCS.keys())
     def test_two_copy_trace_bound_refuses_nearly_normalized_inputs(self, doc, tmp_path, capsys):
