@@ -11,7 +11,6 @@ from .linalg import (
     COPY_MAJOR,
     SINGLE_COPY,
     DensityOperator,
-    DensityValidation,
     Ket,
     expectation_value,
     partial_trace,
@@ -23,14 +22,12 @@ from .measures import (
     decomposition_infimum_oracle,
     ensemble_upper_bound_entanglement,
     entanglement_entropy,
-    pure_concurrence,
     wootters_concurrence,
 )
 from .protocol import (
     EstimateVerdict,
     OutcomeDistribution,
     ShotRecord,
-    antisym_probability,
     disagreement_probability,
     evaluate_scenario,
     joint_outcome_distribution,

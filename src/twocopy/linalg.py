@@ -20,14 +20,13 @@ middle two qubits gives the side-major order (A1, A2, B1, B2).
 Everything here is a pure function of its inputs.  Arrays are copied on
 construction and frozen, so values are safe to share between threads.
 A :class:`DensityOperator` built from a matrix is validated; one derived
-from valid ones (``tensor_product``, ``Ket.density``) is valid by
-construction and is not checked again.
+from valid ones (``tensor_product``) is valid by construction and is not
+checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -76,10 +75,6 @@ class Ket:
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"ket must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
-
-    def density(self) -> "DensityOperator":
-        """Rank-1 density operator |psi><psi|."""
-        return _derived(self.labels, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -142,9 +137,9 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def validate_density(rho: Union[np.ndarray, DensityOperator]) -> DensityValidation:
-    """Report-only check of the density-operator invariants."""
-    m = rho.entries if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+def validate_density(rho: np.ndarray) -> DensityValidation:
+    """Report-only check of the density-operator invariants of a square matrix."""
+    m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     herm = hermiticity_defect(m)

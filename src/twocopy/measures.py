@@ -68,16 +68,6 @@ def check_weights(weights: Sequence[float]) -> None:
         raise ValueError(f"weights must be nonnegative and sum to 1, got sum {total!r}")
 
 
-def pure_concurrence(psi: Ket) -> float:
-    """Concurrence 2|ad - bc| of a pure 2-qubit state with amplitudes (a, b, c, d).
-
-    Zero exactly for product states, 1 for maximally entangled ones.
-    """
-    _require_two_qubits(psi)
-    a, b, c, d = psi.amplitudes
-    return 2.0 * float(abs(a * d - b * c))
-
-
 def wootters_concurrence(rho: DensityOperator) -> float:
     """Closed-form convex-roof concurrence of a 2-qubit density operator.
 

@@ -74,14 +74,6 @@ class OutcomeDistribution:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_aa, self.p_as, self.p_sa, self.p_ss)
 
-    def marginal(self, side: str) -> float:
-        """Antisymmetric-outcome probability of one side."""
-        if side == "alice":
-            return _clamp_probability(self.p_aa + self.p_as)
-        if side == "bob":
-            return _clamp_probability(self.p_aa + self.p_sa)
-        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-
 
 @dataclass(frozen=True)
 class EstimateVerdict:
@@ -108,19 +100,11 @@ class ShotRecord:
         if sum(self.counts) != self.shots:
             raise ValueError("outcome counts must sum to the number of shots")
 
-    def frequencies(self) -> tuple[float, float, float, float]:
-        return tuple(c / self.shots for c in self.counts)
-
 
 def _clamp_probability(x: float) -> float:
     if x < -PROBABILITY_ATOL or x > 1.0 + PROBABILITY_ATOL:
         raise ValueError(f"computed probability {x!r} outside [0, 1] beyond tolerance")
     return min(max(x, 0.0), 1.0)
-
-
-def antisym_probability(state: DensityOperator, side: str = "alice") -> float:
-    """Probability that ``side`` projects its pair onto the antisymmetric subspace."""
-    return joint_outcome_distribution(state).marginal(side)
 
 
 def naive_concurrence_estimate(p_a: float) -> tuple[float, bool]:
@@ -182,8 +166,8 @@ def evaluate_scenario(
     entanglement entropy across the Alice/Bob cut is reported as an upper
     bound on the total two-copy entanglement.
     """
-    p_alice = dist.marginal("alice")
-    p_bob = dist.marginal("bob")
+    p_alice = _clamp_probability(dist.p_aa + dist.p_as)
+    p_bob = _clamp_probability(dist.p_aa + dist.p_sa)
     naive, valid = naive_concurrence_estimate(p_alice)
     truth = wootters_concurrence(single_copy_marginal(state, copy=1))
     bound = None

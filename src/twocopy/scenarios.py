@@ -191,7 +191,7 @@ def _walk_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[st
     return np.array([_walk_amplitudes(v, shape[1:], f"{where}[{i}]", problems) for i, v in enumerate(node)])
 
 
-def _parse_expectations(node, default_tol: float, problems: list[str]) -> tuple[Expectation, ...]:
+def _parse_expectations(node, default_tol: float, scenario: str, problems: list[str]) -> tuple[Expectation, ...]:
     if node is None:
         return ()
     if not isinstance(node, dict):
@@ -208,9 +208,15 @@ def _parse_expectations(node, default_tol: float, problems: list[str]) -> tuple[
         if unknown := [k for k in spec if k not in ("value", "tol")]:
             problems.append(f"expect.{metric}: unknown keys {reprlib.repr(unknown)}")
             continue
+        if metric == "truth_decomposition_bound" and SCENARIOS[scenario].decomposition is None:
+            problems.append(f"expect.{metric}: not reported by scenario {scenario!r}, which has no decomposition")
+            continue
         value = spec["value"]
         if isinstance(value, bool):
-            out.append(Expectation(metric, value, 0.0))
+            if "tol" in spec:
+                problems.append(f"expect.{metric}: tol does not apply to a boolean value")
+            else:
+                out.append(Expectation(metric, value, 0.0))
             continue
         if _finite(value) is None:
             problems.append(f"expect.{metric}: value must be a finite number or boolean")
@@ -265,7 +271,7 @@ def parse_config(text: str) -> ScenarioConfig:
     parameters = doc.get("parameters", {})
     if not isinstance(parameters, dict):
         problems.append("parameters: must be a mapping")
-    expectations = _parse_expectations(doc.get("expect"), default_tol, problems)
+    expectations = _parse_expectations(doc.get("expect"), default_tol, scenario, problems)
     if isinstance(parameters, dict):
         try:
             state = build_state(scenario, parameters)

@@ -1,4 +1,4 @@
-"""Shared helpers: seeded random states and ensembles, and the standard library's report text."""
+"""Shared helpers: seeded random states and ensembles, reference quantities, and the standard library's report text."""
 
 import json
 from dataclasses import asdict
@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from twocopy import SINGLE_COPY, DensityOperator, Ket
+from twocopy import SINGLE_COPY, DensityOperator, Ket, joint_outcome_distribution
 from twocopy.protocol import OUTCOMES
 
 
@@ -36,6 +36,24 @@ def random_density(rng, labels=SINGLE_COPY, rank=None) -> DensityOperator:
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     return DensityOperator(labels, m / np.trace(m).real)
+
+
+def density(ket: Ket) -> DensityOperator:
+    """The rank-1 density operator |psi><psi| of a ket, on its register."""
+    a = ket.amplitudes
+    return DensityOperator(ket.labels, np.outer(a, a.conj()))
+
+
+def antisym(state: DensityOperator, side: str) -> float:
+    """Probability that ``side``, "alice" or "bob", finds its pair antisymmetric: a joint-outcome marginal."""
+    d = joint_outcome_distribution(state)
+    return d.p_aa + {"alice": d.p_as, "bob": d.p_sa}[side]
+
+
+def pure_concurrence(ket: Ket) -> float:
+    """Concurrence 2|ad - bc| of a single-copy ket with amplitudes (a, b, c, d)."""
+    a, b, c, d = ket.amplitudes
+    return 2.0 * abs(a * d - b * c)
 
 
 def exchange_copies(m: np.ndarray) -> np.ndarray:

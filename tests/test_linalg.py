@@ -15,7 +15,7 @@ from twocopy import (
 from twocopy import linalg
 from twocopy.states import phase_averaged_state, single_copy_marginal
 
-from conftest import random_density, random_ket
+from conftest import density, random_density, random_ket
 
 # projector onto the antisymmetric subspace of a pair: the singlet's
 SINGLET = np.array([0, 1, -1, 0]) / np.sqrt(2)
@@ -31,7 +31,7 @@ def mixed(labels=SINGLE_COPY):
 
 def basis_density(index: int) -> DensityOperator:
     """|index><index| on the single-copy register."""
-    return Ket(SINGLE_COPY, np.eye(4)[index]).density()
+    return density(Ket(SINGLE_COPY, np.eye(4)[index]))
 
 
 class TestLayout:
@@ -45,7 +45,7 @@ class TestLayout:
         ket = Ket(SINGLE_COPY, np.kron([1, 0], [0, 1]))
         assert ket.amplitudes[1] == 1.0
         assert np.count_nonzero(ket.amplitudes) == 1
-        two_copy = tensor_product(ket.density(), basis_density(0)).entries
+        two_copy = tensor_product(density(ket), basis_density(0)).entries
         assert two_copy[0b0100, 0b0100] == 1.0
         assert np.count_nonzero(two_copy) == 1
 
@@ -83,7 +83,7 @@ class TestTensorProduct:
 
     def test_bell_squared_is_rank_one_trace_one(self, rng):
         bell = Ket(SINGLE_COPY, BELL)
-        rho = tensor_product(bell.density(), bell.density())
+        rho = tensor_product(density(bell), density(bell))
         # independent route: outer product of the kron'd amplitude vector
         vec = np.kron(bell.amplitudes, bell.amplitudes)
         assert rho.entries.shape == (16, 16)
@@ -188,7 +188,7 @@ class TestPermuteSubsystems:
             expected = brute_force_ket_permutation(psi.amplitudes, COPY_MAJOR, SIDE_MAJOR)
             assert np.max(np.abs(out - expected)) == 0.0
             # the matrix form permutes rows and columns alike
-            rho = psi.density().entries
+            rho = density(psi).entries
             assert np.array_equal(permute_subsystems(rho), np.outer(out, out.conj()))
 
     def test_spectrum_preserved_exactly(self, rng):
@@ -213,7 +213,7 @@ class TestExpectationValue:
     def test_orthogonal_component(self):
         bell = Ket(SINGLE_COPY, BELL)
         proj = np.diag([1.0, 0, 0, 0])
-        assert abs(expectation_value(proj, bell.density())) < 1e-14
+        assert abs(expectation_value(proj, density(bell))) < 1e-14
 
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -243,7 +243,7 @@ class TestValidateDensity:
         assert abs(report.trace_defect - 0.1) < 1e-12
 
     def test_discretized_phase_average_passes(self):
-        report = validate_density(phase_averaged_state(4))
+        report = validate_density(phase_averaged_state(4).entries)
         assert report.passed
 
     def test_constructor_enforces_invariants(self):
@@ -259,13 +259,12 @@ class TestValidateDensity:
 
     def test_derived_densities_are_frozen_and_not_validated_again(self, rng, monkeypatch):
         rho = random_density(rng)
-        psi = random_ket(rng)
+        sigma = density(random_ket(rng))
         pair = phase_averaged_state(4)
         calls = []
         monkeypatch.setattr(linalg, "validate_density", lambda m: calls.append(m))
         derived = [
-            psi.density(),
-            tensor_product(rho, psi.density()),
+            tensor_product(rho, sigma),
             single_copy_marginal(pair, 2),
         ]
         assert calls == []

@@ -13,13 +13,12 @@ from twocopy import (
     entanglement_entropy,
     partial_trace,
     permute_subsystems,
-    pure_concurrence,
     wootters_concurrence,
 )
 from twocopy.measures import _PRECONCURRENCE_FORM, _ROUNDS, MEMBERS, MIN_GAIN, RANK_CUTOFF, _mix_rows, _pair_moves
 from twocopy.states import logical_bell_state, phase_averaged_decomposition, pure_de_finetti_state
 
-from conftest import basis_ket, random_density, random_ket, random_product_ket
+from conftest import basis_ket, density, pure_concurrence, random_density, random_ket, random_product_ket
 
 AB = SINGLE_COPY
 
@@ -44,20 +43,22 @@ def werner_half() -> DensityOperator:
 
 
 class TestPureConcurrence:
+    """The closed form on pure states, against hand values of 2|ad - bc|."""
+
     def test_maximally_entangled(self):
-        assert abs(pure_concurrence(bell()) - 1.0) < 1e-12
+        assert abs(wootters_concurrence(density(bell())) - 1.0) < 1e-12
 
     def test_product_state(self):
-        assert pure_concurrence(basis_ket(AB, "00")) == 0.0
+        assert wootters_concurrence(density(basis_ket(AB, "00"))) == 0.0
 
     def test_partially_entangled(self):
         psi = Ket(AB, np.array([0, math.sqrt(0.8), math.sqrt(0.2), 0]))
         # reduced-state determinant route: 2 sqrt(0.8 * 0.2) = 0.8
-        assert abs(pure_concurrence(psi) - 0.8) < 1e-12
+        assert abs(wootters_concurrence(density(psi)) - 0.8) < 1e-12
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="2-qubit"):
-            pure_concurrence(basis_ket(COPY_MAJOR, "0000"))
+            wootters_concurrence(density(basis_ket(COPY_MAJOR, "0000")))
 
 
 class TestWoottersConcurrence:
@@ -68,7 +69,7 @@ class TestWoottersConcurrence:
         assert decomposition_infimum_oracle(rho, seed=0) < 1e-4
 
     def test_pure_case_matches_pure_concurrence(self):
-        assert abs(wootters_concurrence(bell().density()) - 1.0) < 1e-10
+        assert abs(wootters_concurrence(density(bell())) - 1.0) < 1e-10
 
     def test_werner_mixture(self):
         c = wootters_concurrence(werner_half())
@@ -86,7 +87,7 @@ class TestWoottersConcurrence:
             kets.append(Ket(AB, v / np.linalg.norm(v)))
         kets.append(Ket(AB, np.array(LOW_CONCURRENCE_KET) / np.linalg.norm(LOW_CONCURRENCE_KET)))
         for psi in kets:
-            assert abs(wootters_concurrence(psi.density()) - pure_concurrence(psi)) < 1e-12
+            assert abs(wootters_concurrence(density(psi)) - pure_concurrence(psi)) < 1e-12
 
     def test_convexity(self, rng):
         for _ in range(20):
@@ -142,7 +143,7 @@ class TestEnsembleUpperBound:
                 v = permute_subsystems((g[0] @ g[1].T).reshape(16))
                 kets.append(Ket(COPY_MAJOR, v / np.linalg.norm(v)))
         for psi in kets:
-            eigs = np.linalg.eigvalsh(partial_trace(permute_subsystems(psi.density().entries), 1))
+            eigs = np.linalg.eigvalsh(partial_trace(permute_subsystems(density(psi).entries), 1))
             eigs = eigs[eigs > 1e-15]  # rounding noise of zero eigenvalues, some negative
             assert abs(entanglement_entropy(psi) - float(-np.sum(eigs * np.log2(eigs)))) < 1e-12
 
@@ -156,7 +157,7 @@ class TestEnsembleUpperBound:
 class TestDecompositionInfimumOracle:
     def test_pure_input_has_unique_decomposition(self):
         psi = Ket(AB, np.array([0, math.sqrt(0.8), math.sqrt(0.2), 0]))
-        got = decomposition_infimum_oracle(psi.density(), seed=3)
+        got = decomposition_infimum_oracle(density(psi), seed=3)
         assert abs(got - 0.8) < 1e-6
 
     def test_maximally_mixed_reaches_product_decomposition(self):

@@ -15,7 +15,7 @@ from twocopy.protocol import PROBABILITY_ATOL, evaluate_scenario
 from twocopy.scenarios import ConfigError, emit_report, parse_config, run
 from twocopy.states import custom_state
 
-from conftest import ALICE_ANTISYMMETRIC, exchange_copies, stdlib_report_json
+from conftest import ALICE_ANTISYMMETRIC, antisym, exchange_copies, stdlib_report_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # the bundled configs plus a custom one, so every scenario family is a base
@@ -118,7 +118,7 @@ def test_cli_exits_zero_one_or_two_on_any_document(tmp_path_factory, text):
 def test_joint_distribution_sums_to_one_and_aa_is_below_each_marginal(state):
     d = joint_outcome_distribution(state)
     assert abs(sum(d.as_tuple()) - 1.0) <= PROBABILITY_ATOL
-    assert d.p_aa <= min(d.marginal("alice"), d.marginal("bob"))
+    assert d.p_aa <= min(antisym(state, "alice"), antisym(state, "bob"))
 
 
 @REPRODUCIBLE

@@ -5,7 +5,6 @@ from twocopy import (
     SINGLE_COPY,
     DensityOperator,
     Ket,
-    antisym_probability,
     disagreement_probability,
     evaluate_scenario,
     joint_outcome_distribution,
@@ -27,6 +26,8 @@ from twocopy.states import (
 )
 
 from conftest import (
+    ALICE_ANTISYMMETRIC,
+    antisym,
     random_de_finetti_ensemble,
     random_ket,
     random_product_ket,
@@ -75,28 +76,24 @@ class TestJointProjectors:
             ket = np.kron(np.kron(x, zero), np.kron(y, zero))
             state = custom_state(DensityOperator(COPY_MAJOR, np.outer(ket, ket.conj())))
             want = (1.0 - abs(np.vdot(x, y)) ** 2) / 2.0
-            assert abs(antisym_probability(state, "alice") - want) < 1e-10
-            assert abs(antisym_probability(state, "bob")) < 1e-12
+            assert abs(antisym(state, "alice") - want) < 1e-10
+            assert abs(antisym(state, "bob")) < 1e-12
 
 
 class TestAntisymProbability:
     def test_product_pure_copies(self, rng):
         state = identical_pure_copies(random_product_ket(rng))
-        assert abs(antisym_probability(state, "alice")) < 1e-12
-        assert abs(antisym_probability(state, "bob")) < 1e-12
+        assert abs(antisym(state, "alice")) < 1e-12
+        assert abs(antisym(state, "bob")) < 1e-12
 
     def test_fully_mixed(self):
         state = fully_mixed_two_copies()
-        assert abs(antisym_probability(state, "alice") - 0.25) < 1e-12
+        assert abs(antisym(state, "alice") - 0.25) < 1e-12
 
     def test_phase_averaged_both_sides(self):
         state = phase_averaged_state("exact")
-        assert abs(antisym_probability(state, "alice") - 0.25) < 1e-12
-        assert abs(antisym_probability(state, "bob") - 0.25) < 1e-12
-
-    def test_unknown_side_rejected(self):
-        with pytest.raises(ValueError, match="side"):
-            antisym_probability(fully_mixed_two_copies(), "charlie")
+        assert abs(antisym(state, "alice") - 0.25) < 1e-12
+        assert abs(antisym(state, "bob") - 0.25) < 1e-12
 
 
 class TestNaiveEstimate:
@@ -140,9 +137,11 @@ class TestJointOutcomeDistribution:
     def test_marginals_match_one_sided_probabilities(self, rng):
         for _ in range(10):
             state = de_finetti_state(random_de_finetti_ensemble(rng))
-            dist = joint_outcome_distribution(state)
-            assert abs(dist.marginal("alice") - antisym_probability(state, "alice")) < 1e-12
-            assert abs(dist.marginal("bob") - antisym_probability(state, "bob")) < 1e-12
+            verdict = evaluate_scenario(state, joint_outcome_distribution(state))
+            alice = np.trace(ALICE_ANTISYMMETRIC @ state.entries).real
+            assert abs(verdict.p_a_alice - alice) < 1e-12
+            assert abs(verdict.p_a_alice - antisym(state, "alice")) < 1e-12
+            assert abs(verdict.p_a_bob - antisym(state, "bob")) < 1e-12
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="sum"):
@@ -165,7 +164,7 @@ class TestDisagreementProbability:
     def test_phase_averaged_fools_the_two_sided_check(self):
         state = phase_averaged_state("exact")
         dist = joint_outcome_distribution(state)
-        naive, _ = naive_concurrence_estimate(dist.marginal("alice"))
+        naive, _ = naive_concurrence_estimate(antisym(state, "alice"))
         truth = wootters_concurrence(single_copy_marginal(state, 1))
         assert disagreement_probability(dist) < 1e-12
         assert abs(naive - 1.0) < 1e-12
@@ -194,7 +193,7 @@ class TestSampleOutcomes:
         shots = 100_000
         record = sample_outcomes(joint_outcome_distribution(state), shots=shots, seed=5)
         dist = joint_outcome_distribution(state)
-        for freq, p in zip(record.frequencies(), dist.as_tuple()):
+        for freq, p in zip(np.array(record.counts) / shots, dist.as_tuple()):
             sigma = np.sqrt(p * (1 - p) / shots)
             assert abs(freq - p) <= 5 * sigma
 
@@ -203,7 +202,7 @@ class TestSampleOutcomes:
         truth = np.cumsum(joint_outcome_distribution(state).as_tuple())
         for shots in (10**3, 10**4, 10**5):
             record = sample_outcomes(joint_outcome_distribution(state), shots=shots, seed=17)
-            empirical = np.cumsum(record.frequencies())
+            empirical = np.cumsum(record.counts) / shots
             distance = np.max(np.abs(empirical - truth))
             assert distance <= 3.0 / np.sqrt(shots)
 

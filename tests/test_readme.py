@@ -1,0 +1,26 @@
+"""The README against the package: its Library example runs, and it names every export."""
+
+import ast
+import re
+from pathlib import Path
+
+import twocopy
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_library_example_runs():
+    example = re.search(r"^## Library\n\n```python\n(.*?)^```$", README, re.DOTALL | re.MULTILINE)
+    assert example, "no python block under '## Library'"
+    exec(compile(example.group(1), "README.md", "exec"), {})
+
+
+def test_every_export_is_documented():
+    tree = ast.parse(Path(twocopy.__file__).read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    prose = re.sub(r"^```.*?^```$", "", README, flags=re.DOTALL | re.MULTILINE)
+    spans = " ".join(re.findall(r"`([^`\n]+)`", prose))
+    missing = sorted(name for name in exports if not re.search(rf"\b{name}\b", spans))
+    assert not missing, f"exported but not named in backticks in README.md: {missing}"

@@ -78,7 +78,7 @@ class TestParseConfig:
         doc = {"scenario": "custom", "parameters": {"rho": entries}}
         config = parse_config(json.dumps(doc))
         state = build_state(config.scenario, config.parameters)
-        assert validate_density(state).passed
+        assert validate_density(state.entries).passed
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -607,18 +607,28 @@ class TestInputBounds:
         assert texts[section] in short
         assert len(long) < len(short) + 30, long[:400]
 
-    def test_unknown_key_in_an_expect_entry_refused(self, tmp_path, capsys):
-        # "tolerance" is a typo for "tol"; read as the default tol of 1e-9, the
-        # entry would fail its check and exit 1, the code for a violated expectation
-        text = de_finetti_mixed_config(expect={"p_a_alice": {"value": 0.2500001, "tolerance": 1e-3}})
+    # each entry would otherwise be read in part or never be checkable:
+    # "tolerance" is a typo for "tol", which the default 1e-9 would replace and
+    # fail the check with exit 1, the code for a violated expectation; a tol on
+    # a boolean would be dropped; eve-sym has no decomposition, so its bound is
+    # never reported and the check could never pass
+    @pytest.mark.parametrize("text, problem", [
+        (de_finetti_mixed_config(expect={"p_a_alice": {"value": 0.2500001, "tolerance": 1e-3}}),
+         "expect.p_a_alice: unknown keys ['tolerance']"),
+        (de_finetti_mixed_config(expect={"estimator_valid": {"value": True, "tol": 0.5}}),
+         "expect.estimator_valid: tol does not apply to a boolean value"),
+        (json.dumps({"scenario": "eve-sym", "expect": {"truth_decomposition_bound": {"value": 0.0, "tol": 1}}}),
+         "expect.truth_decomposition_bound: not reported by scenario 'eve-sym', which has no decomposition"),
+    ], ids=["misspelt-tol", "tol-on-boolean", "bound-without-decomposition"])
+    def test_unknown_key_in_an_expect_entry_refused(self, text, problem, tmp_path, capsys):
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
-        assert exc.value.problems == ["expect.p_a_alice: unknown keys ['tolerance']"]
+        assert exc.value.problems == [problem]
         path = tmp_path / "cfg.json"
         path.write_text(text)
         assert main([str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "expect.p_a_alice: unknown keys ['tolerance']" in captured.err
+        assert captured.out == "" and problem in captured.err
 
     @pytest.mark.parametrize("doc", NEARLY_NORMALIZED_DOCS.values(), ids=NEARLY_NORMALIZED_DOCS.keys())
     def test_two_copy_trace_bound_refuses_nearly_normalized_inputs(self, doc, tmp_path, capsys):
