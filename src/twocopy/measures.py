@@ -117,10 +117,11 @@ def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> f
 # tau0 = Y^T Q Y for Y the matrix of scaled eigenvectors, so the search
 # space is the isometry manifold and every evaluated point is a genuine
 # decomposition (the result can only sit above the infimum).  Only tau is
-# tracked: a unitary mixing G of two rows maps tau to G tau G^T.
+# tracked: a unitary W maps it to W tau W^T.  A pure state has no other
+# decomposition than itself, so its value is 2 |tau0_00|, with no search.
 #
-# Local refinement is coordinate descent over row pairs, run on a stack of
-# all restarts at once.  For one pair the restricted objective depends on
+# The probe is coordinate descent over row pairs, run on a stack of all
+# restarts at once.  For one pair the restricted objective depends on
 # the 2x2 symmetric block B = [[a, b], [b, d]], whose minimum under unitary
 # mixing is s1 - s2 in terms of the block's Takagi values.  These and the
 # Takagi vectors have closed forms: s1 + s2 = sqrt(||B||_F^2 + 2|det B|),
@@ -131,18 +132,37 @@ def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> f
 # whole remainder on one member creates sticky zero patterns that stall the
 # descent.  A sweep visits the pairs in rounds of disjoint pairs, and each
 # round moves all its pairs of all restarts in one batched update.
+#
+# The finish is Riemannian conjugate gradients on U(4) (Rothlisberger,
+# Lehmann & Loss, PRA 80, 042301, 2009), run on the FINALISTS best probe
+# values.  Moving tau to exp(X) tau exp(X)^T, X anti-Hermitian, changes
+# sum_i |tau_ii| by Re tr(X^H G) to first order, with the anti-Hermitian
+# gradient G = S conj(tau) - tau conj(S) for S = diag(tau_ii / |tau_ii|).
+# Directions follow Polak-Ribiere, restarted to steepest descent every
+# RESTART_EVERY iterations and after a step that gains nothing.  A direction
+# H = -i V diag(w) V^H gives the steps W(a) = V diag(exp(-i a w)) V^H, along
+# which tau(a)_ii = sum_kl V_ik V_il (V^H tau conj V)_kl exp(-i a (w_k + w_l)),
+# so one batched matmul scores a whole grid of step sizes; the best is taken
+# if it lowers the objective.  W(a) is unitary whatever the accuracy of V, so
+# every candidate stays an exact decomposition.  At a member with
+# tau_ii near 0 the objective has a kink, where the unit phase in S points
+# along a direction no step can follow; the search would stall there, above
+# the separable boundary.  The direction therefore weighs a member below
+# KINK times the largest |tau_ii| by its size (the gradient of a Huber
+# smoothing); every step is still scored on the objective itself.
 
 MEMBERS = 4  # an optimal decomposition needs at most 4 (Wootters, PRL 80, 2245); no rank exceeds 4
 RESTARTS = 200  # random starts; at this count criterion 8's 50 states stay within 1e-3 of the truth
 RANK_CUTOFF = 1e-12  # eigenvalues below this are rounding noise of a rank-deficient state
 MIN_GAIN = 1e-15  # a pair move predicted to gain less than this only moves rounding noise
-PRUNE_MARGIN = 0.02  # after the probe sweeps, starts this far above the best rarely win
-PROBE_SWEEPS = 3  # enough to tell which starts are worth pursuing
-DESCENT_SWEEPS = 22  # further sweeps for the starts that survive the probe
-FINISH_SWEEPS = 300  # the finalists' budget; FINISH_TOL ends them well before it
-DESCENT_TOL = 1e-7  # enough to rank the starts, whose gaps are far larger
-FINISH_TOL = 1e-9  # well inside the 1e-6 the oracle is held to below the closed form
+PROBE_SWEEPS = 3  # enough to tell which starts are worth finishing
+PROBE_TOL = 1e-7  # enough to rank the starts, whose gaps are far larger
 FINALISTS = 3  # candidates finished at full precision
+FINISH_TOL = 1e-9  # well inside the 1e-6 the oracle is held to below the closed form
+FINISH_STALL = 3  # a finalist stops after this many iterations in a row gaining under FINISH_TOL / 2
+FINISH_ITERATIONS = 300  # the finalists' budget; FINISH_STALL ends all but a few per thousand before it
+RESTART_EVERY = 25  # Polak-Ribiere iterations between restarts to steepest descent
+KINK = 0.5  # members below this share of the largest |tau_ii| are damped in the direction
 # (s1 - s2) / (s1 + s2) below this is rounding: B B^H is s^2 I, whose computed
 # eigenvectors are arbitrary (18 ulps; scaled random symmetric unitaries give up to 4)
 DEGENERATE_RATIO = 4e-15
@@ -155,6 +175,9 @@ _TINY = np.finfo(float).tiny
 # a sweep's rounds (0,1)(2,3), (0,2)(1,3), (0,3)(1,2), as rows i over rows j; the
 # order fixes which random split each move draws, so reordering changes every result
 _ROUNDS = np.array([[[0, 2], [1, 3]], [[0, 1], [2, 3]], [[0, 1], [3, 2]]])
+# the finish's step sizes, as the largest rotation angle a max|w| of the step:
+# pi down to 1e-9 in factors of sqrt(2), fine enough to follow a kink
+_ANGLES = np.pi * 2.0 ** (-0.5 * np.arange(64))
 
 
 def _pair_moves(a, b, d, u):
@@ -219,16 +242,15 @@ def _mix_rows(x: np.ndarray, ij: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> 
     x[:, ij] = g0 * rows[:, :1] + g1 * rows[:, 1:]
 
 
-def _refine(tau: np.ndarray, rng, max_sweeps: int, tol: float) -> np.ndarray:
-    """Coordinate descent over row pairs on an (R, 4, 4) stack, in place.
+def _probe(tau: np.ndarray, rng) -> np.ndarray:
+    """PROBE_SWEEPS sweeps of pair moves on an (R, 4, 4) stack, in place.
 
     A sweep runs the three rounds of ``_ROUNDS``, each as one batched
-    congruence G tau G^T.  A restart stops once a sweep improves it by less
-    than ``tol / 2``, the stage once every restart has stopped.  Returns the
-    (R,) values 2 sum_i |tau_ii|.
+    congruence G tau G^T.  A restart stops once a sweep lowers its value
+    2 sum_i |tau_ii| by less than PROBE_TOL.  Returns the (R,) values.
     """
     live = np.arange(len(tau))
-    for _ in range(max_sweeps):
+    for _ in range(PROBE_SWEEPS):
         t = tau[live]
         improvement = np.zeros(len(t))
         for ij in _ROUNDS:
@@ -238,22 +260,91 @@ def _refine(tau: np.ndarray, rng, max_sweeps: int, tol: float) -> np.ndarray:
             _mix_rows(t, ij, g0, g1)
             _mix_rows(t.transpose(0, 2, 1), ij, g0, g1)
         tau[live] = t
-        live = live[2.0 * improvement >= tol]
+        live = live[2.0 * improvement >= PROBE_TOL]
         if not live.size:
             break
+    return _values(tau)
+
+
+def _values(tau: np.ndarray) -> np.ndarray:
+    """The values 2 sum_i |tau_ii| of an (R, 4, 4) stack."""
     return 2.0 * np.abs(np.diagonal(tau, axis1=1, axis2=2)).sum(axis=1)
+
+
+def _gradient(tau: np.ndarray) -> np.ndarray:
+    """Anti-Hermitian gradients S conj(tau) - tau conj(S), members near a kink damped."""
+    z = np.diagonal(tau, axis1=1, axis2=2)
+    r = np.abs(z)
+    s = z / np.maximum(r, np.maximum(KINK * r.max(axis=1, keepdims=True), _TINY))
+    x = s[:, :, None] * tau.conj()
+    return x - x.conj().transpose(0, 2, 1)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re tr(x^H y) of each pair of matrices in two stacks."""
+    return (x.real * y.real + x.imag * y.imag).sum(axis=(1, 2))
+
+
+def _line_search(tau: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The best step W(a) = exp(a h) on the grid ``_ANGLES`` for each stack entry.
+
+    ``h`` is anti-Hermitian: h = -i V diag(w) V^H, so W(a) = V diag(exp(-i a w)) V^H.
+    Returns the unitaries W, an (R, 4, 4) stack, whether or not they gain.
+    """
+    w, v = np.linalg.eigh(1j * h)
+    a = _ANGLES / np.maximum(np.abs(w).max(axis=1, keepdims=True), _TINY)
+    vh = v.conj().transpose(0, 2, 1)
+    core = vh @ tau @ vh.transpose(0, 2, 1)  # V^H tau conj(V)
+    n, pairs = len(tau), MEMBERS * MEMBERS
+    coef = (v[:, :, :, None] * v[:, :, None, :] * core[:, None]).reshape(n, MEMBERS, pairs)
+    phase = np.exp(-1j * a[:, :, None] * w[:, None, :])  # exp(-i a w_k), (R, steps, 4)
+    pair_phase = (phase[:, :, :, None] * phase[:, :, None, :]).reshape(n, len(_ANGLES), pairs)
+    scores = np.abs(coef @ pair_phase.transpose(0, 2, 1)).sum(axis=1)
+    best = phase[np.arange(n), scores.argmin(axis=1)]
+    return (v * best[:, None, :]) @ vh
+
+
+def _finish(tau: np.ndarray) -> float:
+    """Riemannian conjugate gradients on U(4) for an (F, 4, 4) stack.
+
+    A finalist stops after FINISH_STALL iterations in a row that each lower
+    its value 2 sum_i |tau_ii| by less than FINISH_TOL / 2, or after
+    FINISH_ITERATIONS.  Returns the least value reached.
+    """
+    value = _values(tau)
+    grad = _gradient(tau)
+    step = -grad
+    stalls = np.zeros(len(tau), dtype=int)
+    for k in range(1, FINISH_ITERATIONS + 1):
+        w = _line_search(tau, step)
+        moved = w @ tau @ w.transpose(0, 2, 1)
+        moved = (moved + moved.transpose(0, 2, 1)) / 2.0
+        moved_value = _values(moved)
+        better = (moved_value < value) & (stalls < FINISH_STALL)
+        stalls = np.where(better & (value - moved_value >= FINISH_TOL / 2.0), 0, stalls + 1)
+        tau = np.where(better[:, None, None], moved, tau)
+        value = np.where(better, moved_value, value)
+        if (stalls >= FINISH_STALL).all():
+            break
+        new_grad = _gradient(tau)
+        beta = np.maximum(_dot(new_grad, new_grad - grad) / np.maximum(_dot(grad, grad), _TINY), 0.0)
+        beta = np.where(better & (k % RESTART_EVERY != 0), beta, 0.0)
+        step = beta[:, None, None] * step - new_grad
+        grad = new_grad
+    return float(value.min())
 
 
 def decomposition_infimum_oracle(rho: DensityOperator, seed: int = 0) -> float:
     """Approximate convex-roof concurrence by explicit decomposition search.
 
     Minimizes the ensemble-averaged concurrence over decompositions of
-    ``rho`` into 4 pure states (MEMBERS), from 200 (RESTARTS) randomly
-    seeded isometries (QR-orthonormalized complex Gaussians) refined by
-    coordinate descent on pair mixing angles.  A restart stops once a sweep
-    improves it by less than half its stage's tolerance: 5e-8 (DESCENT_TOL
-    / 2) while the starts are ranked, 5e-10 (FINISH_TOL / 2) for the finalists.
-    Deterministic for a fixed seed.
+    ``rho`` into 4 pure states (MEMBERS).  A pure state is its own only
+    decomposition and returns at once.  Otherwise 200 (RESTARTS) randomly
+    seeded isometries (QR-orthonormalized complex Gaussians) each get 3
+    (PROBE_SWEEPS) sweeps of closed-form pair moves, and the 3 best
+    (FINALISTS) are finished by Riemannian conjugate gradients on U(4),
+    each until 3 iterations in a row gain less than 5e-10 (FINISH_TOL / 2)
+    or for at most 300 iterations.  Deterministic for a fixed seed.
 
     Every candidate is an exact decomposition, so the result is always an
     upper bound on the infimum up to floating-point error.
@@ -263,15 +354,12 @@ def decomposition_infimum_oracle(rho: DensityOperator, seed: int = 0) -> float:
     keep = lam > RANK_CUTOFF
     scaled = vecs[:, keep] * np.sqrt(lam[keep])
     tau0 = scaled.T @ _PRECONCURRENCE_FORM @ scaled
+    if len(tau0) == 1:
+        return float(2.0 * abs(tau0[0, 0]))
     rng = np.random.default_rng(np.random.Philox(seed))
     shape = (RESTARTS, MEMBERS, scaled.shape[1])
     q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     tau = q @ tau0 @ q.transpose(0, 2, 1)
     tau = (tau + tau.transpose(0, 2, 1)) / 2.0
-    # a few cheap sweeps decide which starts are worth finishing
-    values = _refine(tau, rng, PROBE_SWEEPS, DESCENT_TOL)
-    tau = tau[values <= values.min() + PRUNE_MARGIN]
-    values = _refine(tau, rng, DESCENT_SWEEPS, DESCENT_TOL)
-    # finish the leading candidates at full precision
-    tau = tau[np.argsort(values)[:FINALISTS]]
-    return float(min(values.min(), _refine(tau, rng, FINISH_SWEEPS, FINISH_TOL).min()))
+    values = _probe(tau, rng)
+    return _finish(tau[np.argsort(values)[:FINALISTS]])

@@ -33,7 +33,7 @@ import math
 import reprlib
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -60,6 +60,10 @@ from .states import (
 
 # every field of the two report records is a metric an expectation may name
 METRIC_NAMES = tuple(f.name for record in (EstimateVerdict, OutcomeDistribution) for f in fields(record))
+# an expectation's value takes its metric's type, read from the field annotations
+_BOOLEAN_METRICS = frozenset(
+    name for record in (EstimateVerdict, OutcomeDistribution) for name, kind in get_type_hints(record).items() if kind is bool
+)
 
 DEFAULT_EXPECT_TOL = 1e-9
 
@@ -212,14 +216,16 @@ def _parse_expectations(node, default_tol: float, scenario: str, problems: list[
             problems.append(f"expect.{metric}: not reported by scenario {scenario!r}, which has no decomposition")
             continue
         value = spec["value"]
-        if isinstance(value, bool):
-            if "tol" in spec:
+        if metric in _BOOLEAN_METRICS:
+            if not isinstance(value, bool):
+                problems.append(f"expect.{metric}: value must be a boolean")
+            elif "tol" in spec:
                 problems.append(f"expect.{metric}: tol does not apply to a boolean value")
             else:
                 out.append(Expectation(metric, value, 0.0))
             continue
         if _finite(value) is None:
-            problems.append(f"expect.{metric}: value must be a finite number or boolean")
+            problems.append(f"expect.{metric}: value must be a finite number")
             continue
         tol = _finite(spec.get("tol", default_tol))
         if tol is None or tol < 0:

@@ -611,7 +611,9 @@ class TestInputBounds:
     # "tolerance" is a typo for "tol", which the default 1e-9 would replace and
     # fail the check with exit 1, the code for a violated expectation; a tol on
     # a boolean would be dropped; eve-sym has no decomposition, so its bound is
-    # never reported and the check could never pass
+    # never reported and the check could never pass; a number on the boolean
+    # estimator_valid would pass within its tol whatever the verdict, and a
+    # boolean on a number would never pass
     @pytest.mark.parametrize("text, problem", [
         (de_finetti_mixed_config(expect={"p_a_alice": {"value": 0.2500001, "tolerance": 1e-3}}),
          "expect.p_a_alice: unknown keys ['tolerance']"),
@@ -619,7 +621,11 @@ class TestInputBounds:
          "expect.estimator_valid: tol does not apply to a boolean value"),
         (json.dumps({"scenario": "eve-sym", "expect": {"truth_decomposition_bound": {"value": 0.0, "tol": 1}}}),
          "expect.truth_decomposition_bound: not reported by scenario 'eve-sym', which has no decomposition"),
-    ], ids=["misspelt-tol", "tol-on-boolean", "bound-without-decomposition"])
+        (json.dumps({"scenario": "eve-sym", "expect": {"estimator_valid": {"value": 0.5, "tol": 1}}}),
+         "expect.estimator_valid: value must be a boolean"),
+        (json.dumps({"scenario": "eve-sym", "expect": {"p_a_alice": {"value": True}}}),
+         "expect.p_a_alice: value must be a finite number"),
+    ], ids=["misspelt-tol", "tol-on-boolean", "bound-without-decomposition", "number-on-boolean", "boolean-on-number"])
     def test_unknown_key_in_an_expect_entry_refused(self, text, problem, tmp_path, capsys):
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
