@@ -1,10 +1,11 @@
-"""The README against the package: its Library example runs, and it names every export."""
+"""The README against the package: its Library example runs, it names every export, and it quotes the oracle's budgets."""
 
 import ast
 import re
 from pathlib import Path
 
 import twocopy
+from twocopy import measures
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
@@ -24,3 +25,11 @@ def test_every_export_is_documented():
     spans = " ".join(re.findall(r"`([^`\n]+)`", prose))
     missing = sorted(name for name in exports if not re.search(rf"\b{name}\b", spans))
     assert not missing, f"exported but not named in backticks in README.md: {missing}"
+
+
+def test_oracle_paragraph_quotes_its_budgets():
+    paragraph = re.search(r"^\* `twocopy\.measures`:.*?(?=^\* )", README, re.DOTALL | re.MULTILINE)
+    assert paragraph, "no `twocopy.measures` paragraph"
+    for name in ("STARTS", "FINISH_STALL", "FINISH_ITERATIONS", "RESTART_EVERY"):
+        quoted = re.findall(rf"`{name} = (\d+)`", paragraph.group(0))
+        assert quoted == [str(getattr(measures, name))], f"{name}: README quotes {quoted}"
