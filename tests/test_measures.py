@@ -18,7 +18,18 @@ from twocopy import (
     wootters_concurrence,
 )
 from twocopy import measures
-from twocopy.measures import _PRECONCURRENCE_FORM, MEMBERS, RANK_CUTOFF, STARTS, _finish, _values
+from twocopy.measures import (
+    _ANGLES,
+    _PRECONCURRENCE_FORM,
+    KINK,
+    MEMBERS,
+    RANK_CUTOFF,
+    STARTS,
+    _finish,
+    _gradient,
+    _line_search,
+    _values,
+)
 from twocopy.states import logical_bell_state, phase_averaged_decomposition, pure_de_finetti_state
 
 from conftest import basis_ket, density, pure_concurrence, random_density, random_ket, random_product_ket
@@ -271,3 +282,146 @@ class TestConjugateGradientFinish:
     def test_finish_repeats_bit_for_bit(self, rng, rank):
         tau = finalist_stack(rng, rank)
         assert _finish(tau.copy()).hex() == _finish(tau.copy()).hex()
+
+
+def random_anti_hermitian(rng) -> np.ndarray:
+    """A stack of STARTS random anti-Hermitian (4, 4) matrices."""
+    g = rng.standard_normal((STARTS, MEMBERS, MEMBERS)) + 1j * rng.standard_normal((STARTS, MEMBERS, MEMBERS))
+    return (g - g.conj().transpose(0, 2, 1)) / 2.0
+
+
+def unitary_exp(h: np.ndarray) -> np.ndarray:
+    """exp(h) of each anti-Hermitian matrix in a stack: h = -i V diag(w) V^H."""
+    w, v = np.linalg.eigh(1j * h)
+    return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def congruence(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    return w @ tau @ w.transpose(0, 2, 1)
+
+
+def phases(tau: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """The diagonal of each matrix divided by max(|tau_ii|, floor)."""
+    z = np.diagonal(tau, axis1=1, axis2=2)
+    return z / np.maximum(np.abs(z), floor)
+
+
+def gradient_from(s: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """S conj(tau) - tau conj(S) for S = diag(s)."""
+    return s[:, :, None] * tau.conj() - tau * s.conj()[:, None, :]
+
+
+class TestObjective:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_values_are_the_average_concurrence_of_the_decomposition(self, rng, rank):
+        # the rows of U Y are unnormalized members |w_i> that sum to rho,
+        # and member i adds p_i C_i = 2 |a d - b c| of its amplitudes
+        rho = random_density(rng, rank=rank)
+        lam, vecs = np.linalg.eigh(rho.entries)
+        scaled = vecs[:, lam > RANK_CUTOFF] * np.sqrt(lam[lam > RANK_CUTOFF])
+        q, _ = np.linalg.qr(rng.standard_normal((MEMBERS, rank)) + 1j * rng.standard_normal((MEMBERS, rank)))
+        members = q @ scaled.T
+        assert np.max(np.abs(members.T @ members.conj() - rho.entries)) < 1e-14
+        average = sum(2.0 * abs(m[0] * m[3] - m[1] * m[2]) for m in members)
+        tau = congruence(q[None], scaled.T @ _PRECONCURRENCE_FORM @ scaled)
+        assert abs(_values(tau)[0] - average) < 1e-14
+
+
+class TestGradient:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_gradient_is_anti_hermitian(self, rng, rank):
+        # the line search diagonalizes i h, which must be Hermitian
+        g = _gradient(finalist_stack(rng, rank))
+        assert np.max(np.abs(g + g.conj().transpose(0, 2, 1))) < 1e-15
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_gradient_is_the_derivative_of_the_smoothed_objective(self, rng, rank):
+        # 2 sum_i h(|tau_ii|) with the Huber h(r) = r above c = KINK max|tau_ii|
+        # and r^2 / 2c + c / 2 below it; moving tau to exp(tX) tau exp(tX)^T
+        # changes it by 2 t Re tr(X^H G) to first order
+        tau = finalist_stack(rng, rank)
+        r = np.abs(np.diagonal(tau, axis1=1, axis2=2))
+        c = KINK * r.max(axis=1, keepdims=True)
+
+        def smoothed(t):
+            r = np.abs(np.diagonal(t, axis1=1, axis2=2))
+            return 2.0 * np.where(r >= c, r, r * r / (2.0 * c) + c / 2.0).sum(axis=1)
+
+        x = random_anti_hermitian(rng)
+        dt = 1e-6
+        ahead, behind = (smoothed(congruence(unitary_exp(t * x), tau)) for t in (dt, -dt))
+        slope = (ahead - behind) / (2 * dt)
+        g = _gradient(tau)
+        assert np.max(np.abs(slope - 2.0 * (x.real * g.real + x.imag * g.imag).sum(axis=(1, 2)))) < 1e-7
+
+    def test_damping_keeps_the_gradient_continuous_where_a_member_vanishes(self, rng):
+        # rotating the phase of a member near 0 turns its unit phase around,
+        # but moves the damped gradient only by about its size
+        tau = finalist_stack(rng, 4)
+        flipped = []
+        for phase in (1.0, -1.0):
+            t = tau.copy()
+            t[:, 0, 0] = 1e-10 * phase
+            flipped.append(t)
+        damped = [_gradient(t) for t in flipped]
+        assert np.max(np.abs(damped[0] - damped[1])) < 1e-8
+        undamped = [gradient_from(phases(t, 0.0), t) for t in flipped]
+        assert np.max(np.abs(undamped[0] - undamped[1])) > 1e-2
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_step_is_the_best_of_the_grid(self, rng, rank):
+        # the batched scores match each grid step exp(a h) applied in full
+        tau = finalist_stack(rng, rank)
+        h = -_gradient(tau)
+        w = _line_search(tau, h)
+        reach = np.abs(np.linalg.eigvalsh(1j * h)).max(axis=1)
+        candidates = [unitary_exp(a / reach[:, None, None] * h) for a in _ANGLES]
+        values = np.array([_values(congruence(u, tau)) for u in candidates])
+        assert np.all(_values(congruence(w, tau)) <= values.min(axis=0) + 1e-13)
+        distance = np.array([np.abs(w - u).max(axis=(1, 2)) for u in candidates]).min(axis=0)
+        assert np.all(distance < 1e-12)
+        assert np.all(values.min(axis=0) < _values(tau))
+
+    def test_zero_direction_leaves_the_start_in_place(self, rng):
+        tau = finalist_stack(rng, 4)
+        h = random_anti_hermitian(rng)
+        h[1] = 0.0
+        w = _line_search(tau, h)
+        assert np.all(np.isfinite(w))
+        assert np.max(np.abs(w[1] - np.eye(MEMBERS))) < 1e-15
+
+
+class TestOracleOnStructuredStates:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_seed_reaches_the_closed_form(self, rng, seed):
+        # other seeds draw other starts, but each lands on the same infimum
+        rho = random_density(rng)
+        assert -1e-6 <= decomposition_infimum_oracle(rho, seed=seed) - wootters_concurrence(rho) < 1e-6
+
+    def test_eigenvalues_below_the_rank_cutoff_are_dropped(self, rng, monkeypatch):
+        # rounding noise on the null space of a rank-2 state leaves a rank-2 search
+        rho = random_density(rng, rank=2)
+        lam, vecs = np.linalg.eigh(rho.entries)
+        noisy = DensityOperator(AB, rho.entries + 1e-13 * vecs[:, :2] @ vecs[:, :2].conj().T)
+        starts = []
+        finish = measures._finish
+
+        def recorded(tau):
+            starts.append(tau.copy())
+            return finish(tau)
+
+        monkeypatch.setattr(measures, "_finish", recorded)
+        got = decomposition_infimum_oracle(noisy, seed=4)
+        assert [np.linalg.matrix_rank(t) for t in starts[0]] == [2] * STARTS
+        assert abs(got - decomposition_infimum_oracle(rho, seed=4)) < 1e-9
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_local_unitaries_leave_the_value(self, rng, rank):
+        rho = random_density(rng, rank=rank)
+        ua, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        ub, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        u = np.kron(ua, ub)
+        rotated = DensityOperator(AB, u @ rho.entries @ u.conj().T)
+        assert abs(decomposition_infimum_oracle(rotated, seed=1) - decomposition_infimum_oracle(rho, seed=1)) < 2e-6
