@@ -120,38 +120,42 @@ def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> f
 # tracked: a unitary W maps it to W tau W^T.  A pure state has no other
 # decomposition than itself, so its value is 2 |tau0_00|, with no search.
 #
-# The search is Riemannian conjugate gradients on U(4) (Rothlisberger,
-# Lehmann & Loss, PRA 80, 042301, 2009), run on STARTS random isometries at
-# once; the least value reached is the result.  Moving tau to
-# exp(X) tau exp(X)^T, X anti-Hermitian, changes sum_i |tau_ii| by
-# Re tr(X^H G) to first order, with the anti-Hermitian gradient
-# G = S conj(tau) - tau conj(S) for S = diag(tau_ii / |tau_ii|).
-# Directions follow Polak-Ribiere, restarted to steepest descent every
-# RESTART_EVERY iterations and after a step that gains nothing.  A direction
-# H = -i V diag(w) V^H gives the steps W(a) = V diag(exp(-i a w)) V^H, along
+# The search is Riemannian BFGS on U(4) (Huang, Gallivan & Absil, SIAM J.
+# Optim. 25, 1660, 2015) on the objective of Rothlisberger, Lehmann & Loss
+# (PRA 80, 042301, 2009), run on STARTS random isometries at once; the least
+# value reached is the result.  Moving tau to exp(X) tau exp(X)^T, X
+# anti-Hermitian, changes sum_i |tau_ii| by Re tr(X^H G) to first order,
+# with the anti-Hermitian gradient G = S conj(tau) - tau conj(S) for
+# S = diag(tau_ii / |tau_ii|).  Each start keeps an inverse Hessian on the
+# 32 real coordinates of X, from the identity, and steps along -H G; a step
+# that gains nothing restarts it from the identity.  A direction
+# h = -i V diag(w) V^H gives the steps W(a) = V diag(exp(-i a w)) V^H, along
 # which tau(a)_ii = sum_kl V_ik V_il (V^H tau conj V)_kl exp(-i a (w_k + w_l)),
-# so one batched matmul scores a whole grid of step sizes; the best is taken
-# if it lowers the objective.  W(a) is unitary whatever the accuracy of V, so
-# every candidate stays an exact decomposition.  At a member with
-# tau_ii near 0 the objective has a kink, where the unit phase in S points
-# along a direction no step can follow; the search would stall there, above
-# the separable boundary.  The direction therefore weighs a member below
-# KINK times the largest |tau_ii| by its size (the gradient of a Huber
-# smoothing); every step is still scored on the objective itself.
+# so one batched matmul over the pairs k <= l scores a whole grid of step
+# sizes; the best is taken if it lowers the objective.  W(a) is unitary
+# whatever the accuracy of V, so every candidate stays an exact
+# decomposition.  At a member with tau_ii near 0 the objective has a kink,
+# where the unit phase in S points along a direction no step can follow; the
+# search would stall there, above the separable boundary.  The gradient
+# therefore weighs a member below KINK times the largest |tau_ii| by its size
+# (the gradient of a Huber smoothing); every step is still scored on the
+# objective itself.
 
 MEMBERS = 4  # an optimal decomposition needs at most 4 (Wootters, PRL 80, 2245); no rank exceeds 4
-STARTS = 4  # random starts; at 3, oracle-sweep seed 7 state 11 stops 1.9e-6 above the closed form
+STARTS = 4  # random starts; 76 of 8,640 single starts end above 1e-6 on oracle-sweep seeds 1-30
 RANK_CUTOFF = 1e-12  # eigenvalues below this are rounding noise of a rank-deficient state
 FINISH_TOL = 1e-9  # well inside the 1e-6 the oracle is held to below the closed form
 FINISH_STALL = 3  # a start stops after this many iterations in a row gaining under FINISH_TOL / 2
 FINISH_ITERATIONS = 300  # each start's budget; FINISH_STALL ends all but a few per thousand before it
-RESTART_EVERY = 25  # Polak-Ribiere iterations between restarts to steepest descent
-KINK = 0.5  # members below this share of the largest |tau_ii| are damped in the direction
+KINK = 0.5  # members below this share of the largest |tau_ii| are damped in the gradient
 
 _TINY = np.finfo(float).tiny
 # the finish's step sizes, as the largest rotation angle a max|w| of the step:
 # pi down to 1e-9 in factors of sqrt(2), fine enough to follow a kink
 _ANGLES = np.pi * 2.0 ** (-0.5 * np.arange(64))
+# the 10 unordered member pairs k <= l; core is symmetric, so kl stands for lk too
+_PAIRS = np.triu_indices(MEMBERS)
+_PAIR_WEIGHTS = np.where(_PAIRS[0] == _PAIRS[1], 1.0, 2.0)
 
 
 def _values(tau: np.ndarray) -> np.ndarray:
@@ -168,58 +172,73 @@ def _gradient(tau: np.ndarray) -> np.ndarray:
     return x - x.conj().transpose(0, 2, 1)
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re tr(x^H y) of each pair of matrices in two stacks."""
-    return (x.real * y.real + x.imag * y.imag).sum(axis=(1, 2))
+def _line_search(tau: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best step W = exp(a h), a from the grid ``_ANGLES``, for each stack entry.
 
-
-def _line_search(tau: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The best step W(a) = exp(a h) on the grid ``_ANGLES`` for each stack entry.
-
-    ``h`` is anti-Hermitian: h = -i V diag(w) V^H, so W(a) = V diag(exp(-i a w)) V^H.
-    Returns the unitaries W, an (R, 4, 4) stack, whether or not they gain.
+    ``h`` is anti-Hermitian: h = -i V diag(w) V^H, so W = V diag(exp(-i a w)) V^H.
+    Returns the unitaries W, an (R, 4, 4) stack, whether or not they gain, and
+    the angles a, each a grid value over max|w|.
     """
     w, v = np.linalg.eigh(1j * h)
     a = _ANGLES / np.maximum(np.abs(w).max(axis=1, keepdims=True), _TINY)
     vh = v.conj().transpose(0, 2, 1)
-    core = vh @ tau @ vh.transpose(0, 2, 1)  # V^H tau conj(V)
-    n, pairs = len(tau), MEMBERS * MEMBERS
-    coef = (v[:, :, :, None] * v[:, :, None, :] * core[:, None]).reshape(n, MEMBERS, pairs)
+    core = vh @ tau @ vh.transpose(0, 2, 1)  # V^H tau conj(V), symmetric
+    k, l = _PAIRS
+    coef = v[:, :, k] * v[:, :, l] * (_PAIR_WEIGHTS * core[:, k, l])[:, None, :]
     phase = np.exp(-1j * a[:, :, None] * w[:, None, :])  # exp(-i a w_k), (R, steps, 4)
-    pair_phase = (phase[:, :, :, None] * phase[:, :, None, :]).reshape(n, len(_ANGLES), pairs)
-    scores = np.abs(coef @ pair_phase.transpose(0, 2, 1)).sum(axis=1)
-    best = phase[np.arange(n), scores.argmin(axis=1)]
-    return (v * best[:, None, :]) @ vh
+    scores = np.abs(coef @ (phase[:, :, k] * phase[:, :, l]).transpose(0, 2, 1)).sum(axis=1)
+    rows, best = np.arange(len(tau)), scores.argmin(axis=1)
+    return (v * phase[rows, best][:, None, :]) @ vh, a[rows, best]
+
+
+def _bfgs(hess: np.ndarray, s: np.ndarray, y: np.ndarray, gained: np.ndarray) -> np.ndarray:
+    """BFGS updates of (R, 32, 32) inverse Hessians by steps s and gradient changes y, (R, 32).
+
+    A start updates only if it gained and s.y > 0, and restarts from the
+    identity after a step that gained nothing.
+    """
+    sy = np.einsum("ri,ri->r", s, y)
+    hy = np.einsum("rij,rj->ri", hess, y)
+    r = np.where(gained & (sy > 0.0), 1.0, 0.0) / np.where(sy > 0.0, sy, 1.0)  # 0 leaves H as it is
+    c = r + r * r * np.einsum("ri,ri->r", y, hy)
+    sh = s[:, :, None] * ((c / 2.0)[:, None] * s - r[:, None] * hy)[:, None, :]
+    # H + c s s^T - r (s (Hy)^T + Hy s^T)
+    return np.where(gained[:, None, None], hess + (sh + sh.transpose(0, 2, 1)), np.eye(32))
 
 
 def _finish(tau: np.ndarray) -> float:
-    """Riemannian conjugate gradients on U(4) for an (S, 4, 4) stack.
+    """Riemannian BFGS on U(4) for an (S, 4, 4) stack.
 
     Each start stops after FINISH_STALL iterations in a row that each lower
     its value 2 sum_i |tau_ii| by less than FINISH_TOL / 2, or after
-    FINISH_ITERATIONS.  Returns the least value reached.
+    FINISH_ITERATIONS, and leaves the batch.  Returns the least value reached.
     """
-    value = _values(tau)
+    value, stopped = _values(tau), np.inf
     grad = _gradient(tau)
-    step = -grad
+    hess = np.broadcast_to(np.eye(32), (len(tau), 32, 32))
     stalls = np.zeros(len(tau), dtype=int)
-    for k in range(1, FINISH_ITERATIONS + 1):
-        w = _line_search(tau, step)
+    for _ in range(FINISH_ITERATIONS):
+        step = -(hess @ grad.view(float).reshape(len(tau), 32, 1))
+        w, a = _line_search(tau, step.reshape(len(tau), 4, 8).view(complex))
         moved = w @ tau @ w.transpose(0, 2, 1)
         moved = (moved + moved.transpose(0, 2, 1)) / 2.0
         moved_value = _values(moved)
-        better = (moved_value < value) & (stalls < FINISH_STALL)
+        better = moved_value < value
         stalls = np.where(better & (value - moved_value >= FINISH_TOL / 2.0), 0, stalls + 1)
         tau = np.where(better[:, None, None], moved, tau)
         value = np.where(better, moved_value, value)
-        if (stalls >= FINISH_STALL).all():
-            break
+        live = stalls < FINISH_STALL
+        if not live.all():
+            stopped = min(stopped, value[~live].min())
+            tau, value, stalls, grad, hess, step, a, better = (
+                x[live] for x in (tau, value, stalls, grad, hess, step, a, better))
+            if not live.any():
+                break
         new_grad = _gradient(tau)
-        beta = np.maximum(_dot(new_grad, new_grad - grad) / np.maximum(_dot(grad, grad), _TINY), 0.0)
-        beta = np.where(better & (k % RESTART_EVERY != 0), beta, 0.0)
-        step = beta[:, None, None] * step - new_grad
+        y = (new_grad - grad).view(float).reshape(len(tau), 32)
+        hess = _bfgs(hess, a[:, None] * step[:, :, 0], y, better)
         grad = new_grad
-    return float(value.min())
+    return float(np.min(value, initial=stopped))
 
 
 def decomposition_infimum_oracle(rho: DensityOperator, seed: int = 0) -> float:
@@ -229,10 +248,9 @@ def decomposition_infimum_oracle(rho: DensityOperator, seed: int = 0) -> float:
     ``rho`` into 4 pure states (MEMBERS).  A pure state is its own only
     decomposition and returns at once.  Otherwise 4 (STARTS) seeded random
     isometries (QR-orthonormalized complex Gaussians) are each descended by
-    Riemannian conjugate gradients on U(4), until 3 (FINISH_STALL)
-    iterations in a row gain less than 5e-10 (FINISH_TOL / 2) or for at most
-    300 (FINISH_ITERATIONS), restarting to steepest descent every 25
-    (RESTART_EVERY).  Deterministic for a fixed seed.
+    Riemannian BFGS on U(4), until 3 (FINISH_STALL) iterations in a row gain
+    less than 5e-10 (FINISH_TOL / 2) or for at most 300 (FINISH_ITERATIONS).
+    Deterministic for a fixed seed.
 
     Every candidate is an exact decomposition, so the result is always an
     upper bound on the infimum up to floating-point error.

@@ -30,6 +30,6 @@ def test_every_export_is_documented():
 def test_oracle_paragraph_quotes_its_budgets():
     paragraph = re.search(r"^\* `twocopy\.measures`:.*?(?=^\* )", README, re.DOTALL | re.MULTILINE)
     assert paragraph, "no `twocopy.measures` paragraph"
-    for name in ("STARTS", "FINISH_STALL", "FINISH_ITERATIONS", "RESTART_EVERY"):
+    for name in ("STARTS", "FINISH_STALL", "FINISH_ITERATIONS"):
         quoted = re.findall(rf"`{name} = (\d+)`", paragraph.group(0))
         assert quoted == [str(getattr(measures, name))], f"{name}: README quotes {quoted}"
