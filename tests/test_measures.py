@@ -290,7 +290,7 @@ class TestQuasiNewtonFinish:
             assert np.max(np.abs(w @ w.conj().transpose(0, 2, 1) - np.eye(MEMBERS))) < 1e-13
             assert np.max(np.abs(w - unitary_exp(a[:, None, None] * h))) < 1e-13
             assert np.array_equal(t, t.transpose(0, 2, 1))
-        assert sum(1 for _ in self.followed(steps)) == len(steps) - 1
+        assert len(list(self.followed(steps))) == len(steps) - 1
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_objective_never_rises(self, rng, monkeypatch, rank):
