@@ -191,8 +191,11 @@ class TestDecompositionInfimumOracle:
 
     # rank-4 oracle-sweep states of concurrence 4e-4 to 0.04, given as
     # (benchmark seed, index), on which earlier searches stopped 1.9e-6 to
-    # 1.2e-4 above the closed form
-    @pytest.mark.parametrize("sweep_seed, index", [(6, 87), (6, 83), (7, 3), (9, 55), (7, 11)])
+    # 1.2e-4 above the closed form.  The last, seed 27 state 21 (rank 2,
+    # C = 0.56), is not near the boundary: it is the widest gap on seeds
+    # 1-30, 3.7e-7, and two algebraically equal forms of the BFGS update
+    # leave it 3.7e-8 and 3.7e-7 above
+    @pytest.mark.parametrize("sweep_seed, index", [(6, 87), (6, 83), (7, 3), (9, 55), (7, 11), (27, 21)])
     def test_states_near_the_separable_boundary_reach_the_closed_form(self, sweep_seed, index, monkeypatch):
         monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
         worker = importlib.import_module("worker")
@@ -295,10 +298,15 @@ class TestQuasiNewtonFinish:
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_objective_never_rises(self, rng, monkeypatch, rank):
         result, steps, _ = self.recorded_finish(monkeypatch, finalist_stack(rng, rank))
+        # each start's value at the last line search it reaches, found by following its row
+        first = _values(steps[0][0])
+        last, origin = first.copy(), np.arange(len(first))
         for t, after, rows in self.followed(steps):
             assert np.all(_values(after) <= _values(t)[rows])
-        assert result < _values(steps[0][0]).min()
-        assert result <= _values(steps[-1][0]).min()
+            origin = origin[rows]
+            last[origin] = _values(after)
+        assert np.all(last < first)
+        assert result <= last.min()
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_finish_repeats_bit_for_bit(self, rng, rank):
