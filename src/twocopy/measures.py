@@ -127,31 +127,26 @@ def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> f
 # anti-Hermitian, changes sum_i |tau_ii| by Re tr(X^H G) to first order,
 # with the anti-Hermitian gradient G = S conj(tau) - tau conj(S) for
 # S = diag(tau_ii / |tau_ii|).  Each start keeps an inverse Hessian on the
-# 32 real coordinates of X, from the identity, and steps along -H G; a step
-# that gains nothing restarts it from the identity.  A direction
-# h = -i V diag(w) V^H gives the steps W(a) = V diag(exp(-i a w)) V^H, along
-# which tau(a)_ii = sum_kl V_ik V_il (V^H tau conj V)_kl exp(-i a (w_k + w_l)),
+# 32 real coordinates of X, from the identity, and steps along -H G.  A
+# direction h = -i V diag(w) V^H gives the steps
+# W(a) = V diag(exp(-i a w)) V^H, along which
+# tau(a)_ii = sum_kl V_ik V_il (V^H tau conj V)_kl exp(-i a (w_k + w_l)),
 # so one batched matmul over the pairs k <= l scores a whole grid of step
 # sizes; the best is taken if it lowers the objective.  W(a) is unitary
 # whatever the accuracy of V, so every candidate stays an exact
-# decomposition.  At a member with tau_ii near 0 the objective has a kink,
-# where the unit phase in S points along a direction no step can follow; the
-# search would stall there, above the separable boundary.  The gradient
-# therefore weighs a member below KINK times the largest |tau_ii| by its size
-# (the gradient of a Huber smoothing); every step is still scored on the
-# objective itself.
+# decomposition.
 
 MEMBERS = 4  # an optimal decomposition needs at most 4 (Wootters, PRL 80, 2245); no rank exceeds 4
-STARTS = 4  # random starts; 76 of 8,640 single starts end above 1e-6 on oracle-sweep seeds 1-30
+STARTS = 4  # random starts; 6 of 8,640 alone end above 1e-6 on oracle-sweep seeds 1-30 (scripts/oracle_gaps.py)
 RANK_CUTOFF = 1e-12  # eigenvalues below this are rounding noise of a rank-deficient state
 FINISH_TOL = 1e-9  # well inside the 1e-6 the oracle is held to below the closed form
 FINISH_STALL = 3  # a start stops after this many iterations in a row gaining under FINISH_TOL / 2
 FINISH_ITERATIONS = 300  # each start's budget; FINISH_STALL ends all but a few per thousand before it
-KINK = 0.5  # members below this share of the largest |tau_ii| are damped in the gradient
 
 _TINY = np.finfo(float).tiny
 # the finish's step sizes, as the largest rotation angle a max|w| of the step:
-# pi down to 1e-9 in factors of sqrt(2), fine enough to follow a kink
+# pi down to 1e-9 in factors of sqrt(2), so some grid angle lies within a
+# factor sqrt(2) of any step in that range
 _ANGLES = np.pi * 2.0 ** (-0.5 * np.arange(64))
 # the 10 unordered member pairs k <= l; core is symmetric, so kl stands for lk too
 _PAIRS = np.triu_indices(MEMBERS)
@@ -164,10 +159,9 @@ def _values(tau: np.ndarray) -> np.ndarray:
 
 
 def _gradient(tau: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian gradients S conj(tau) - tau conj(S), members near a kink damped."""
+    """Anti-Hermitian gradients S conj(tau) - tau conj(S) for S = diag(tau_ii / |tau_ii|)."""
     z = np.diagonal(tau, axis1=1, axis2=2)
-    r = np.abs(z)
-    s = z / np.maximum(r, np.maximum(KINK * r.max(axis=1, keepdims=True), _TINY))
+    s = z / np.maximum(np.abs(z), _TINY)
     x = s[:, :, None] * tau.conj()
     return x - x.conj().transpose(0, 2, 1)
 
@@ -191,19 +185,19 @@ def _line_search(tau: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (v * phase[rows, best][:, None, :]) @ vh, a[rows, best]
 
 
-def _bfgs(hess: np.ndarray, s: np.ndarray, y: np.ndarray, gained: np.ndarray) -> np.ndarray:
+def _bfgs(hess: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """BFGS updates of (R, 32, 32) inverse Hessians by steps s and gradient changes y, (R, 32).
 
-    A start updates only if it gained and s.y > 0, and restarts from the
-    identity after a step that gained nothing.
+    A start updates only if s.y > 0.  One that did not move has y = 0 and
+    keeps its H.
     """
     sy = np.einsum("ri,ri->r", s, y)
     hy = np.einsum("rij,rj->ri", hess, y)
-    r = np.where(gained & (sy > 0.0), 1.0, 0.0) / np.where(sy > 0.0, sy, 1.0)  # 0 leaves H as it is
+    r = np.where(sy > 0.0, 1.0, 0.0) / np.where(sy > 0.0, sy, 1.0)  # 0 leaves H as it is
     c = r + r * r * np.einsum("ri,ri->r", y, hy)
     sh = s[:, :, None] * ((c / 2.0)[:, None] * s - r[:, None] * hy)[:, None, :]
     # H + c s s^T - r (s (Hy)^T + Hy s^T)
-    return np.where(gained[:, None, None], hess + (sh + sh.transpose(0, 2, 1)), np.eye(32))
+    return hess + (sh + sh.transpose(0, 2, 1))
 
 
 def _finish(tau: np.ndarray) -> float:
@@ -230,13 +224,12 @@ def _finish(tau: np.ndarray) -> float:
         live = stalls < FINISH_STALL
         if not live.all():
             stopped = min(stopped, value[~live].min())
-            tau, value, stalls, grad, hess, step, a, better = (
-                x[live] for x in (tau, value, stalls, grad, hess, step, a, better))
+            tau, value, stalls, grad, hess, step, a = (x[live] for x in (tau, value, stalls, grad, hess, step, a))
             if not live.any():
                 break
         new_grad = _gradient(tau)
         y = (new_grad - grad).view(float).reshape(len(tau), 32)
-        hess = _bfgs(hess, a[:, None] * step[:, :, 0], y, better)
+        hess = _bfgs(hess, a[:, None] * step[:, :, 0], y)
         grad = new_grad
     return float(np.min(value, initial=stopped))
 

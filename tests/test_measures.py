@@ -21,7 +21,6 @@ from twocopy import measures
 from twocopy.measures import (
     _ANGLES,
     _PRECONCURRENCE_FORM,
-    KINK,
     MEMBERS,
     RANK_CUTOFF,
     STARTS,
@@ -189,13 +188,14 @@ class TestDecompositionInfimumOracle:
             got = decomposition_infimum_oracle(density(psi), seed=seed * 7919)
             assert abs(got - pure_concurrence(psi)) <= 2e-15
 
-    # rank-4 oracle-sweep states of concurrence 4e-4 to 0.04, given as
-    # (benchmark seed, index), on which earlier searches stopped 1.9e-6 to
-    # 1.2e-4 above the closed form.  The last, seed 27 state 21 (rank 2,
-    # C = 0.56), is not near the boundary: it is the widest gap on seeds
-    # 1-30, 3.7e-7, and two algebraically equal forms of the BFGS update
-    # leave it 3.7e-8 and 3.7e-7 above
-    @pytest.mark.parametrize("sweep_seed, index", [(6, 87), (6, 83), (7, 3), (9, 55), (7, 11), (27, 21)])
+    # oracle-sweep states, given as (benchmark seed, index).  The first five
+    # are rank-4 states of concurrence 4e-4 to 0.04 on which earlier searches
+    # stopped 1.9e-6 to 1.2e-4 above the closed form.  The last two, seed 27
+    # state 21 (C = 0.56) and seed 60 state 13 (C = 0.67), are rank-2 states
+    # far from the separable boundary; a gradient damped near vanishing
+    # members left them 3.7e-7 and 1.19e-5 above
+    @pytest.mark.parametrize("sweep_seed, index",
+                             [(6, 87), (6, 83), (7, 3), (9, 55), (7, 11), (27, 21), (60, 13)])
     def test_states_near_the_separable_boundary_reach_the_closed_form(self, sweep_seed, index, monkeypatch):
         monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
         worker = importlib.import_module("worker")
@@ -262,9 +262,9 @@ class TestQuasiNewtonFinish:
             steps.append((t.copy(), h.copy(), w.copy(), a.copy()))
             return w, a
 
-        def recorded_bfgs(hess, s, y, gained):
-            out = bfgs(hess, s, y, gained)
-            updates.append((s, y, gained, out))
+        def recorded_bfgs(hess, s, y):
+            out = bfgs(hess, s, y)
+            updates.append((s, y, out))
             return out
 
         monkeypatch.setattr(measures, "_line_search", recorded)
@@ -317,25 +317,29 @@ class TestQuasiNewtonFinish:
     def test_updated_inverse_hessians_meet_the_secant_equation(self, rng, monkeypatch, rank):
         _, _, updates = self.recorded_finish(monkeypatch, finalist_stack(rng, rank))
         checked = 0
-        for s, y, gained, hess in updates:
+        for s, y, hess in updates:
             assert np.array_equal(hess, hess.transpose(0, 2, 1))
-            for k in np.flatnonzero(gained & ((s * y).sum(axis=1) > 0.0)):
+            for k in np.flatnonzero((s * y).sum(axis=1) > 0.0):
                 assert np.max(np.abs(hess[k] @ y[k] - s[k])) < 1e-12
                 checked += 1
         assert checked > len(updates)
 
-    def test_a_start_that_gains_nothing_restarts_from_the_identity(self, rng, monkeypatch):
-        # the first steps build up the inverse Hessian; after a step that
-        # gains nothing the start's direction is steepest descent again
+    def test_a_start_that_did_not_move_keeps_its_inverse_hessian(self, rng, monkeypatch):
+        # the first steps build up the inverse Hessian; a step that gains
+        # nothing leaves tau and its gradient as they were, so y = 0 and the
+        # start's next direction is its last one
         result, steps, _ = self.recorded_finish(monkeypatch, finalist_stack(rng, 4), force_stay=(5, 0))
         (t, h, *_), (after, h_after, *_) = steps[5], steps[6]
         assert np.array_equal(after[0], t[0])
         assert not np.allclose(h[0], -_gradient(t)[0])
-        assert np.array_equal(h_after[0], -_gradient(after)[0])
+        assert np.array_equal(h_after[0], h[0])
         # whatever the start's inverse Hessian held
-        held = np.broadcast_to(2.0 * np.eye(32), (3, 32, 32))
-        updated = _bfgs(held, np.ones((3, 32)), np.ones((3, 32)), np.array([True, False, True]))
-        assert np.array_equal(updated[1], np.eye(32))
+        g = rng.standard_normal((3, 32, 32))
+        held = g @ g.transpose(0, 2, 1) + np.eye(32)
+        y = np.ones((3, 32))
+        y[1] = 0.0
+        updated = _bfgs(held, np.ones((3, 32)), y)
+        assert np.array_equal(updated[1], held[1])
         assert not np.array_equal(updated[0], held[0])
 
 
@@ -353,17 +357,6 @@ def unitary_exp(h: np.ndarray) -> np.ndarray:
 
 def congruence(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return w @ tau @ w.transpose(0, 2, 1)
-
-
-def phases(tau: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """The diagonal of each matrix divided by max(|tau_ii|, floor)."""
-    z = np.diagonal(tau, axis1=1, axis2=2)
-    return z / np.maximum(np.abs(z), floor)
-
-
-def gradient_from(s: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """S conj(tau) - tau conj(S) for S = diag(s)."""
-    return s[:, :, None] * tau.conj() - tau * s.conj()[:, None, :]
 
 
 class TestObjective:
@@ -390,38 +383,16 @@ class TestGradient:
         assert np.max(np.abs(g + g.conj().transpose(0, 2, 1))) < 1e-15
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
-    def test_gradient_is_the_derivative_of_the_smoothed_objective(self, rng, rank):
-        # 2 sum_i h(|tau_ii|) with the Huber h(r) = r above c = KINK max|tau_ii|
-        # and r^2 / 2c + c / 2 below it; moving tau to exp(tX) tau exp(tX)^T
-        # changes it by 2 t Re tr(X^H G) to first order
+    def test_gradient_is_the_derivative_of_the_objective(self, rng, rank):
+        # moving tau to exp(tX) tau exp(tX)^T changes 2 sum_i |tau_ii| by
+        # 2 t Re tr(X^H G) to first order
         tau = finalist_stack(rng, rank)
-        r = np.abs(np.diagonal(tau, axis1=1, axis2=2))
-        c = KINK * r.max(axis=1, keepdims=True)
-
-        def smoothed(t):
-            r = np.abs(np.diagonal(t, axis1=1, axis2=2))
-            return 2.0 * np.where(r >= c, r, r * r / (2.0 * c) + c / 2.0).sum(axis=1)
-
         x = random_anti_hermitian(rng)
         dt = 1e-6
-        ahead, behind = (smoothed(congruence(unitary_exp(t * x), tau)) for t in (dt, -dt))
+        ahead, behind = (_values(congruence(unitary_exp(t * x), tau)) for t in (dt, -dt))
         slope = (ahead - behind) / (2 * dt)
         g = _gradient(tau)
         assert np.max(np.abs(slope - 2.0 * (x.real * g.real + x.imag * g.imag).sum(axis=(1, 2)))) < 1e-7
-
-    def test_damping_keeps_the_gradient_continuous_where_a_member_vanishes(self, rng):
-        # rotating the phase of a member near 0 turns its unit phase around,
-        # but moves the damped gradient only by about its size
-        tau = finalist_stack(rng, 4)
-        flipped = []
-        for phase in (1.0, -1.0):
-            t = tau.copy()
-            t[:, 0, 0] = 1e-10 * phase
-            flipped.append(t)
-        damped = [_gradient(t) for t in flipped]
-        assert np.max(np.abs(damped[0] - damped[1])) < 1e-8
-        undamped = [gradient_from(phases(t, 0.0), t) for t in flipped]
-        assert np.max(np.abs(undamped[0] - undamped[1])) > 1e-2
 
 
 class TestLineSearch:
