@@ -30,13 +30,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Structural tolerances.  Matrices in this package are at most 16 on a side,
-# where double-precision accumulation error stays far below these.
-NORM_ATOL = 1e-10
-HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-10
+# The package's tolerances: two set at the boundary, two derived from them.
+# Matrices here are at most 16 on a side, where double-precision
+# accumulation error stays far below these.
+# norm, Hermiticity (entrywise), trace and ensemble-weight sum
+ATOL = 1e-10
+# least eigenvalue a valid density operator may have
 EIGENVALUE_FLOOR = -1e-9
-IMAG_ATOL = 1e-10
+# a projector's expectation on a valid state lies in [16 F, 1 + ATOL + 16|F|]
+# (F the floor), and the four outcomes' clamped values sum to within this of 1
+PROBABILITY_ATOL = ATOL + 16 * -EIGENVALUE_FLOOR
+# |Im tr(P rho)| <= ||P||_F ||(rho - rho^H) / 2i||_F <= 4 * 8 * ATOL for any
+# projector P on the 16-dimensional register: ||P||_F <= 4, entries <= ATOL / 2
+IMAG_ATOL = 32 * ATOL
 
 SINGLE_COPY = ("A", "B")
 COPY_MAJOR = ("A1", "B1", "A2", "B2")
@@ -72,7 +78,7 @@ class Ket:
         object.__setattr__(self, "labels", labels)
         amps = _frozen_complex(self.amplitudes, (dim,))
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if abs(norm - 1.0) > ATOL:
             raise ValueError(f"ket must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -120,9 +126,9 @@ class DensityValidation:
     @property
     def passed(self) -> bool:
         return (
-            self.hermiticity_defect <= HERMITICITY_ATOL
+            self.hermiticity_defect <= ATOL
             and self.min_eigenvalue >= EIGENVALUE_FLOOR
-            and self.trace_defect <= TRACE_ATOL
+            and self.trace_defect <= ATOL
         )
 
     def __str__(self) -> str:
@@ -191,12 +197,12 @@ def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
 def expectation_value(obs: np.ndarray, rho: DensityOperator) -> float:
     """Tr(obs . rho) for a Hermitian observable, a matrix in ``rho``'s index order.
 
-    The imaginary residue of the trace is checked against 1e-10 and then
-    discarded.
+    The imaginary residue of the trace is checked against ``IMAG_ATOL`` and
+    then discarded.
     """
     if obs.shape != rho.entries.shape:
         raise ValueError(f"shape mismatch: observable {obs.shape}, state {rho.entries.shape}")
-    if hermiticity_defect(obs) > HERMITICITY_ATOL:
+    if hermiticity_defect(obs) > ATOL:
         raise ValueError("observable must be Hermitian")
     tr = complex(np.trace(obs @ rho.entries))
     if abs(tr.imag) >= IMAG_ATOL:

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    ATOL,
     COPY_MAJOR,
-    NORM_ATOL,
     SINGLE_COPY,
     DensityOperator,
     Ket,
@@ -64,7 +64,7 @@ def check_weights(weights: Sequence[float]) -> None:
     if not weights:
         raise ValueError("ensemble must have at least one member")
     total = sum(weights)
-    if not (min(weights) >= 0.0 and abs(total - 1.0) <= NORM_ATOL):
+    if not (min(weights) >= 0.0 and abs(total - 1.0) <= ATOL):
         raise ValueError(f"weights must be nonnegative and sum to 1, got sum {total!r}")
 
 

@@ -19,18 +19,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import IMAG_ATOL, DensityOperator, Ket, permute_subsystems
+from .linalg import IMAG_ATOL, PROBABILITY_ATOL, DensityOperator, Ket, permute_subsystems
 from .measures import (
     ensemble_upper_bound_entanglement,
     wootters_concurrence,
 )
 from .states import PAIR_SWAP, single_copy_marginal
 
-PROBABILITY_ATOL = 1e-10
 # identical pure qubit copies force p_a = C^2/4 <= 1/4, so anything above
 # this threshold already falsifies the protocol's assumptions
 VALIDITY_THRESHOLD = 0.25
-VALIDITY_TOL = 1e-9
+VALIDITY_TOL = 1e-9  # rounding slack for p_a at exactly 1/4, as on Bell copies; bench/run.py mirrors it
 # the largest count Generator.multinomial accepts; 2**63 overflows a C long
 MAX_SHOTS = 2**63 - 1
 
@@ -122,8 +121,9 @@ def naive_concurrence_estimate(p_a: float) -> tuple[float, bool]:
 def joint_outcome_distribution(state: DensityOperator) -> OutcomeDistribution:
     """Joint (Alice, Bob) outcome probabilities of the two commuting projections.
 
-    The imaginary residues of the four traces are checked against 1e-10 and
-    then discarded.
+    The imaginary residues of the four traces are checked against
+    ``IMAG_ATOL`` and then discarded; the probabilities are clamped to
+    [0, 1] from within ``PROBABILITY_ATOL`` of it.
     """
     tr = np.trace(_JOINT_STACK @ state.entries, axis1=1, axis2=2)
     residue = float(np.abs(tr.imag).max())

@@ -65,7 +65,7 @@ _BOOLEAN_METRICS = frozenset(
     name for record in (EstimateVerdict, OutcomeDistribution) for name, kind in get_type_hints(record).items() if kind is bool
 )
 
-DEFAULT_EXPECT_TOL = 1e-9
+DEFAULT_EXPECT_TOL = 1e-9  # how close a numeric expectation without its own tol must come
 
 
 class ConfigError(ValueError):

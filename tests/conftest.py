@@ -1,13 +1,17 @@
 """Shared helpers: seeded random states and ensembles, reference quantities, and the standard library's report text."""
 
+import importlib.util
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twocopy import SINGLE_COPY, DensityOperator, Ket, joint_outcome_distribution
-from twocopy.protocol import OUTCOMES
+from twocopy.protocol import JOINT_PROJECTORS, OUTCOMES
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def random_unit_vector(rng, dim: int) -> np.ndarray:
@@ -67,6 +71,31 @@ _SWAP_A1_A2 = np.eye(16).reshape(2, 2, 2, 2, 16).transpose(2, 1, 0, 3, 4).reshap
 ALICE_ANTISYMMETRIC = (np.eye(16) - _SWAP_A1_A2) / 2
 
 
+def projector_range(outcome: str) -> np.ndarray:
+    """An orthonormal basis, as columns, of the range of the joint projector of ``outcome``."""
+    lam, vecs = np.linalg.eigh(JOINT_PROJECTORS[outcome])
+    return vecs[:, lam > 0.5]
+
+
+def sign_pattern(outcome: str) -> np.ndarray:
+    """The signs of the joint projector of ``outcome``, with a zero diagonal.
+
+    ``1j * c * sign_pattern(o)`` is anti-Hermitian and traceless: added to a
+    Hermitian matrix it makes a Hermiticity defect of 2c, and for entries of
+    modulus at most c with a zero diagonal, the largest imaginary part of the
+    trace against that projector.
+    """
+    signs = np.sign(JOINT_PROJECTORS[outcome].real)
+    np.fill_diagonal(signs, 0.0)
+    return signs
+
+
+def custom_document(m: np.ndarray) -> str:
+    """A custom scenario document holding the 16x16 matrix ``m`` as [re, im] pairs."""
+    rho = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    return json.dumps({"scenario": "custom", "parameters": {"rho": rho}})
+
+
 def random_weights(rng, k: int) -> np.ndarray:
     w = rng.random(k) + 1e-3
     return w / w.sum()
@@ -101,3 +130,11 @@ def stdlib_report_json(r) -> str:
         "all_passed": r.all_passed,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def load_bench_module(name: str):
+    """``bench/<name>.py`` as a module; ``bench/run.py`` needs ``bench`` on ``sys.path`` while it loads."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -8,7 +8,6 @@ also checked against ``bench/reference.py``, which rebuilds every state
 without importing twocopy.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -16,6 +15,8 @@ import pytest
 
 import twocopy
 from twocopy.cli import main
+
+from conftest import BENCH, load_bench_module
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = REPO_ROOT / "tests" / "golden"
@@ -41,18 +42,11 @@ def test_list_scenarios_matches_golden(capsys):
     assert capsys.readouterr().out == (GOLDEN / "list-scenarios.txt").read_text()
 
 
-def _load_bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO_ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
 def test_golden_json_agrees_with_the_independent_reference(path, monkeypatch):
     # bench/run.py imports its sibling modules by name
-    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
-    run, reference = _load_bench_module("run"), _load_bench_module("reference")
+    monkeypatch.syspath_prepend(str(BENCH))
+    run, reference = load_bench_module("run"), load_bench_module("reference")
     doc = json.loads(path.read_text())
     golden = (GOLDEN / f"{path.stem}.json").read_text().removesuffix("\n")
     assert run.check_report(twocopy, doc, golden, reference.expected(doc), doc.get("seed", 0)) == ([], False)

@@ -13,6 +13,7 @@ from twocopy import (
     validate_density,
 )
 from twocopy import linalg
+from twocopy.linalg import ATOL, EIGENVALUE_FLOOR
 from twocopy.states import phase_averaged_state, single_copy_marginal
 
 from conftest import density, random_density, random_ket
@@ -138,8 +139,8 @@ class TestPartialTrace:
             for m in (rho, permute_subsystems(rho)):
                 for keep in (1, 2):
                     out = partial_trace(m, keep)
-                    assert abs(np.trace(out) - 1.0) < 1e-10
-                    assert np.linalg.eigvalsh(out)[0] >= -1e-9
+                    assert abs(np.trace(out) - 1.0) < ATOL
+                    assert np.linalg.eigvalsh(out)[0] >= EIGENVALUE_FLOOR
 
     def test_unknown_label_rejected(self):
         # pairs are named 1 and 2; labels, other numbers and both pairs are refused
@@ -229,7 +230,7 @@ class TestExpectationValue:
         for _ in range(50):
             rho = random_density(rng)
             p = expectation_value(ANTISYM_PAIR, rho)
-            assert -1e-10 <= p <= 1.0 + 1e-10
+            assert -ATOL <= p <= 1.0 + ATOL
 
 
 class TestValidateDensity:

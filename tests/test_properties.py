@@ -1,21 +1,35 @@
-"""Property-based tests: malformed configs, CLI exit codes, joint-distribution invariants."""
+"""Property-based tests: malformed configs, CLI exit codes, joint-distribution invariants, states at the
+boundary's edges, and random reports against the independent reference."""
 
 import copy
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution
+import twocopy
+from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution, validate_density
 from twocopy.cli import main
-from twocopy.protocol import PROBABILITY_ATOL, evaluate_scenario
-from twocopy.scenarios import ConfigError, emit_report, parse_config, run
+from twocopy.linalg import ATOL, EIGENVALUE_FLOOR
+from twocopy.protocol import OUTCOMES, evaluate_scenario
+from twocopy.scenarios import ConfigError, emit_report, parse_config, report_from_json, report_to_json, run
 from twocopy.states import custom_state
 
-from conftest import ALICE_ANTISYMMETRIC, antisym, exchange_copies, stdlib_report_json
+from conftest import (
+    ALICE_ANTISYMMETRIC,
+    BENCH,
+    antisym,
+    custom_document,
+    exchange_copies,
+    load_bench_module,
+    projector_range,
+    sign_pattern,
+    stdlib_report_json,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # the bundled configs plus a custom one, so every scenario family is a base
@@ -94,6 +108,35 @@ def alice_antisymmetric_states(draw):
     return custom_state(DensityOperator(COPY_MAJOR, m / trace))
 
 
+@st.composite
+def boundary_states(draw):
+    """A 16x16 matrix at the edges of what the boundary accepts, aligned with the joint projectors.
+
+    Each projector's range, rotated by a random unitary, holds one block of
+    eigenvalues: all just above EIGENVALUE_FLOOR, or positive.  The trace
+    misses 1 by just under ATOL, and an anti-Hermitian part along one
+    projector's signs makes a Hermiticity defect of just under ATOL.
+    """
+    at_floor = draw(st.lists(st.booleans(), min_size=4, max_size=4).filter(lambda f: not all(f)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inside = st.floats(0.9, 0.999)
+    blocks, eigenvalues = [], []
+    for outcome, floor in zip(OUTCOMES, at_floor):
+        basis = projector_range(outcome)
+        k = basis.shape[1]
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        blocks.append(basis @ q)
+        eigenvalues.append(np.full(k, draw(inside) * EIGENVALUE_FLOOR) if floor else rng.random(k) + 1e-3)
+    lam = np.concatenate(eigenvalues)
+    positive = lam > 0
+    trace = 1.0 + draw(st.floats(-0.999, 0.999)) * ATOL
+    lam[positive] *= (trace - lam[~positive].sum()) / lam[positive].sum()
+    w = np.hstack(blocks)
+    m = (w * lam) @ w.conj().T
+    m = (m + m.conj().T) / 2
+    return m + 1j * draw(inside) * ATOL / 2 * sign_pattern(draw(st.sampled_from(OUTCOMES)))
+
+
 @REPRODUCIBLE
 @given(documents())
 def test_any_document_runs_or_raises_config_error(text):
@@ -117,7 +160,7 @@ def test_cli_exits_zero_one_or_two_on_any_document(tmp_path_factory, text):
 @given(two_copy_states())
 def test_joint_distribution_sums_to_one_and_aa_is_below_each_marginal(state):
     d = joint_outcome_distribution(state)
-    assert abs(sum(d.as_tuple()) - 1.0) <= PROBABILITY_ATOL
+    assert abs(sum(d.as_tuple()) - 1.0) <= ATOL
     assert d.p_aa <= min(antisym(state, "alice"), antisym(state, "bob"))
 
 
@@ -135,3 +178,42 @@ def test_exchanging_the_copies_leaves_the_joint_distribution_unchanged(state):
 def test_alice_certain_states_evaluate_with_p_a_one(state):
     verdict = evaluate_scenario(state, joint_outcome_distribution(state))
     assert abs(verdict.p_a_alice - 1.0) <= 1e-12
+
+
+@settings(REPRODUCIBLE, max_examples=50)
+@given(boundary_states())
+def test_states_the_boundary_accepts_run_and_round_trip(m):
+    assume(validate_density(m).passed)
+    report = run(parse_config(custom_document(m)))
+    assert report_from_json(report_to_json(report)) == report
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``bench/run.py``, ``reference.py`` and ``workloads.py``, loaded once for the module."""
+    with pytest.MonkeyPatch.context() as mp:
+        # bench/run.py imports its sibling modules by name
+        mp.syspath_prepend(str(BENCH))
+        return {name: load_bench_module(name) for name in ("run", "reference", "workloads")}
+
+
+@st.composite
+def workload_documents(draw, workloads):
+    """A seeded custom (rank 1 to 16), pure-copies or de-finetti document from the benchmark's generators."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["custom", "pure-copies", "de-finetti"]))
+    if kind == "custom":
+        return workloads._custom(rng, draw(st.integers(1, 16)))
+    if kind == "de-finetti":
+        return workloads._de_finetti(rng, draw(st.integers(1, 4)))
+    return workloads._doc(rng, "pure-copies", {"ket": workloads.vector_json(workloads.haar_ket(rng))})
+
+
+@settings(REPRODUCIBLE, max_examples=30)
+@given(data=st.data())
+def test_random_reports_agree_with_the_independent_reference(bench, data):
+    text = data.draw(workload_documents(bench["workloads"]))
+    doc = json.loads(text)
+    report = report_to_json(run(parse_config(text)))
+    expected = bench["reference"].expected(doc)
+    assert bench["run"].check_report(twocopy, doc, report, expected, doc["seed"]) == ([], False)

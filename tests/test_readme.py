@@ -1,11 +1,13 @@
-"""The README against the package: its Library example runs, it names every export, and it quotes the oracle's budgets."""
+"""The README against the package: its Library example runs, it names every export, and it quotes the oracle's
+budgets and the tolerance table."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
 import twocopy
-from twocopy import measures
+from twocopy import linalg, measures
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
@@ -33,3 +35,14 @@ def test_oracle_paragraph_quotes_its_budgets():
     for name in ("STARTS", "FINISH_STALL", "FINISH_ITERATIONS"):
         quoted = re.findall(rf"`{name} = (\d+)`", paragraph.group(0))
         assert quoted == [str(getattr(measures, name))], f"{name}: README quotes {quoted}"
+
+
+def test_conventions_quote_the_tolerance_table():
+    conventions = re.search(r"^## Conventions\n(.*?)(?=^## |\Z)", README, re.DOTALL | re.MULTILINE)
+    assert conventions, "no Conventions section"
+    for name in ("ATOL", "EIGENVALUE_FLOOR", "PROBABILITY_ATOL", "IMAG_ATOL"):
+        quoted = re.findall(rf"`{name} = ([-+.e\d]+)`", conventions.group(1))
+        value = getattr(linalg, name)
+        assert len(quoted) == 1 and math.isclose(float(quoted[0]), value, rel_tol=1e-12), (
+            f"{name} = {value!r}: README quotes {quoted}"
+        )

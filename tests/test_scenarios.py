@@ -14,7 +14,7 @@ import pytest
 
 from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution, scenarios, validate_density
 from twocopy.cli import main
-from twocopy.protocol import MAX_SHOTS
+from twocopy.protocol import JOINT_PROJECTORS, MAX_SHOTS
 from twocopy.scenarios import (
     METRIC_NAMES,
     ConfigError,
@@ -27,7 +27,7 @@ from twocopy.scenarios import (
 )
 from twocopy.states import MAX_PHASE_POINTS
 
-from conftest import ALICE_ANTISYMMETRIC, stdlib_report_json
+from conftest import ALICE_ANTISYMMETRIC, custom_document, projector_range, sign_pattern, stdlib_report_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = sorted((REPO_ROOT / "scenarios").glob("*.json"))
@@ -519,7 +519,7 @@ NON_FINITE_DOCS = {
     "member-extra-key": {"scenario": "pure-de-finetti", "parameters": {"members": [
         {"weight": 1.0, "ket": [1, 0, 0, 0], "note": "@"}]}},
 }
-# within NORM_ATOL = 1e-10 of 1, yet two copies miss trace 1 by more than TRACE_ATOL = 1e-10
+# within ATOL = 1e-10 of 1 as a norm, yet two copies miss trace 1 by more than ATOL
 NEARLY_ONE = 1.0 + 9e-11
 NEARLY_NORMALIZED_DOCS = {
     "pure-copies-ket": {"scenario": "pure-copies", "parameters": {"ket": [NEARLY_ONE, 0, 0, 0]}},
@@ -698,6 +698,46 @@ class TestInputBounds:
         )
         assert proc.returncode == 2, proc.stderr
         assert float(proc.stdout) < 1.0
+
+
+def _edge_states() -> dict:
+    """Three states the boundary accepts, each at one of its edges, built on the joint projectors' ranges."""
+    aa = projector_range("aa")[:, 0]
+    zero = np.eye(16)[0]  # |0000>, symmetric on both sides
+    mixed = np.eye(16) / 16
+    floor = -9.9e-10
+    return {
+        # weight moved from the aa state to |0000> until p_aa = -5e-10
+        "negative-p_aa": mixed + (1 / 16 + 5e-10) * (np.outer(zero, zero) - np.outer(aa, aa)),
+        # Hermiticity defect 9e-11 along P_ss's signs: an imaginary residue of 3.15e-10
+        "imaginary-residue": mixed + 1j * (0.9e-10 / 2) * sign_pattern("ss"),
+        # the 15 vectors outside aa at -9.9e-10 and the trace at 1 + 9.9e-11: p_aa = 1 + 1.5e-8
+        "p_aa-above-one": floor * np.eye(16) + (1 + 9.9e-11 - 16 * floor) * np.outer(aa, aa),
+    }
+
+
+EDGE_STATES = _edge_states()
+
+
+class TestBoundaryEdges:
+    """States the boundary accepts run to a report, however close to its edges they lie."""
+
+    def test_each_state_is_beyond_the_boundary_tolerance_where_it_stands(self):
+        traces = {name: np.einsum("kij,ji->k", np.stack(list(JOINT_PROJECTORS.values())), m)
+                  for name, m in EDGE_STATES.items()}
+        assert abs(traces["negative-p_aa"][0].real + 5e-10) < 1e-15
+        assert abs(np.abs(traces["imaginary-residue"].imag).max() - 3.15e-10) < 1e-15
+        assert abs(traces["p_aa-above-one"][0].real - 1 - 1.5e-8) < 1e-10
+
+    @pytest.mark.parametrize("name", EDGE_STATES)
+    def test_accepted_edge_state_exits_zero_and_round_trips(self, name, tmp_path, capsys):
+        m = EDGE_STATES[name]
+        assert validate_density(m).passed
+        path = tmp_path / "cfg.json"
+        path.write_text(custom_document(m))
+        assert main([str(path), "--format", "json"]) == 0
+        out = capsys.readouterr().out.removesuffix("\n")
+        assert report_to_json(report_from_json(out)) == out
 
 
 class TestComputedOnce:
