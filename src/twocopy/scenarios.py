@@ -32,6 +32,7 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Union, get_type_hints
 
@@ -451,17 +452,55 @@ def run(config: ScenarioConfig) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+def _number_grid(node: list) -> Optional[tuple[list[int], list]]:
+    """The shape and row-major leaves of ``node`` if it is a rectangular nest of lists of plain numbers.
+
+    A plain number is an exact ``int`` or a finite exact ``float``: not a
+    bool, a numpy scalar or a non-finite float, which ``%s`` would write
+    otherwise than ``json.dumps``.  Rows must be lists of one length, none
+    empty.  Only float leaves are checked for finiteness, because
+    ``math.isfinite`` overflows on an integer such as ``10**400``.
+    """
+    shape, leaves = [], [node]
+    while (kinds := set(map(type, leaves))) == {list}:
+        width = len(leaves[0])
+        if not width or set(map(len, leaves)) != {width}:
+            return None
+        shape.append(width)
+        leaves = list(chain.from_iterable(leaves))
+    if kinds <= {int, float} and all(math.isfinite(x) for x in leaves if type(x) is float):
+        return shape, leaves
+    return None
+
+
 def _dumps(node, indent: str = "") -> str:
     """The text of ``json.dumps(node, indent=2, sort_keys=True)`` for string-keyed mappings.
 
     ``json.dumps`` writes indented JSON only through its pure-Python
     encoder, one generator step per node; this writes the same bytes with
-    the same scalar encoders and one call per node.
+    the same scalar encoders and one call per node.  A list that
+    :func:`_number_grid` accepts, such as an echoed amplitude array, is
+    written in one step: the layout ``json.dumps`` gives every nest of its
+    shape, with a ``%s`` slot per leaf, filled by ``%``, which writes an
+    exact ``int`` or ``float`` by its ``__repr__`` as ``json.dumps`` does.
     """
     if isinstance(node, float) and math.isfinite(node):
         return float.__repr__(node)
     if isinstance(node, str):
         return encode_basestring_ascii(node)
+    if node is None:
+        return "null"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if type(node) is int:
+        return int.__repr__(node)
+    if isinstance(node, list) and (grid := _number_grid(node)):
+        shape, leaves = grid
+        text = "%s"
+        for depth in reversed(range(len(shape))):
+            outer = indent + "  " * depth
+            text = f"[\n{outer}  " + f",\n{outer}  ".join([text] * shape[depth]) + f"\n{outer}]"
+        return text % tuple(leaves)
     if node and isinstance(node, (list, tuple, dict)):
         inner = indent + "  "
         if isinstance(node, dict):
@@ -471,7 +510,7 @@ def _dumps(node, indent: str = "") -> str:
             items = [_dumps(v, inner) for v in node]
             opening, closing = "[", "]"
         return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
-    # None, booleans, integers, non-finite floats and empty containers
+    # integer subclasses, non-finite floats and empty containers
     return json.dumps(node)
 
 

@@ -1,8 +1,9 @@
 """Property-based tests: malformed configs, CLI exit codes, joint-distribution invariants, states at the
-boundary's edges, and random reports against the independent reference."""
+boundary's edges, random reports against the independent reference, and the JSON writer on number grids."""
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution, val
 from twocopy.cli import main
 from twocopy.linalg import ATOL, EIGENVALUE_FLOOR
 from twocopy.protocol import OUTCOMES, evaluate_scenario
-from twocopy.scenarios import ConfigError, emit_report, parse_config, report_from_json, report_to_json, run
+from twocopy.scenarios import ConfigError, _dumps, emit_report, parse_config, report_from_json, report_to_json, run
 from twocopy.states import custom_state
 
 from conftest import (
@@ -53,6 +54,60 @@ JSON = st.recursive(
     lambda children: st.lists(children, max_size=5)
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=20,
+)
+
+
+# the writer's edge cases among the numbers: integers beyond 64 bits and beyond
+# float's range, the signed zero, the least subnormal, a float that repr
+# writes with an exponent, and the three non-finite floats
+NUMBERS = (
+    st.integers()
+    | st.floats()
+    | st.sampled_from([2**64, 10**400, -0.0, 5e-324, 1e16, float("nan"), float("inf"), -float("inf")])
+)
+
+
+def _nest(leaves: list, shape: list[int]) -> list:
+    """``leaves`` as nested lists of ``shape``, row by row."""
+    if len(shape) == 1:
+        return leaves
+    step = len(leaves) // shape[0]
+    return [_nest(leaves[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+def _replace(node: list, path: list[int], change):
+    """A copy of ``node`` with ``change`` applied to the item at ``path``."""
+    if not path:
+        return change(node)
+    i = path[0]
+    return [*node[:i], _replace(node[i], path[1:], change), *node[i + 1:]]
+
+
+@st.composite
+def number_grids(draw):
+    """A rectangular nest of lists of numbers, depth 1-3 and each dimension 1-5.
+
+    Sometimes one leaf is a bool, None, a string or a numpy float, or one row
+    is ragged, empty or a tuple; the writer must then take its item-by-item
+    path and still give the standard library's bytes.
+    """
+    shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    grid = _nest(draw(st.lists(NUMBERS, min_size=math.prod(shape), max_size=math.prod(shape))), shape)
+    flaw = draw(st.sampled_from(["none", "leaf", "row"]))
+    if flaw == "leaf":
+        other = draw(st.sampled_from([True, False, None, "1.0", np.float64(0.1)]))
+        return _replace(grid, [draw(st.integers(0, n - 1)) for n in shape], lambda _: other)
+    if flaw == "row":
+        change = draw(st.sampled_from([lambda row: row + row[:1], lambda row: [], tuple]))
+        return _replace(grid, [draw(st.integers(0, n - 1)) for n in shape[:-1]], change)
+    return grid
+
+
+# number grids inside the JSON trees above, as list items and dict values
+GRID_JSON = st.recursive(
+    number_grids() | JSON,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=4,
 )
 
 
@@ -217,3 +272,9 @@ def test_random_reports_agree_with_the_independent_reference(bench, data):
     report = report_to_json(run(parse_config(text)))
     expected = bench["reference"].expected(doc)
     assert bench["run"].check_report(twocopy, doc, report, expected, doc["seed"]) == ([], False)
+
+
+@REPRODUCIBLE
+@given(GRID_JSON)
+def test_json_writer_matches_the_standard_library_on_number_grids(node):
+    assert _dumps(node) == json.dumps(node, indent=2, sort_keys=True)

@@ -27,7 +27,14 @@ from twocopy.scenarios import (
 )
 from twocopy.states import MAX_PHASE_POINTS
 
-from conftest import ALICE_ANTISYMMETRIC, custom_document, projector_range, sign_pattern, stdlib_report_json
+from conftest import (
+    ALICE_ANTISYMMETRIC,
+    custom_document,
+    load_bench_module,
+    projector_range,
+    sign_pattern,
+    stdlib_report_json,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = sorted((REPO_ROOT / "scenarios").glob("*.json"))
@@ -329,8 +336,30 @@ def test_json_writer_matches_the_standard_library_on_every_scalar():
         "numpy": [np.float64(0.1), np.float64(-2.0)],
         "others": [None, True, False, 0, -7, 2**64, "", "t\u00e9xt \"quoted\"\n\u2603", [], {}, ()],
         "\u00e9": {"b": [[1, [2]], {}], "a": ()},
+        # lists at the edges of the writer's one-step path for number grids
+        "integer-beyond-floats": [1, 10**400],
+        "ragged": [[1.0, 2.0], [3.0]],
+        "bool-leaf": [[1.0, True]],
+        "empty-rows": [[], []],
+        "depth-three": [[[0.5]]],
+        "tuple": (1.0, 2.0),
+        "tuple-row": [[1.0, 2.0], (3.0, 4.0)],
+        "numpy-leaf": [np.float64(0.1), 1.0],
+        "nan-leaf": [float("nan"), 1.0],
     })
     assert report_to_json(report) == stdlib_report_json(report)
+
+
+@pytest.mark.parametrize("scenario", ["custom", "de-finetti"])
+def test_json_writer_writes_each_amplitude_array_in_one_call(monkeypatch, scenario):
+    """Each echoed amplitude array is written in one call; one call per node makes 815 and 141."""
+    workloads = load_bench_module("workloads")
+    rng = np.random.default_rng(1)
+    report = run(parse_config(workloads._custom(rng, 16) if scenario == "custom" else workloads._de_finetti(rng, 2)))
+    calls, dumps = [], scenarios._dumps
+    monkeypatch.setattr(scenarios, "_dumps", lambda *args: calls.append(args) or dumps(*args))
+    emit_report(report, "json")
+    assert len(calls) <= 40
 
 
 class TestCli:
