@@ -48,10 +48,25 @@ def _checked_weights(members: Sequence[tuple[float, Union[Ket, DensityOperator]]
     return weights
 
 
+# _PLACE[a, b] is the flat index in the two-copy matrix of the product of the
+# single-copy entries a = 4i + j and b = 4k + l: row 4i + k, column 4j + l
+_PLACE = np.arange(256).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+_PLACE.setflags(write=False)
+
+
 def _mixture_of_copies(weights, rhos: np.ndarray) -> DensityOperator:
-    """sum_i w_i rho_i x rho_i from an (N, 4, 4) stack of single-copy matrices."""
-    total = np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos).reshape(16, 16)
-    return DensityOperator(COPY_MAJOR, total)
+    """sum_i w_i rho_i x rho_i from an (N, 4, 4) stack of single-copy matrices.
+
+    Only the entries nonzero in some member are summed.  The bytes equal the
+    full ``einsum("n,nij,nkl->ikjl")``: both add each (w a) b in member order
+    from +0, and an entry zero in every member gets only +-0 terms, so +0.
+    """
+    flat = rhos.reshape(len(rhos), 16)
+    support = np.flatnonzero(flat.any(axis=0))
+    block = flat[:, support]
+    total = np.zeros(256, dtype=complex)
+    total[_PLACE[support[:, None], support]] = np.einsum("n,na,nb->ab", weights, block, block)
+    return DensityOperator(COPY_MAJOR, total.reshape(16, 16))
 
 
 def _projectors(amplitudes: np.ndarray) -> np.ndarray:
@@ -96,11 +111,7 @@ def phase_averaged_decomposition() -> tuple[tuple[float, Ket], ...]:
     Two product members across the Alice/Bob cut plus the logical Bell
     state with weight one half.
     """
-    return (
-        (0.25, Ket(COPY_MAJOR, np.eye(16)[0b0101])),
-        (0.25, Ket(COPY_MAJOR, np.eye(16)[0b1010])),
-        (0.5, logical_bell_state()),
-    )
+    return _DECOMPOSITION
 
 
 def phase_averaged_state(points: Union[int, str] = "exact") -> DensityOperator:
@@ -115,10 +126,7 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> DensityOperator:
     uses the default grid of 64 points.
     """
     if points == "exact":
-        total = np.zeros((16, 16), dtype=complex)
-        for w, psi in phase_averaged_decomposition():
-            total += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return DensityOperator(COPY_MAJOR, total)
+        return _PHASE_AVERAGED
     if points == "discretized":
         points = DEFAULT_PHASE_POINTS
     if isinstance(points, bool) or not isinstance(points, int):
@@ -142,15 +150,10 @@ def eve_state(kind: str) -> DensityOperator:
     symmetric subspace on each pair, making the antisymmetric outcome
     impossible.  Either way the two sides always agree.
     """
-    if kind == "antisymmetric":
-        singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-        pair = np.outer(singlet, singlet)
-    elif kind == "symmetric":
-        pair = (np.eye(4) + PAIR_SWAP) / 6.0
-    else:
+    # a tuple first: a dict lookup would raise TypeError on an unhashable kind
+    if kind not in ("antisymmetric", "symmetric"):
         raise ValueError(f"kind must be 'antisymmetric' or 'symmetric', got {kind!r}")
-    # the two pairs side by side are side major: (A1, A2) then (B1, B2)
-    return DensityOperator(COPY_MAJOR, permute_subsystems(np.kron(pair, pair)))
+    return _EVE_STATES[kind]
 
 
 def custom_state(rho: DensityOperator) -> DensityOperator:
@@ -163,3 +166,22 @@ def custom_state(rho: DensityOperator) -> DensityOperator:
 def single_copy_marginal(state: DensityOperator, copy: int = 1) -> DensityOperator:
     """Reduced state of copy 1 (A1, B1) or copy 2 (A2, B2) of a two-copy state, on (A, B)."""
     return _derived(SINGLE_COPY, partial_trace(state.entries, copy))
+
+
+# The constant states, built and validated once at import and returned as
+# they are by the functions above: frozen, so safe to share.
+_DECOMPOSITION = (
+    (0.25, Ket(COPY_MAJOR, np.eye(16)[0b0101])),
+    (0.25, Ket(COPY_MAJOR, np.eye(16)[0b1010])),
+    (0.5, logical_bell_state()),
+)
+_PHASE_AVERAGED = DensityOperator(
+    COPY_MAJOR,
+    sum((w * np.outer(psi.amplitudes, psi.amplitudes.conj()) for w, psi in _DECOMPOSITION), np.zeros((16, 16))),
+)
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+# the two pairs side by side are side major: (A1, A2) then (B1, B2)
+_EVE_STATES = {
+    kind: DensityOperator(COPY_MAJOR, permute_subsystems(np.kron(pair, pair)))
+    for kind, pair in (("antisymmetric", np.outer(_SINGLET, _SINGLET)), ("symmetric", (np.eye(4) + PAIR_SWAP) / 6.0))
+}

@@ -100,6 +100,13 @@ class TestTensorProduct:
         with pytest.raises(ValueError, match="density operators"):
             tensor_product(basis_density(0), Ket(SINGLE_COPY, np.eye(4)[0]))
 
+    def test_product_outside_the_trace_bound_is_refused(self):
+        # each factor's trace defect 9e-11 is inside ATOL, their product's 1.8e-10 is not
+        factor = DensityOperator(SINGLE_COPY, np.diag([0.5 + 9e-11, 0.5, 0.0, 0.0]))
+        assert not validate_density(np.kron(factor.entries, factor.entries)).passed
+        with pytest.raises(ValueError, match="not a valid density operator"):
+            tensor_product(factor, factor)
+
     def test_trace_multiplicative(self, rng):
         for _ in range(20):
             a = random_density(rng)
@@ -258,18 +265,23 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
 
-    def test_derived_densities_are_frozen_and_not_validated_again(self, rng, monkeypatch):
-        rho = random_density(rng)
-        sigma = density(random_ket(rng))
+    def test_derived_densities_are_frozen_and_not_validated_again(self, monkeypatch):
         pair = phase_averaged_state(4)
         calls = []
         monkeypatch.setattr(linalg, "validate_density", lambda m: calls.append(m))
-        derived = [
-            tensor_product(rho, sigma),
-            single_copy_marginal(pair, 2),
-        ]
+        marginal = single_copy_marginal(pair, 2)
         assert calls == []
-        for d in derived:
-            assert validate_density(d.entries).passed
-            with pytest.raises(ValueError):
-                d.entries[0, 0] = 1.0
+        assert validate_density(marginal.entries).passed
+        with pytest.raises(ValueError):
+            marginal.entries[0, 0] = 1.0
+
+    def test_tensor_product_is_validated_once_and_frozen(self, rng, monkeypatch):
+        rho = random_density(rng)
+        sigma = density(random_ket(rng))
+        calls = []
+        validate = linalg.validate_density
+        monkeypatch.setattr(linalg, "validate_density", lambda m: calls.append(m) or validate(m))
+        product = tensor_product(rho, sigma)
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            product.entries[0, 0] = 1.0

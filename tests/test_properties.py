@@ -1,5 +1,6 @@
 """Property-based tests: malformed configs, CLI exit codes, joint-distribution invariants, states at the
-boundary's edges, random reports against the independent reference, and the JSON writer on number grids."""
+boundary's edges, random reports against the independent reference, the JSON writer on number grids, and
+the bytes of the two-copy mixtures."""
 
 import copy
 import json
@@ -18,7 +19,7 @@ from twocopy.cli import main
 from twocopy.linalg import ATOL, EIGENVALUE_FLOOR
 from twocopy.protocol import OUTCOMES, evaluate_scenario
 from twocopy.scenarios import ConfigError, _dumps, emit_report, parse_config, report_from_json, report_to_json, run
-from twocopy.states import custom_state
+from twocopy.states import _mixture_of_copies, custom_state, phase_averaged_state
 
 from conftest import (
     ALICE_ANTISYMMETRIC,
@@ -164,6 +165,37 @@ def alice_antisymmetric_states(draw):
 
 
 @st.composite
+def copy_stacks(draw):
+    """Weights and an (N, 4, 4) stack of single-copy densities and ket projectors that share zero entries.
+
+    Some basis states are outside every member's support, and there is no
+    coherence between two groups of basis states (a pinching, which keeps
+    each member positive).  Zero parts are written as -0.0 at random.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    # a member drawn False keeps one column of g: it is a ket's projector
+    g[:, :, 1:] *= np.array([draw(st.booleans()) for _ in range(n)])[:, None, None]
+    rhos = g @ g.conj().transpose(0, 2, 1)
+    outside = list(draw(st.sets(st.integers(0, 3), max_size=3)))
+    rhos[:, outside, :] = 0
+    rhos[:, :, outside] = 0
+    group = np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
+    rhos[:, group[:, None] != group] = 0
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    for part in (rhos.real, rhos.imag):
+        part[(part == 0) & (rng.random(part.shape) < 0.5)] = -0.0
+    weights = rng.random(n) + 0.01
+    return weights / weights.sum(), rhos
+
+
+def full_mixture(weights, rhos) -> np.ndarray:
+    """sum_i w_i rho_i x rho_i as numpy's unoptimized einsum over every entry writes it."""
+    return np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos).reshape(16, 16)
+
+
+@st.composite
 def boundary_states(draw):
     """A 16x16 matrix at the edges of what the boundary accepts, aligned with the joint projectors.
 
@@ -278,3 +310,21 @@ def test_random_reports_agree_with_the_independent_reference(bench, data):
 @given(GRID_JSON)
 def test_json_writer_matches_the_standard_library_on_number_grids(node):
     assert _dumps(node) == json.dumps(node, indent=2, sort_keys=True)
+
+
+@REPRODUCIBLE
+@given(copy_stacks())
+def test_mixture_has_the_bytes_of_the_full_einsum(stack):
+    weights, rhos = stack
+    assert _mixture_of_copies(weights, rhos).entries.tobytes() == full_mixture(weights, rhos).tobytes()
+
+
+@pytest.mark.parametrize("points", [*range(3, 65), 151, 152, 300, 4096])
+def test_phase_grid_has_the_bytes_of_the_full_einsum(points):
+    amplitudes = np.zeros((points, 4), dtype=complex)
+    amplitudes[:, 1] = 1.0
+    amplitudes[:, 2] = np.exp(2j * math.pi * np.arange(points) / points)
+    amplitudes /= math.sqrt(2.0)
+    rhos = np.einsum("ni,nj->nij", amplitudes, amplitudes.conj())
+    expected = full_mixture(np.full(points, 1.0 / points), rhos)
+    assert phase_averaged_state(points).entries.tobytes() == expected.tobytes()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from twocopy import (
     validate_density,
     wootters_concurrence,
 )
+from twocopy import linalg
+from twocopy.scenarios import parse_config
 from twocopy.states import (
     custom_state,
     de_finetti_state,
@@ -223,6 +227,47 @@ class TestEveState:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             eve_state("diagonal")
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            eve_state(["symmetric"])
+
+
+class TestConstantStates:
+    """The states that take no input are built once, at import, and shared."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: eve_state("antisymmetric"),
+        lambda: eve_state("symmetric"),
+        lambda: phase_averaged_state("exact"),
+    ], ids=["eve-antisymmetric", "eve-symmetric", "phase-averaged-exact"])
+    def test_one_frozen_object(self, build):
+        state = build()
+        assert build() is state
+        assert not state.entries.flags.writeable
+
+    def test_exact_is_the_default(self):
+        assert phase_averaged_state() is phase_averaged_state("exact")
+
+    def test_decomposition_is_shared_and_frozen(self):
+        members = phase_averaged_decomposition()
+        assert phase_averaged_decomposition() is members
+        assert isinstance(members, tuple) and all(isinstance(m, tuple) for m in members)
+        assert not any(psi.amplitudes.flags.writeable for _, psi in members)
+
+    @pytest.mark.parametrize("doc", [
+        {"scenario": "eve-sym"},
+        {"scenario": "phase-averaged"},
+        {"scenario": "phase-averaged", "parameters": {"points": "exact"}},
+    ], ids=["eve-sym", "phase-averaged", "phase-averaged-exact"])
+    def test_warm_parse_validates_no_density(self, monkeypatch, doc):
+        text = json.dumps(doc)
+        parse_config(text)
+        calls = []
+        validate = linalg.validate_density
+        monkeypatch.setattr(linalg, "validate_density", lambda m: calls.append(1) or validate(m))
+        parse_config(text)
+        assert calls == []
 
 
 class TestConstructorInvariants:
