@@ -1,14 +1,17 @@
-"""Whether two versions of the package write the same JSON reports, byte for byte.
+"""Whether two versions of the package write the same JSON reports and refusals, byte for byte.
 
     python scripts/report_bytes.py OLD/src NEW/src --seeds 1-10
 
 Each side runs in its own interpreter with its ``src`` directory first on
-the path.  It takes every valid document of bench/workloads.py's
+the path.  It takes every document of bench/workloads.py's
 user_matrices(seed) and scenario_stream(seed), for each seed of the
-inclusive range, and the bundled scenarios/*.json of this checkout, through
-parse_config, run and emit_report(..., "json").  Prints how many reports
-are identical, and for each report that differs its name and the first line
-on which the two sides part.  Exits 1 if any report differs.
+inclusive range, four more per seed whose kets have norm 1 + 9e-11 or
+1 - 9e-11 (a pure-copies and a pure-de-finetti document each), and the
+bundled scenarios/*.json of this checkout.  A document that parse_config
+accepts gives the text of emit_report(run(...), "json"), one it refuses the
+text of its ConfigError.  Prints how many reports and how many refusals are
+identical, and for each text that differs its name and the first line on
+which the two sides part.  Exits 1 if any text differs.
 """
 
 from __future__ import annotations
@@ -22,30 +25,56 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+
+# a ket norm inside the ket's own bound (1e-10) whose two-copy state has a
+# trace defect of about 3.6e-10, outside the state's
+NEAR_NORMS = (1 + 9e-11, 1 - 9e-11)
+
+
+def nearly_normalized(seed: int) -> dict[str, str]:
+    """A pure-copies and a 3-member pure-de-finetti document for each norm in NEAR_NORMS."""
+    rng = np.random.default_rng(seed)
+    docs = {}
+    for norm in NEAR_NORMS:
+        ket = workloads.vector_json(workloads.haar_ket(rng) * norm)
+        members = [{"weight": float(w), "ket": workloads.vector_json(workloads.haar_ket(rng) * norm)}
+                   for w in rng.dirichlet(np.ones(3))]
+        docs[f"pure-copies at norm {norm!r}"] = json.dumps({"scenario": "pure-copies", "parameters": {"ket": ket}})
+        docs[f"pure-de-finetti at norm {norm!r}"] = json.dumps(
+            {"scenario": "pure-de-finetti", "parameters": {"members": members}}
+        )
+    return docs
 
 
 def documents(first: int, last: int) -> dict[str, str]:
-    """Every report's name and document, in a fixed order."""
+    """Every document's name and text, in a fixed order."""
     docs = {}
     for seed in range(first, last + 1):
-        texts, malformed = workloads.user_matrices(seed)
-        docs.update((f"user-matrices seed {seed} #{k}", t) for k, (t, bad) in enumerate(zip(texts, malformed)) if not bad)
+        texts, _ = workloads.user_matrices(seed)
+        docs.update((f"user-matrices seed {seed} #{k}", t) for k, t in enumerate(texts))
         docs.update((f"scenario-stream seed {seed} #{k}", t) for k, t in enumerate(workloads.scenario_stream(seed)))
+        docs.update((f"seed {seed} {name}", t) for name, t in nearly_normalized(seed).items())
     docs.update((f"bundled {p.name}", p.read_text()) for p in sorted((ROOT / "scenarios").glob("*.json")))
     return docs
 
 
 def emit(src: str, first: int, last: int) -> None:
-    """Print one JSON object: each report's name and its text, as the package in ``src`` writes it."""
+    """Print one JSON object: each document's name and its report or refusal, as the package in ``src`` writes it."""
     sys.path.insert(0, src)
-    from twocopy.scenarios import emit_report, parse_config, run
+    from twocopy.scenarios import ConfigError, emit_report, parse_config, run
 
-    reports = {name: emit_report(run(parse_config(doc)), "json") for name, doc in documents(first, last).items()}
-    json.dump(reports, sys.stdout)
+    texts = {}
+    for name, doc in documents(first, last).items():
+        try:
+            texts[name] = {"report": emit_report(run(parse_config(doc)), "json")}
+        except ConfigError as exc:
+            texts[name] = {"refusal": str(exc)}
+    json.dump(texts, sys.stdout)
 
 
-def reports(src: str, seeds: str) -> dict[str, str]:
+def outputs(src: str, seeds: str) -> dict[str, dict[str, str]]:
     cmd = [sys.executable, __file__, "--emit", str(Path(src).resolve()), "--seeds", seeds]
     return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
 
@@ -69,11 +98,17 @@ def main() -> None:
         return
     if len(args.sides) != 2:
         parser.error("give two src directories")
-    old, new = (reports(src, args.seeds) for src in args.sides)
+    old, new = (outputs(src, args.seeds) for src in args.sides)
     differ = [name for name in old if old[name] != new[name]]
-    print(f"{len(old) - len(differ)} identical of {len(old)} reports (seeds {first}-{last})")
+    counts = []
+    for kind in ("report", "refusal"):
+        names = [name for name in old if kind in old[name]]
+        same = sum(name not in differ for name in names)
+        counts.append(f"{same} identical of {len(names)} {kind}s")
+    print(f"{' and '.join(counts)} (seeds {first}-{last})")
     for name in differ:
-        print(f"differs: {name}: {first_difference(old[name], new[name])}")
+        a, b = ("\n".join(f"{kind}: {text}" for kind, text in side[name].items()) for side in (old, new))
+        print(f"differs: {name}: {first_difference(a, b)}")
     sys.exit(1 if differ else 0)
 
 

@@ -22,7 +22,12 @@ construction and frozen, so values are safe to share between threads.
 Every :class:`DensityOperator` built from a matrix is validated, the one
 ``tensor_product`` returns too: the product of two valid factors may leave
 the trace bound, as two traces of 1 + 9e-11 give 1 + 1.8e-10.  Only
-``_derived`` skips the check, for ``states.single_copy_marginal``.
+``_derived`` skips the check: for ``states.single_copy_marginal``, and for
+the mixtures of pure copies that ``states.identical_pure_copies``,
+``pure_de_finetti_state`` and ``phase_averaged_state(points)`` build, whose
+trace alone is checked.  Up to ``TRACE_ONLY_MEMBERS`` members (450,349) the
+trace is the one invariant such a sum can miss; a larger one is validated in
+full.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The package's tolerances: two set at the boundary, two derived from them.
+# The package's tolerances: two set at the boundary, two derived from them,
+# and the member count below which a sum's rounding stays within them.
 # Matrices here are at most 16 on a side, where double-precision
 # accumulation error stays far below these.
 # norm, Hermiticity (entrywise), trace and ensemble-weight sum
@@ -44,6 +50,16 @@ PROBABILITY_ATOL = ATOL + 16 * -EIGENVALUE_FLOOR
 # |Im tr(P rho)| <= ||P||_F ||(rho - rho^H) / 2i||_F <= 4 * 8 * ATOL for any
 # projector P on the 16-dimensional register: ||P||_F <= 4, entries <= ATOL / 2
 IMAG_ATOL = 32 * ATOL
+# sum_i w_i |psi_i psi_i><psi_i psi_i| over N kets of norm within ATOL of 1 and
+# nonnegative weights is Hermitian and positive semidefinite exactly, so only
+# its trace needs a check while N is at most this.  Each computed entry M_ab is
+# off by at most (N + 10) u S_ab, with u = 2^-53 and S_ab = sum_i w_i |a_i||b_i|
+# <= (1 + ATOL)^5 (a_i, b_i the entries of |psi_i><psi_i|): N - 1 for the sum in
+# any order, under 10 for the projector entries and the products w_i a_i b_i.
+# The Hermiticity defect is then at most 2 (N + 10) u, within ATOL; the least
+# eigenvalue lies at most ||E||_F <= (N + 10) u sum_i w_i |psi_i|^4 below 0
+# (Weyl), that is by 5e-11 at most, far above EIGENVALUE_FLOOR.
+TRACE_ONLY_MEMBERS = int(ATOL / (2 * 2.0**-53)) - 10  # 450,349
 
 SINGLE_COPY = ("A", "B")
 COPY_MAJOR = ("A1", "B1", "A2", "B2")

@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .linalg import IMAG_ATOL, PROBABILITY_ATOL, DensityOperator, Ket, permute_subsystems
-from .measures import (
-    ensemble_upper_bound_entanglement,
-    wootters_concurrence,
-)
+from .linalg import IMAG_ATOL, PROBABILITY_ATOL, DensityOperator, permute_subsystems
+from .measures import wootters_concurrence
 from .states import PAIR_SWAP, single_copy_marginal
 
 # identical pure qubit copies force p_a = C^2/4 <= 1/4, so anything above
@@ -147,32 +144,29 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> ShotRec
         raise ValueError(f"shots must be from 1 to {MAX_SHOTS}, got {shots}")
     p = np.array(dist.as_tuple(), dtype=float)
     p /= p.sum()
-    rng = np.random.default_rng(np.random.Philox(seed))
-    counts = rng.multinomial(shots, p)
-    return ShotRecord(shots=shots, seed=seed, counts=tuple(int(c) for c in counts))
+    counts = np.random.Generator(np.random.Philox(seed)).multinomial(shots, p)
+    return ShotRecord(shots=shots, seed=seed, counts=tuple(counts.tolist()))
 
 
 def evaluate_scenario(
     state: DensityOperator,
     dist: OutcomeDistribution,
-    decomposition: Optional[Sequence[tuple[float, Ket]]] = None,
+    decomposition_bound: Optional[float] = None,
 ) -> EstimateVerdict:
     """Set the protocol's outcome on one state beside the ground truth.
 
     ``dist`` is the state's joint outcome distribution, as returned by
     :func:`joint_outcome_distribution`.  The single-copy truth is the
-    closed-form concurrence of the first copy's marginal.  When an explicit
-    decomposition of the two-copy state is supplied, its average
-    entanglement entropy across the Alice/Bob cut is reported as an upper
-    bound on the total two-copy entanglement.
+    closed-form concurrence of the first copy's marginal.
+    ``decomposition_bound``, when given, is the average entanglement entropy
+    across the Alice/Bob cut of an explicit decomposition of the two-copy
+    state (:func:`~twocopy.measures.ensemble_upper_bound_entanglement`), and
+    is reported as an upper bound on the total two-copy entanglement.
     """
     p_alice = _clamp_probability(dist.p_aa + dist.p_as)
     p_bob = _clamp_probability(dist.p_aa + dist.p_sa)
     naive, valid = naive_concurrence_estimate(p_alice)
     truth = wootters_concurrence(single_copy_marginal(state, copy=1))
-    bound = None
-    if decomposition is not None:
-        bound = ensemble_upper_bound_entanglement(decomposition)
     return EstimateVerdict(
         p_a_alice=p_alice,
         p_a_bob=p_bob,
@@ -180,5 +174,5 @@ def evaluate_scenario(
         estimator_valid=valid,
         disagreement_prob=disagreement_probability(dist),
         truth_single_copy_concurrence=truth,
-        truth_decomposition_bound=bound,
+        truth_decomposition_bound=decomposition_bound,
     )

@@ -39,6 +39,7 @@ from typing import Any, Callable, Optional, Union, get_type_hints
 import numpy as np
 
 from .linalg import COPY_MAJOR, SINGLE_COPY, DensityOperator, Ket
+from .measures import ensemble_upper_bound_entanglement
 from .protocol import (
     MAX_SHOTS,
     OUTCOMES,
@@ -213,7 +214,7 @@ def _parse_expectations(node, default_tol: float, scenario: str, problems: list[
         if unknown := [k for k in spec if k not in ("value", "tol")]:
             problems.append(f"expect.{metric}: unknown keys {reprlib.repr(unknown)}")
             continue
-        if metric == "truth_decomposition_bound" and SCENARIOS[scenario].decomposition is None:
+        if metric == "truth_decomposition_bound" and SCENARIOS[scenario].decomposition_bound is None:
             problems.append(f"expect.{metric}: not reported by scenario {scenario!r}, which has no decomposition")
             continue
         value = spec["value"]
@@ -339,15 +340,15 @@ class Scenario:
 
     ``build`` takes the config's parameters, once their keys are checked
     against ``required`` and ``optional``, and returns the validated state.
-    ``decomposition``, when given, returns an explicit pure-state
-    decomposition of that state whose entanglement bounds the truth.
+    ``decomposition_bound``, when given, is the entanglement of an explicit
+    pure-state decomposition of that state, which bounds the truth.
     """
 
     summary: str
     build: Callable[[dict], DensityOperator]
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
-    decomposition: Optional[Callable[[], tuple[tuple[float, Ket], ...]]] = None
+    decomposition_bound: Optional[float] = None
 
 
 # The builders look the state constructors up by name on every call, so a
@@ -372,7 +373,7 @@ SCENARIOS = {
         "two maximally entangled copies with a shared unknown phase",
         lambda p: phase_averaged_state(p.get("points", "exact")),
         optional=("points",),
-        decomposition=phase_averaged_decomposition,
+        decomposition_bound=ensemble_upper_bound_entanglement(phase_averaged_decomposition()),
     ),
     "eve-antisym": Scenario(
         "adversarial singlets on both local pairs (p_a forced to 1)",
@@ -424,8 +425,7 @@ def run(config: ScenarioConfig) -> ScenarioReport:
     """Evaluate a scenario deterministically and check its expectations."""
     state = config.state
     joint = joint_outcome_distribution(state)
-    decomposition = SCENARIOS[config.scenario].decomposition
-    verdict = evaluate_scenario(state, joint, decomposition=decomposition() if decomposition else None)
+    verdict = evaluate_scenario(state, joint, SCENARIOS[config.scenario].decomposition_bound)
     record = sample_outcomes(joint, config.shots, config.seed) if config.shots else None
 
     checks = []

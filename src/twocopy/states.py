@@ -1,7 +1,9 @@
 """Constructors for every two-copy state family used by the scenarios.
 
-Each constructor returns a validated :class:`DensityOperator` on the
-copy-major register (A1, B1, A2, B2): copy k is the bipartite pair (Ak, Bk)
+Each constructor returns a :class:`DensityOperator` on the copy-major
+register (A1, B1, A2, B2) that meets the class's invariants: a mixture of
+pure copies is checked by its trace alone, the one invariant its sum can
+miss, and every other state in full.  Copy k is the bipartite pair (Ak, Bk)
 shared by Alice and Bob.  Alice holds the pair (A1, A2) and Bob holds
 (B1, B2); the side-major view (A1, A2, B1, B2) is obtained by exchanging
 the middle two qubits when needed.  Single-copy inputs live on (A, B),
@@ -17,8 +19,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .linalg import (
+    ATOL,
     COPY_MAJOR,
     SINGLE_COPY,
+    TRACE_ONLY_MEMBERS,
     DensityOperator,
     Ket,
     _derived,
@@ -54,8 +58,8 @@ _PLACE = np.arange(256).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16
 _PLACE.setflags(write=False)
 
 
-def _mixture_of_copies(weights, rhos: np.ndarray) -> DensityOperator:
-    """sum_i w_i rho_i x rho_i from an (N, 4, 4) stack of single-copy matrices.
+def _mixture_of_copies(weights, rhos: np.ndarray) -> np.ndarray:
+    """sum_i w_i rho_i x rho_i, a 16x16 array, from an (N, 4, 4) stack of single-copy matrices.
 
     Only the entries nonzero in some member are summed.  The bytes equal the
     full ``einsum("n,nij,nkl->ikjl")``: both add each (w a) b in member order
@@ -64,31 +68,45 @@ def _mixture_of_copies(weights, rhos: np.ndarray) -> DensityOperator:
     flat = rhos.reshape(len(rhos), 16)
     support = np.flatnonzero(flat.any(axis=0))
     block = flat[:, support]
-    total = np.zeros(256, dtype=complex)
-    total[_PLACE[support[:, None], support]] = np.einsum("n,na,nb->ab", weights, block, block)
-    return DensityOperator(COPY_MAJOR, total.reshape(16, 16))
+    total = np.zeros((16, 16), dtype=complex)
+    # written through a flat view: the result owns its data, so once frozen no writable array shares it
+    total.reshape(256)[_PLACE[support[:, None], support]] = np.einsum("n,na,nb->ab", weights, block, block)
+    return total
 
 
-def _projectors(amplitudes: np.ndarray) -> np.ndarray:
-    """(N, 4, 4) stack of |psi_i><psi_i| from an (N, 4) array of amplitudes."""
-    return np.einsum("ni,nj->nij", amplitudes, amplitudes.conj())
+def _mixture_of_pure_copies(weights, amplitudes: np.ndarray) -> DensityOperator:
+    """sum_i w_i |psi_i psi_i><psi_i psi_i| from an (N, 4) array of unit kets' amplitudes.
+
+    With nonnegative weights and at most ``TRACE_ONLY_MEMBERS`` members the
+    sum is Hermitian and positive semidefinite within its rounding, so only
+    its trace is checked.  A sum outside the trace bound, or of more members,
+    goes through ``DensityOperator``, which refuses it as it refuses any
+    other matrix.
+    """
+    m = _mixture_of_copies(weights, np.einsum("ni,nj->nij", amplitudes, amplitudes.conj()))
+    if len(amplitudes) <= TRACE_ONLY_MEMBERS and abs(np.trace(m) - 1.0) <= ATOL:
+        return _derived(COPY_MAJOR, m)
+    return DensityOperator(COPY_MAJOR, m)
 
 
 def identical_pure_copies(psi: Ket) -> DensityOperator:
     """Two exact copies |psi><psi| x |psi><psi| of one pure bipartite state."""
-    return _mixture_of_copies(_checked_weights(((1.0, psi),)), _projectors(psi.amplitudes[None]))
+    return _mixture_of_pure_copies(_checked_weights(((1.0, psi),)), psi.amplitudes[None])
 
 
 def de_finetti_state(members: Sequence[tuple[float, DensityOperator]]) -> DensityOperator:
-    """Mixture of identical per-copy hypotheses, sum_i p_i rho_i x rho_i, from (p_i, rho_i) pairs."""
+    """Mixture of identical per-copy hypotheses, sum_i p_i rho_i x rho_i, from (p_i, rho_i) pairs.
+
+    Validated in full: rho x rho of a member at the eigenvalue floor can fall below it.
+    """
     weights = _checked_weights(members)
-    return _mixture_of_copies(weights, np.array([rho.entries for _, rho in members]))
+    return DensityOperator(COPY_MAJOR, _mixture_of_copies(weights, np.array([rho.entries for _, rho in members])))
 
 
 def pure_de_finetti_state(members: Sequence[tuple[float, Ket]]) -> DensityOperator:
     """De Finetti mixture whose hypotheses are all pure, from (p_i, psi_i) pairs."""
     weights = _checked_weights(members)
-    return _mixture_of_copies(weights, _projectors(np.array([psi.amplitudes for _, psi in members])))
+    return _mixture_of_pure_copies(weights, np.array([psi.amplitudes for _, psi in members]))
 
 
 def logical_bell_state() -> Ket:
@@ -138,7 +156,7 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> DensityOperator:
     amplitudes[:, 1] = 1.0
     amplitudes[:, 2] = np.exp(2j * math.pi * np.arange(points) / points)
     amplitudes /= math.sqrt(2.0)
-    return _mixture_of_copies(np.full(points, 1.0 / points), _projectors(amplitudes))
+    return _mixture_of_pure_copies(np.full(points, 1.0 / points), amplitudes)
 
 
 def eve_state(kind: str) -> DensityOperator:

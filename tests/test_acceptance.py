@@ -12,6 +12,7 @@ from twocopy import (
     DensityOperator,
     decomposition_infimum_oracle,
     disagreement_probability,
+    ensemble_upper_bound_entanglement,
     evaluate_scenario,
     joint_outcome_distribution,
     naive_concurrence_estimate,
@@ -86,7 +87,9 @@ def test_criterion_03_completely_mixed_false_positive():
 def test_criterion_04_phase_averaged_counterexample():
     state = phase_averaged_state("exact")
     verdict = evaluate_scenario(
-        state, joint_outcome_distribution(state), decomposition=phase_averaged_decomposition()
+        state,
+        joint_outcome_distribution(state),
+        decomposition_bound=ensemble_upper_bound_entanglement(phase_averaged_decomposition()),
     )
     ok = (
         abs(verdict.p_a_alice - 0.25) <= 1e-12

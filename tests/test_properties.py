@@ -1,6 +1,6 @@
 """Property-based tests: malformed configs, CLI exit codes, joint-distribution invariants, states at the
 boundary's edges, random reports against the independent reference, the JSON writer on number grids, and
-the bytes of the two-copy mixtures."""
+the bytes of the two-copy mixtures and the rounding of mixtures of pure copies."""
 
 import copy
 import json
@@ -14,12 +14,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import twocopy
-from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution, validate_density
+from twocopy import COPY_MAJOR, SINGLE_COPY, DensityOperator, Ket, joint_outcome_distribution, validate_density
 from twocopy.cli import main
 from twocopy.linalg import ATOL, EIGENVALUE_FLOOR
 from twocopy.protocol import OUTCOMES, evaluate_scenario
 from twocopy.scenarios import ConfigError, _dumps, emit_report, parse_config, report_from_json, report_to_json, run
-from twocopy.states import _mixture_of_copies, custom_state, phase_averaged_state
+from twocopy.states import (
+    MAX_PHASE_POINTS,
+    _mixture_of_copies,
+    custom_state,
+    identical_pure_copies,
+    phase_averaged_state,
+    pure_de_finetti_state,
+    single_copy_marginal,
+)
 
 from conftest import (
     ALICE_ANTISYMMETRIC,
@@ -195,6 +203,46 @@ def full_mixture(weights, rhos) -> np.ndarray:
     return np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos).reshape(16, 16)
 
 
+def ket_projectors(amplitudes: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) stack of |psi_i><psi_i| from an (N, 4) array of amplitudes, as the constructors write it."""
+    return np.einsum("ni,nj->nij", amplitudes, amplitudes.conj())
+
+
+def phase_grid(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and ket projectors of phase_averaged_state(points)."""
+    amplitudes = np.zeros((points, 4), dtype=complex)
+    amplitudes[:, 1] = 1.0
+    amplitudes[:, 2] = np.exp(2j * math.pi * np.arange(points) / points)
+    amplitudes /= math.sqrt(2.0)
+    return np.full(points, 1.0 / points), ket_projectors(amplitudes)
+
+
+@st.composite
+def pure_copy_mixtures(draw):
+    """A constructor call building a mixture of pure copies, and the same sum by the full einsum.
+
+    One ket for identical_pure_copies, 1 to 3,000 members for
+    pure_de_finetti_state, or a phase grid of 3 to MAX_PHASE_POINTS points.
+    Ket norms and the weights' sum miss 1 by up to just under ATOL each, so
+    the two-copy trace both meets its bound and misses it.
+    """
+    kind = draw(st.sampled_from(["pure-copies", "pure-de-finetti", "phase-grid"]))
+    if kind == "phase-grid":
+        points = draw(st.integers(3, MAX_PHASE_POINTS))
+        return (lambda: phase_averaged_state(points)), full_mixture(*phase_grid(points))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 1 if kind == "pure-copies" else draw(st.integers(1, 3000))
+    low, high = sorted(draw(st.floats(-0.999, 0.999)) for _ in range(2))
+    z = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    amplitudes = z / np.linalg.norm(z, axis=1)[:, None] * (1.0 + ATOL * rng.uniform(low, high, (n, 1)))
+    kets = [Ket(SINGLE_COPY, a) for a in amplitudes]
+    if kind == "pure-copies":
+        return (lambda: identical_pure_copies(kets[0])), full_mixture([1.0], ket_projectors(amplitudes))
+    weights = rng.dirichlet(np.ones(n)) * (1.0 + ATOL * draw(st.floats(-0.999, 0.999)))
+    members = list(zip(weights.tolist(), kets))
+    return (lambda: pure_de_finetti_state(members)), full_mixture(weights, ket_projectors(amplitudes))
+
+
 @st.composite
 def boundary_states(draw):
     """A 16x16 matrix at the edges of what the boundary accepts, aligned with the joint projectors.
@@ -316,15 +364,38 @@ def test_json_writer_matches_the_standard_library_on_number_grids(node):
 @given(copy_stacks())
 def test_mixture_has_the_bytes_of_the_full_einsum(stack):
     weights, rhos = stack
-    assert _mixture_of_copies(weights, rhos).entries.tobytes() == full_mixture(weights, rhos).tobytes()
+    assert _mixture_of_copies(weights, rhos).tobytes() == full_mixture(weights, rhos).tobytes()
 
 
 @pytest.mark.parametrize("points", [*range(3, 65), 151, 152, 300, 4096])
 def test_phase_grid_has_the_bytes_of_the_full_einsum(points):
-    amplitudes = np.zeros((points, 4), dtype=complex)
-    amplitudes[:, 1] = 1.0
-    amplitudes[:, 2] = np.exp(2j * math.pi * np.arange(points) / points)
-    amplitudes /= math.sqrt(2.0)
-    rhos = np.einsum("ni,nj->nij", amplitudes, amplitudes.conj())
-    expected = full_mixture(np.full(points, 1.0 / points), rhos)
-    assert phase_averaged_state(points).entries.tobytes() == expected.tobytes()
+    assert phase_averaged_state(points).entries.tobytes() == full_mixture(*phase_grid(points)).tobytes()
+
+
+@REPRODUCIBLE
+@given(pure_copy_mixtures())
+def test_mixtures_of_pure_copies_can_miss_only_the_trace_bound(mixture):
+    build, full = mixture
+    report = validate_density(full)
+    assert report.hermiticity_defect <= 1e-12 and report.min_eigenvalue >= -1e-12
+    try:
+        state = build()
+    except ValueError as exc:
+        assert not report.passed
+        with pytest.raises(ValueError) as refusal:
+            DensityOperator(COPY_MAJOR, full)
+        assert str(exc) == str(refusal.value)
+    else:
+        assert report.passed
+        assert state.entries.tobytes() == full.tobytes()
+
+
+def test_marginal_below_the_eigenvalue_floor_agrees_with_the_reference(bench):
+    # eigenvalue -0.9e-9 on the four states |00>|t>, inside the floor, gives
+    # the copy-1 marginal an eigenvalue of -3.6e-9, outside it
+    text = custom_document(np.diag([-0.9e-9] * 4 + [(1 + 3.6e-9) / 12] * 12))
+    config = parse_config(text)
+    assert not validate_density(single_copy_marginal(config.state, 1).entries).passed
+    truth = run(config).verdict.truth_single_copy_concurrence
+    expected = bench["reference"].expected(json.loads(text))["truth_single_copy_concurrence"]
+    assert abs(truth - expected) <= 1e-10

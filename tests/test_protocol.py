@@ -6,6 +6,7 @@ from twocopy import (
     DensityOperator,
     Ket,
     disagreement_probability,
+    ensemble_upper_bound_entanglement,
     evaluate_scenario,
     joint_outcome_distribution,
     naive_concurrence_estimate,
@@ -235,7 +236,9 @@ class TestEvaluateScenario:
     def test_phase_averaged_with_decomposition_bound(self):
         state = phase_averaged_state("exact")
         verdict = evaluate_scenario(
-            state, joint_outcome_distribution(state), decomposition=phase_averaged_decomposition()
+            state,
+            joint_outcome_distribution(state),
+            decomposition_bound=ensemble_upper_bound_entanglement(phase_averaged_decomposition()),
         )
         assert abs(verdict.naive_concurrence - 1.0) < 1e-12
         assert verdict.truth_single_copy_concurrence == 0.0

@@ -557,6 +557,9 @@ NEARLY_NORMALIZED_DOCS = {
     "de-finetti-rho": {"scenario": "de-finetti", "parameters": {"members": [
         {"weight": 1.0, "rho": np.diag([NEARLY_ONE, 0, 0, 0]).tolist()}]}},
 }
+# NEARLY_ONE ** 4 for two copies of a ket's projector, ** 2 for a density's
+NEARLY_NORMALIZED_TRACE_DEFECTS = {"pure-copies-ket": "3.600e-10", "pure-de-finetti-ket": "3.600e-10",
+                                   "de-finetti-rho": "1.800e-10"}
 NON_FINITE_CASES = {
     f"{name}-{literal}": _with_literal(doc, literal)
     for name, doc in NON_FINITE_DOCS.items()
@@ -665,12 +668,18 @@ class TestInputBounds:
         captured = capsys.readouterr()
         assert captured.out == "" and problem in captured.err
 
-    @pytest.mark.parametrize("doc", NEARLY_NORMALIZED_DOCS.values(), ids=NEARLY_NORMALIZED_DOCS.keys())
-    def test_two_copy_trace_bound_refuses_nearly_normalized_inputs(self, doc, tmp_path, capsys):
+    @pytest.mark.parametrize("name", NEARLY_NORMALIZED_DOCS)
+    def test_two_copy_trace_bound_refuses_nearly_normalized_inputs(self, name, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(NEARLY_NORMALIZED_DOCS[name]))
         assert main([str(path)]) == 2
-        assert "parameters: not a valid density operator" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"twocopy: {path}: invalid configuration:\n"
+            "  - parameters: not a valid density operator (hermiticity defect 0.000e+00, "
+            f"min eigenvalue 0.000e+00, trace defect {NEARLY_NORMALIZED_TRACE_DEFECTS[name]})\n"
+        )
 
     def test_huge_integer_amplitude_rejected(self):
         doc = {"scenario": "pure-copies", "parameters": {"ket": [10**400, 0, 0, 0]}}

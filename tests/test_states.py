@@ -11,9 +11,10 @@ from twocopy import (
     validate_density,
     wootters_concurrence,
 )
-from twocopy import linalg
+from twocopy import linalg, states
 from twocopy.scenarios import parse_config
 from twocopy.states import (
+    MAX_PHASE_POINTS,
     custom_state,
     de_finetti_state,
     eve_state,
@@ -268,6 +269,49 @@ class TestConstantStates:
         monkeypatch.setattr(linalg, "validate_density", lambda m: calls.append(1) or validate(m))
         parse_config(text)
         assert calls == []
+
+
+class TestTraceOnlyMixtures:
+    """Mixtures of pure copies are checked by their trace alone, up to TRACE_ONLY_MEMBERS members."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = linalg.validate_density
+        monkeypatch.setattr(linalg, "validate_density", lambda m: calls.append(1) or validate(m))
+        return calls
+
+    def test_the_bound_keeps_the_hermiticity_defect_within_atol(self):
+        # each entry is off by at most (N + 10) u, so the defect by twice that
+        assert 2 * (linalg.TRACE_ONLY_MEMBERS + 10) * 2.0**-53 <= linalg.ATOL
+        assert 2 * (linalg.TRACE_ONLY_MEMBERS + 11) * 2.0**-53 > linalg.ATOL
+
+    @pytest.mark.parametrize("build", [
+        lambda: identical_pure_copies(bell()),
+        lambda: pure_de_finetti_state(((0.5, bell()), (0.5, basis_ket(AB, "01")))),
+        lambda: phase_averaged_state(64),
+        lambda: phase_averaged_state(MAX_PHASE_POINTS),
+    ], ids=["pure-copies", "pure-de-finetti", "grid-64", "grid-max"])
+    def test_pure_mixtures_are_not_validated_in_full(self, validations, build):
+        state = build()
+        assert validations == []
+        # the entries own their data, so no writable array shares it
+        assert not state.entries.flags.writeable and state.entries.base is None
+        assert validate_density(state.entries).passed
+
+    def test_mixed_members_are_validated_in_full(self, validations):
+        member = DensityOperator(AB, np.eye(4) / 4)
+        validations.clear()
+        de_finetti_state(((1.0, member),))
+        assert validations == [1]
+
+    def test_more_members_than_the_bound_are_validated_in_full(self, monkeypatch, validations):
+        members = ((0.25, bell()), (0.25, basis_ket(AB, "01")), (0.5, basis_ket(AB, "11")))
+        before = pure_de_finetti_state(members)
+        monkeypatch.setattr(states, "TRACE_ONLY_MEMBERS", 2)
+        after = pure_de_finetti_state(members)
+        assert validations == [1]
+        assert after.entries.tobytes() == before.entries.tobytes()
 
 
 class TestConstructorInvariants:
