@@ -45,7 +45,7 @@ ATOL = 1e-10
 # least eigenvalue a valid density operator may have
 EIGENVALUE_FLOOR = -1e-9
 # a projector's expectation on a valid state lies in [16 F, 1 + ATOL + 16|F|]
-# (F the floor), and the four outcomes' clamped values sum to within this of 1
+# (F the floor), and the four outcomes sum to within this of 1
 PROBABILITY_ATOL = ATOL + 16 * -EIGENVALUE_FLOOR
 # |Im tr(P rho)| <= ||P||_F ||(rho - rho^H) / 2i||_F <= 4 * 8 * ATOL for any
 # projector P on the 16-dimensional register: ||P||_F <= 4, entries <= ATOL / 2

@@ -5,7 +5,7 @@ subspace, Bob does the same on (B1, B2).  The estimator converts Alice's
 antisymmetric probability into a concurrence claim 2 sqrt(p_a); the
 two-sided extension also records whether the two outcomes ever differ.
 Alice's and Bob's projectors act on disjoint pairs and commute, so each
-joint outcome is one projector, the Kronecker product of the two sides'.
+joint outcome is one projector, from the one table in ``twocopy.states``.
 
 Sampling uses an explicitly seeded Philox counter-based generator, so a
 scenario report is reproducible bit for bit from its configuration.
@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import IMAG_ATOL, PROBABILITY_ATOL, DensityOperator, permute_subsystems
+from .linalg import IMAG_ATOL, PROBABILITY_ATOL, DensityOperator
 from .measures import wootters_concurrence
-from .states import PAIR_SWAP, single_copy_marginal
+from .states import _JOINT_STACK, OUTCOMES, single_copy_marginal
 
 # identical pure qubit copies force p_a = C^2/4 <= 1/4, so anything above
 # this threshold already falsifies the protocol's assumptions
@@ -29,25 +29,6 @@ VALIDITY_THRESHOLD = 0.25
 VALIDITY_TOL = 1e-9  # rounding slack for p_a at exactly 1/4, as on Bell copies; bench/run.py mirrors it
 # the largest count Generator.multinomial accepts; 2**63 overflows a C long
 MAX_SHOTS = 2**63 - 1
-
-OUTCOMES = ("aa", "as", "sa", "ss")
-
-
-# one side's antisymmetric ("a") and symmetric ("s") projectors on its pair
-PAIR_PROJECTORS = {
-    "a": (np.eye(4, dtype=complex) - PAIR_SWAP) / 2.0,
-    "s": (np.eye(4, dtype=complex) + PAIR_SWAP) / 2.0,
-}
-for _m in PAIR_PROJECTORS.values():
-    _m.setflags(write=False)
-# the projector of each outcome "xy" (x Alice's, y Bob's; a antisymmetric,
-# s symmetric) on the copy-major register, stacked in OUTCOMES order; the
-# Kronecker product of the two sides' projectors is side major
-_JOINT_STACK = np.stack(
-    [permute_subsystems(np.kron(PAIR_PROJECTORS[xy[0]], PAIR_PROJECTORS[xy[1]])) for xy in OUTCOMES]
-)
-_JOINT_STACK.setflags(write=False)
-JOINT_PROJECTORS = dict(zip(OUTCOMES, _JOINT_STACK))
 
 
 @dataclass(frozen=True)
@@ -60,10 +41,12 @@ class OutcomeDistribution:
     p_ss: float
 
     def __post_init__(self) -> None:
+        """Refuse values beyond ``PROBABILITY_ATOL`` of [0, 1] or of a unit sum; store them clamped to [0, 1]."""
         probs = self.as_tuple()
         for name, p in zip(OUTCOMES, probs):
             if not -PROBABILITY_ATOL <= p <= 1.0 + PROBABILITY_ATOL:
                 raise ValueError(f"p_{name} = {p!r} outside [0, 1]")
+            object.__setattr__(self, f"p_{name}", min(max(p, 0.0), 1.0))
         if abs(sum(probs) - 1.0) > PROBABILITY_ATOL:
             raise ValueError(f"outcome probabilities sum to {sum(probs)!r}, not 1")
 
@@ -97,12 +80,6 @@ class ShotRecord:
             raise ValueError("outcome counts must sum to the number of shots")
 
 
-def _clamp_probability(x: float) -> float:
-    if x < -PROBABILITY_ATOL or x > 1.0 + PROBABILITY_ATOL:
-        raise ValueError(f"computed probability {x!r} outside [0, 1] beyond tolerance")
-    return min(max(x, 0.0), 1.0)
-
-
 def naive_concurrence_estimate(p_a: float) -> tuple[float, bool]:
     """Concurrence claim 2 sqrt(p_a) plus a validity flag.
 
@@ -119,19 +96,19 @@ def joint_outcome_distribution(state: DensityOperator) -> OutcomeDistribution:
     """Joint (Alice, Bob) outcome probabilities of the two commuting projections.
 
     The imaginary residues of the four traces are checked against
-    ``IMAG_ATOL`` and then discarded; the probabilities are clamped to
-    [0, 1] from within ``PROBABILITY_ATOL`` of it.
+    ``IMAG_ATOL`` and then discarded; :class:`OutcomeDistribution` clamps
+    the probabilities to [0, 1] from within ``PROBABILITY_ATOL`` of it.
     """
     tr = np.trace(_JOINT_STACK @ state.entries, axis1=1, axis2=2)
     residue = float(np.abs(tr.imag).max())
     if residue >= IMAG_ATOL:
         raise ValueError(f"expectation has non-negligible imaginary part {residue:.3e}")
-    return OutcomeDistribution(*(_clamp_probability(float(p)) for p in tr.real))
+    return OutcomeDistribution(*tr.real.tolist())
 
 
 def disagreement_probability(d: OutcomeDistribution) -> float:
     """Probability that Alice's and Bob's outcomes differ."""
-    return _clamp_probability(d.p_as + d.p_sa)
+    return min(d.p_as + d.p_sa, 1.0)
 
 
 def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> ShotRecord:
@@ -163,8 +140,8 @@ def evaluate_scenario(
     state (:func:`~twocopy.measures.ensemble_upper_bound_entanglement`), and
     is reported as an upper bound on the total two-copy entanglement.
     """
-    p_alice = _clamp_probability(dist.p_aa + dist.p_as)
-    p_bob = _clamp_probability(dist.p_aa + dist.p_sa)
+    p_alice = min(dist.p_aa + dist.p_as, 1.0)
+    p_bob = min(dist.p_aa + dist.p_sa, 1.0)
     naive, valid = naive_concurrence_estimate(p_alice)
     truth = wootters_concurrence(single_copy_marginal(state, copy=1))
     return EstimateVerdict(

@@ -42,7 +42,6 @@ from .linalg import COPY_MAJOR, SINGLE_COPY, DensityOperator, Ket
 from .measures import ensemble_upper_bound_entanglement
 from .protocol import (
     MAX_SHOTS,
-    OUTCOMES,
     EstimateVerdict,
     OutcomeDistribution,
     ShotRecord,
@@ -51,6 +50,7 @@ from .protocol import (
     sample_outcomes,
 )
 from .states import (
+    OUTCOMES,
     custom_state,
     de_finetti_state,
     eve_state,

@@ -1,4 +1,4 @@
-"""Constructors for every two-copy state family used by the scenarios.
+"""Constructors for every two-copy state family used by the scenarios, and the projector table.
 
 Each constructor returns a :class:`DensityOperator` on the copy-major
 register (A1, B1, A2, B2) that meets the class's invariants: a mixture of
@@ -8,6 +8,8 @@ shared by Alice and Bob.  Alice holds the pair (A1, A2) and Bob holds
 (B1, B2); the side-major view (A1, A2, B1, B2) is obtained by exchanging
 the middle two qubits when needed.  Single-copy inputs live on (A, B),
 Alice's qubit first; an ensemble is a sequence of (weight, member) pairs.
+The protocol's projectors, each side's and the four joint outcomes', are
+built once here; the eve states are the corners of that table.
 """
 
 from __future__ import annotations
@@ -31,11 +33,22 @@ from .linalg import (
 )
 from .measures import check_weights
 
-# exchange of the two qubits of a pair; (I - SWAP)/2 projects onto the
-# pair's antisymmetric subspace, spanned by the singlet, and (I + SWAP)/2
-# onto its 3-dimensional symmetric complement
+# exchange of the two qubits of a pair
 PAIR_SWAP = np.eye(4)[[0, 2, 1, 3]]
-PAIR_SWAP.setflags(write=False)
+OUTCOMES = ("aa", "as", "sa", "ss")
+# one side's antisymmetric ("a") and symmetric ("s") projectors on its pair:
+# (I - SWAP)/2 onto the singlet, (I + SWAP)/2 onto its 3-dimensional complement
+PAIR_PROJECTORS = {
+    "a": (np.eye(4, dtype=complex) - PAIR_SWAP) / 2.0,
+    "s": (np.eye(4, dtype=complex) + PAIR_SWAP) / 2.0,
+}
+# the projector of each outcome "xy" (x Alice's, y Bob's; a antisymmetric,
+# s symmetric) on the copy-major register, stacked in OUTCOMES order; the
+# Kronecker product of the two sides' projectors is side major
+_JOINT_STACK = np.stack([permute_subsystems(np.kron(PAIR_PROJECTORS[x], PAIR_PROJECTORS[y])) for x, y in OUTCOMES])
+for _m in (PAIR_SWAP, *PAIR_PROJECTORS.values(), _JOINT_STACK):
+    _m.setflags(write=False)
+JOINT_PROJECTORS = dict(zip(OUTCOMES, _JOINT_STACK))
 
 DEFAULT_PHASE_POINTS = 64
 # Any grid of 3 or more points is already exact (see phase_averaged_state),
@@ -166,7 +179,8 @@ def eve_state(kind: str) -> DensityOperator:
     on Bob's, so both sides project onto the antisymmetric subspace with
     certainty.  ``symmetric`` places the maximally mixed state of the
     symmetric subspace on each pair, making the antisymmetric outcome
-    impossible.  Either way the two sides always agree.
+    impossible.  Either way the two sides always agree.  The two states are
+    the table's corners ``JOINT_PROJECTORS["aa"]`` and ``JOINT_PROJECTORS["ss"] / 9``.
     """
     # a tuple first: a dict lookup would raise TypeError on an unhashable kind
     if kind not in ("antisymmetric", "symmetric"):
@@ -197,9 +211,8 @@ _PHASE_AVERAGED = DensityOperator(
     COPY_MAJOR,
     sum((w * np.outer(psi.amplitudes, psi.amplitudes.conj()) for w, psi in _DECOMPOSITION), np.zeros((16, 16))),
 )
-_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-# the two pairs side by side are side major: (A1, A2) then (B1, B2)
+# Eve's states are the table's corners P_x x P_x / d_x^2, with d_a = 1 and d_s = 3
 _EVE_STATES = {
-    kind: DensityOperator(COPY_MAJOR, permute_subsystems(np.kron(pair, pair)))
-    for kind, pair in (("antisymmetric", np.outer(_SINGLET, _SINGLET)), ("symmetric", (np.eye(4) + PAIR_SWAP) / 6.0))
+    "antisymmetric": DensityOperator(COPY_MAJOR, JOINT_PROJECTORS["aa"]),
+    "symmetric": DensityOperator(COPY_MAJOR, JOINT_PROJECTORS["ss"] / 9.0),
 }

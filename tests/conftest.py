@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twocopy import SINGLE_COPY, DensityOperator, Ket, joint_outcome_distribution
-from twocopy.protocol import JOINT_PROJECTORS, OUTCOMES
+from twocopy.states import JOINT_PROJECTORS, OUTCOMES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -2,8 +2,9 @@
 
 ``tests/golden`` holds, for every bundled config, the default table output
 (``<name>.txt``) and the ``--format json`` output (``<name>.json``), plus
-the ``--list-scenarios`` listing.  The files are never regenerated: a
-refactor that changes a byte of a report fails here.  The JSON reports are
+the ``--list-scenarios`` listing.  A refactor that changes a byte of a
+report fails here.  A golden line changes only in a change that lists it,
+with the reason, in CHANGES.md.  The JSON reports are
 also checked against ``bench/reference.py``, which rebuilds every state
 without importing twocopy.
 """

@@ -69,6 +69,19 @@ class TestLayout:
         with pytest.raises(ValueError, match="shape"):
             DensityOperator(COPY_MAJOR, np.eye(4) / 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)])
+    @pytest.mark.parametrize("labels", [SINGLE_COPY, COPY_MAJOR])
+    def test_non_finite_entries_refused(self, labels, bad):
+        dim = 2 ** len(labels)
+        amps = np.eye(dim, dtype=complex)[0]
+        amps[-1] = bad
+        rho = np.eye(dim, dtype=complex) / dim
+        rho[0, -1] = rho[-1, 0] = bad
+        with pytest.raises(ValueError, match=r"^entries must be finite \(no NaN/Inf\)$"):
+            Ket(labels, amps)
+        with pytest.raises(ValueError, match=r"^entries must be finite \(no NaN/Inf\)$"):
+            DensityOperator(labels, rho)
+
 
 class TestTensorProduct:
     def test_identity_composition(self):
@@ -227,6 +240,14 @@ class TestExpectationValue:
         with pytest.raises(ValueError, match="mismatch"):
             expectation_value(np.eye(4), mixed(COPY_MAJOR))
 
+    def test_imaginary_residue_beyond_its_bound_refused(self):
+        # a state at the Hermiticity bound ATOL and an observable far larger than a projector
+        flip = np.zeros((4, 4))
+        flip[0, 1] = flip[1, 0] = 1.0
+        rho = DensityOperator(SINGLE_COPY, np.eye(4) / 4 + 0.5j * ATOL * flip)
+        with pytest.raises(ValueError, match=r"^expectation has non-negligible imaginary part 1\.000e-08$"):
+            expectation_value(100 * flip, rho)
+
     def test_non_hermitian_rejected(self):
         obs = np.zeros((4, 4), dtype=complex)
         obs[0, 1] = 1.0
@@ -244,6 +265,10 @@ class TestValidateDensity:
     def test_maximally_mixed_passes(self):
         report = validate_density(np.eye(16) / 16)
         assert report.passed
+
+    def test_non_square_matrix_refused(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4, 3\)$"):
+            validate_density(np.zeros((4, 3)))
 
     def test_wrong_trace_reported(self):
         report = validate_density(np.eye(4) / 4 * 0.9)

@@ -162,6 +162,10 @@ class TestEnsembleUpperBound:
             eigs = eigs[eigs > 1e-15]  # rounding noise of zero eigenvalues, some negative
             assert abs(entanglement_entropy(psi) - float(-np.sum(eigs * np.log2(eigs)))) < 1e-12
 
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="^ensemble must have at least one member$"):
+            ensemble_upper_bound_entanglement(())
+
     def test_inconsistent_bipartitions_rejected(self):
         # a single-copy member has no Alice/Bob cut between pairs
         members = ((0.5, bell()), (0.5, basis_ket(COPY_MAJOR, "0101")))

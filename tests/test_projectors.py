@@ -1,8 +1,7 @@
 import numpy as np
 
 from twocopy import expectation_value
-from twocopy.protocol import JOINT_PROJECTORS, PAIR_PROJECTORS
-from twocopy.states import identical_pure_copies
+from twocopy.states import JOINT_PROJECTORS, PAIR_PROJECTORS, identical_pure_copies
 
 from conftest import random_product_ket
 

@@ -9,18 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import twocopy
 from twocopy import COPY_MAJOR, SINGLE_COPY, DensityOperator, Ket, joint_outcome_distribution, validate_density
 from twocopy.cli import main
-from twocopy.linalg import ATOL, EIGENVALUE_FLOOR
-from twocopy.protocol import OUTCOMES, evaluate_scenario
+from twocopy.linalg import ATOL, EIGENVALUE_FLOOR, PROBABILITY_ATOL
+from twocopy.protocol import OutcomeDistribution, disagreement_probability, evaluate_scenario
 from twocopy.scenarios import ConfigError, _dumps, emit_report, parse_config, report_from_json, report_to_json, run
 from twocopy.states import (
     MAX_PHASE_POINTS,
+    OUTCOMES,
     _mixture_of_copies,
     custom_state,
     identical_pure_copies,
@@ -313,6 +314,31 @@ def test_exchanging_the_copies_leaves_the_joint_distribution_unchanged(state):
 def test_alice_certain_states_evaluate_with_p_a_one(state):
     verdict = evaluate_scenario(state, joint_outcome_distribution(state))
     assert abs(verdict.p_a_alice - 1.0) <= 1e-12
+
+
+# a shift of one probability: an edge of the bound, half of it, none, or any within it
+SHIFTS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]).map(lambda x: x * PROBABILITY_ATOL) | st.floats(
+    -PROBABILITY_ATOL, PROBABILITY_ATOL
+)
+
+
+@REPRODUCIBLE
+@given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), st.lists(SHIFTS, min_size=4, max_size=4))
+@example([0.5, 0.0, 0.0, 0.5], [3e-8, -1.5e-8, -1.5e-8, 0.0])
+@example([0.0, 0.0, 0.5, 0.5], [-1.5e-8, -1.5e-8, 0.0, 3e-8])
+@example([1.0, 0.0, 0.0, 0.0], [PROBABILITY_ATOL, 0.0, -PROBABILITY_ATOL, 0.0])
+@example([0.0, 0.0, 0.0, 1.0], [-PROBABILITY_ATOL, -PROBABILITY_ATOL, PROBABILITY_ATOL, PROBABILITY_ATOL])
+def test_every_accepted_distribution_evaluates_within_zero_and_one(weights, shifts):
+    assume(sum(weights) > 0.0)
+    probs = [w / sum(weights) + s for w, s in zip(weights, shifts)]
+    try:
+        d = OutcomeDistribution(*probs)
+    except ValueError:
+        assume(False)
+    assert all(0.0 <= p <= 1.0 for p in d.as_tuple())
+    verdict = evaluate_scenario(phase_averaged_state("exact"), d)
+    for p in (disagreement_probability(d), verdict.disagreement_prob, verdict.p_a_alice, verdict.p_a_bob):
+        assert 0.0 <= p <= 1.0
 
 
 @settings(REPRODUCIBLE, max_examples=50)

@@ -13,9 +13,10 @@ from twocopy import (
     sample_outcomes,
     wootters_concurrence,
 )
-from twocopy.protocol import JOINT_PROJECTORS, OutcomeDistribution, ShotRecord
+from twocopy.protocol import OutcomeDistribution, ShotRecord
 from twocopy.states import (
     COPY_MAJOR,
+    JOINT_PROJECTORS,
     custom_state,
     de_finetti_state,
     eve_state,

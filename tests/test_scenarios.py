@@ -14,10 +14,11 @@ import pytest
 
 from twocopy import COPY_MAJOR, DensityOperator, joint_outcome_distribution, scenarios, validate_density
 from twocopy.cli import main
-from twocopy.protocol import JOINT_PROJECTORS, MAX_SHOTS
+from twocopy.protocol import MAX_SHOTS
 from twocopy.scenarios import (
     METRIC_NAMES,
     ConfigError,
+    Expectation,
     build_state,
     emit_report,
     parse_config,
@@ -25,7 +26,7 @@ from twocopy.scenarios import (
     report_to_json,
     run,
 )
-from twocopy.states import MAX_PHASE_POINTS
+from twocopy.states import JOINT_PROJECTORS, MAX_PHASE_POINTS
 
 from conftest import (
     ALICE_ANTISYMMETRIC,
@@ -60,7 +61,43 @@ def de_finetti_mixed_config(**extra):
     return json.dumps(doc)
 
 
+# a unit ket and a single-copy density, for the member lists the parser must refuse
+MEMBER_KET = [[0, 0], [0.6, 0], [0.8, 0], [0, 0]]
+MEMBER_RHO = (np.eye(4) / 4).tolist()
+MEMBER_REFUSALS = {
+    "empty": ("pure-de-finetti", [], ["members: expected a nonempty list"]),
+    "not-a-mapping": ("de-finetti", [[1.0, MEMBER_RHO]], ["members[0]: expected a mapping with 'weight'"]),
+    "unknown-key": (
+        "pure-de-finetti",
+        [{"weight": 0.5, "ket": MEMBER_KET}, {"weight": 0.5, "ket": MEMBER_KET, "rho": MEMBER_RHO}],
+        ["members[1]: unknown keys ['rho']"],
+    ),
+    "boolean-weight": (
+        "pure-de-finetti", [{"weight": True, "ket": MEMBER_KET}], ["members[0].weight: must be a finite number"]
+    ),
+    "missing-ket": ("pure-de-finetti", [{"weight": 1.0}], ["members[0].ket: required"]),
+    "missing-rho": ("de-finetti", [{"weight": 1.0}], ["members[0].rho: required"]),
+    "ket-of-norm-2": (
+        "pure-de-finetti",
+        [{"weight": 1.0, "ket": [[0, 0], [1.2, 0], [1.6, 0], [0, 0]]}],
+        ["members[0].ket: ket must be normalized, |norm - 1| = 1.000e+00"],
+    ),
+    "non-hermitian-rho": (
+        "de-finetti",
+        [{"weight": 1.0, "rho": (np.eye(4) / 4 + 0.1 * np.eye(4, k=1)).tolist()}],
+        ["members[0].rho: not a valid density operator "
+         "(hermiticity defect 1.000e-01, min eigenvalue 1.691e-01, trace defect 0.000e+00)"],
+    ),
+}
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("scenario, members, problems", MEMBER_REFUSALS.values(), ids=MEMBER_REFUSALS.keys())
+    def test_member_refusals(self, scenario, members, problems):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"scenario": scenario, "parameters": {"members": members}}))
+        assert exc.value.problems == problems
+
     def test_minimal_phase_config(self):
         config = parse_config(MINIMAL_PHASE)
         assert config.scenario == "phase-averaged"
@@ -222,6 +259,16 @@ def test_readme_metric_list_is_metric_names():
 
 
 class TestRun:
+    def test_expectation_on_an_unreported_metric_fails(self):
+        # the parser refuses this expectation; a config built by hand reaches run with it
+        config = dataclasses.replace(
+            parse_config(json.dumps({"scenario": "eve-sym"})),
+            expectations=(Expectation("truth_decomposition_bound", 0.0, 1.0),),
+        )
+        report = run(config)
+        assert [(c.actual, c.passed) for c in report.checks] == [(None, False)]
+        assert not report.all_passed
+
     def test_de_finetti_false_positive_report(self):
         report = run(parse_config(de_finetti_mixed_config()))
         assert abs(report.verdict.naive_concurrence - 1.0) < 1e-12
@@ -392,6 +439,19 @@ class TestCli:
         cfg.write_text(MINIMAL_PHASE)
         assert main([str(cfg), "--output", str(tmp_path / "missing" / "x.json")]) == 2
         assert capsys.readouterr().err.startswith("twocopy: error writing")
+
+    @pytest.mark.parametrize("copies, extra, err", [
+        (1, ["--seed", "-1"], "twocopy: {cfg}: invalid configuration:\n  - --seed must be a nonnegative integer\n"),
+        (2, [], "twocopy: error: --output requires a single config\n"),
+    ], ids=["negative-seed", "output-with-two-configs"])
+    def test_usage_refusal_writes_one_message_and_no_report(self, copies, extra, err, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(MINIMAL_PHASE)
+        out = tmp_path / "report.json"
+        assert main([str(cfg)] * copies + extra + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == err.format(cfg=cfg)
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

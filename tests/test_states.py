@@ -8,12 +8,14 @@ from twocopy import (
     SINGLE_COPY,
     DensityOperator,
     Ket,
+    joint_outcome_distribution,
     validate_density,
     wootters_concurrence,
 )
 from twocopy import linalg, states
 from twocopy.scenarios import parse_config
 from twocopy.states import (
+    JOINT_PROJECTORS,
     MAX_PHASE_POINTS,
     custom_state,
     de_finetti_state,
@@ -224,6 +226,18 @@ class TestEveState:
         )
         assert abs(estimate - 2.0) < 1e-12
         assert not valid
+
+    def test_states_are_corners_of_the_projector_table(self):
+        # P_xx / d_x^2 with d_a = 1 and d_s = 3, entry for entry
+        assert np.array_equal(eve_state("antisymmetric").entries, JOINT_PROJECTORS["aa"])
+        assert np.array_equal(eve_state("symmetric").entries, JOINT_PROJECTORS["ss"] / 9)
+
+    @pytest.mark.parametrize("kind, want", [
+        ("antisymmetric", (1.0, 0.0, 0.0, 0.0)),
+        ("symmetric", (0.0, 0.0, 0.0, 1.0)),
+    ])
+    def test_joint_distribution_is_exact(self, kind, want):
+        assert joint_outcome_distribution(eve_state(kind)).as_tuple() == want
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
