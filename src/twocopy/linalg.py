@@ -17,8 +17,12 @@ their two-copy product.  Observables are plain matrices in the same index
 order.  Alice holds the pair (A1, A2) and Bob (B1, B2); exchanging the
 middle two qubits gives the side-major order (A1, A2, B1, B2).
 
-Everything here is a pure function of its inputs.  Arrays are copied on
-construction and frozen, so values are safe to share between threads.
+Every validity check on the package's states is made here, beside the
+tolerances it uses: the entries of a :class:`Ket` or
+:class:`DensityOperator`, the register a state must be on, and the weights
+and members of an ensemble (:func:`ensemble_weights`).  Everything here is
+a pure function of its inputs.  Arrays are copied on construction and
+frozen, so values are safe to share between threads.
 Every :class:`DensityOperator` built from a matrix is validated, the one
 ``tensor_product`` returns too: the product of two valid factors may leave
 the trace bound, as two traces of 1 + 9e-11 give 1 + 1.8e-10.  Only
@@ -33,6 +37,7 @@ full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -73,6 +78,30 @@ def _register(labels) -> tuple[tuple[str, ...], int]:
     return labels, 2 ** len(labels)
 
 
+def _require_register(x, labels: tuple[str, ...]) -> None:
+    """Refuse a state ``x`` that is not on ``labels``, which is ``SINGLE_COPY`` or ``COPY_MAJOR``."""
+    if x.labels != labels:
+        kind = "2-qubit state" if labels == SINGLE_COPY else "two-copy state of four qubits"
+        raise ValueError(f"expected a {kind} on {labels}, got {x.labels}")
+
+
+def ensemble_weights(members: Sequence[tuple[float, object]], labels: tuple[str, ...]) -> list[float]:
+    """The weights of an ensemble's (weight, member) pairs, once they and each member's register are checked.
+
+    The weights must be nonnegative and sum to 1 within ``ATOL``; nothing is
+    silently renormalized.  Every member must be a state on ``labels``.
+    """
+    weights = [float(w) for w, _ in members]
+    if not weights:
+        raise ValueError("ensemble must have at least one member")
+    total = sum(weights)
+    if not (min(weights) >= 0.0 and abs(total - 1.0) <= ATOL):
+        raise ValueError(f"weights must be nonnegative and sum to 1, got sum {total!r}")
+    for _, member in members:
+        _require_register(member, labels)
+    return weights
+
+
 def _frozen_complex(a, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.array(a, dtype=complex)
     if arr.shape != shape:
@@ -94,7 +123,9 @@ class Ket:
         labels, dim = _register(self.labels)
         object.__setattr__(self, "labels", labels)
         amps = _frozen_complex(self.amplitudes, (dim,))
-        norm = float(np.linalg.norm(amps))
+        # a norm beyond the largest double is inf, and refused as such
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"ket must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
@@ -165,15 +196,18 @@ def validate_density(rho: np.ndarray) -> DensityValidation:
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    herm = hermiticity_defect(m)
     # eigvalsh assumes Hermitian input; symmetrize so a grossly non-Hermitian
-    # matrix still yields a meaningful spectrum for the report
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return DensityValidation(
-        hermiticity_defect=herm,
-        min_eigenvalue=float(eigs[0]),
-        trace_defect=float(abs(np.trace(m) - 1.0)),
-    )
+    # matrix still yields a meaningful spectrum for the report.  Halving each
+    # term first keeps finite entries finite, and is exact for normal floats.
+    eigs = np.linalg.eigvalsh(m / 2.0 + m.conj().T / 2.0)
+    # finite entries near the largest double can give an infinite or NaN
+    # defect or trace, which the report shows and refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DensityValidation(
+            hermiticity_defect=hermiticity_defect(m),
+            min_eigenvalue=float(eigs[0]),
+            trace_defect=float(abs(np.trace(m) - 1.0)),
+        )
 
 
 def tensor_product(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:

@@ -1,14 +1,14 @@
 """Ground-truth entanglement measures for two-qubit states.
 
 Conventions are pinned to the index ordering documented in
-:mod:`twocopy.linalg`: for a ket (a, b, c, d) on labels (A, B) the
-concurrence of the pure state is 2|ad - bc|, and the spin flip used by the
-closed-form mixed-state concurrence is entrywise conjugation followed by
-conjugation with the antidiagonal matrix diag-flip(-1, 1, 1, -1).
+:mod:`twocopy.linalg`: for a ket w = (a, b, c, d) on labels (A, B) the
+concurrence of the pure state is 2|ad - bc| = 2|w^T Q w|, with Q the
+symmetric form ``_PRECONCURRENCE_FORM``, which is -(sigma_y x sigma_y) / 2.
 
-The decomposition-infimum oracle searches over explicit pure-state
-decompositions and therefore approaches the convex-roof concurrence from
-above; it shares no code path with the closed form it is compared against.
+The two truths share only that form.  The closed form takes the singular
+values of Y^T Q Y, for rho = Y Y^dagger; the decomposition-infimum oracle
+searches over explicit pure-state decompositions, the congruences of the
+same Y^T Q Y, and so approaches the convex-roof concurrence from above.
 """
 
 from __future__ import annotations
@@ -18,28 +18,18 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    ATOL,
     COPY_MAJOR,
     SINGLE_COPY,
     DensityOperator,
     Ket,
+    _require_register,
+    ensemble_weights,
     permute_subsystems,
 )
 
-# spin flip on two qubits: (sigma_y x sigma_y), antidiagonal in the
-# computational basis
-_SPIN_FLIP = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
-
 # quadratic form q(w) = w0*w3 - w1*w2 whose modulus is half the
-# preconcurrence of an unnormalized two-qubit vector
+# preconcurrence of an unnormalized two-qubit vector: -(sigma_y x sigma_y) / 2,
+# antidiagonal in the computational basis
 _PRECONCURRENCE_FORM = np.array(
     [
         [0, 0, 0, 0.5],
@@ -51,44 +41,28 @@ _PRECONCURRENCE_FORM = np.array(
 )
 
 
-def _require_two_qubits(x) -> None:
-    if x.labels != SINGLE_COPY:
-        raise ValueError(f"expected a 2-qubit system on {SINGLE_COPY}, got {x.labels}")
-
-
-def check_weights(weights: Sequence[float]) -> None:
-    """Reject ensemble weights that are missing, negative or do not sum to 1.
-
-    The sum must be 1 within 1e-10; nothing is silently renormalized.
-    """
-    if not weights:
-        raise ValueError("ensemble must have at least one member")
-    total = sum(weights)
-    if not (min(weights) >= 0.0 and abs(total - 1.0) <= ATOL):
-        raise ValueError(f"weights must be nonnegative and sum to 1, got sum {total!r}")
-
-
 def wootters_concurrence(rho: DensityOperator) -> float:
     """Closed-form convex-roof concurrence of a 2-qubit density operator.
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the descending square
     roots of the eigenvalues of rho . rho_tilde and rho_tilde is the
     spin-flipped state.  They are the singular values of Y^T (sigma_y x
-    sigma_y) Y for rho = Y Y^dagger (eigenvectors scaled by the square roots
-    of their eigenvalues, clamped at zero): eigenvalues of the non-Hermitian
-    product carry solver noise that the square root would amplify.
+    sigma_y) Y, twice those of Y^T Q Y, for rho = Y Y^dagger (eigenvectors
+    scaled by the square roots of their eigenvalues, clamped at zero):
+    eigenvalues of the non-Hermitian product carry solver noise that the
+    square root would amplify.  Scaling by -1/2 is exact in binary, so the
+    value is the one sigma_y x sigma_y itself gives.
     """
-    _require_two_qubits(rho)
+    _require_register(rho, SINGLE_COPY)
     lam, vecs = np.linalg.eigh(rho.entries)
     y = vecs * np.sqrt(np.clip(lam, 0.0, None))
-    s = np.linalg.svd(y.T @ _SPIN_FLIP @ y, compute_uv=False)
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
+    s = np.linalg.svd(y.T @ _PRECONCURRENCE_FORM @ y, compute_uv=False)
+    return max(0.0, float(2.0 * (s[0] - s[1] - s[2] - s[3])))
 
 
 def entanglement_entropy(psi: Ket) -> float:
     """Entropy of entanglement (ebits) of a two-copy pure state across the Alice/Bob cut."""
-    if psi.labels != COPY_MAJOR:
-        raise ValueError(f"expected a two-copy state on {COPY_MAJOR}, got {psi.labels}")
+    _require_register(psi, COPY_MAJOR)
     # Shannon entropy of the squared Schmidt coefficients; in side-major order
     # the rows of the 4x4 amplitude matrix are Alice's pair (A1, A2)
     p = np.linalg.svd(permute_subsystems(psi.amplitudes).reshape(4, 4), compute_uv=False) ** 2
@@ -102,7 +76,7 @@ def ensemble_upper_bound_entanglement(members: Sequence[tuple[float, Ket]]) -> f
     Upper-bounds the entanglement of formation of the mixture
     sum_i p_i |psi_i><psi_i| across the Alice/Bob cut.
     """
-    check_weights([float(w) for w, _ in members])
+    ensemble_weights(members, COPY_MAJOR)
     return float(sum(w * entanglement_entropy(psi) for w, psi in members))
 
 
@@ -248,7 +222,7 @@ def decomposition_infimum_oracle(rho: DensityOperator, seed: int = 0) -> float:
     Every candidate is an exact decomposition, so the result is always an
     upper bound on the infimum up to floating-point error.
     """
-    _require_two_qubits(rho)
+    _require_register(rho, SINGLE_COPY)
     lam, vecs = np.linalg.eigh(rho.entries)
     keep = lam > RANK_CUTOFF
     scaled = vecs[:, keep] * np.sqrt(lam[keep])

@@ -8,8 +8,10 @@ shared by Alice and Bob.  Alice holds the pair (A1, A2) and Bob holds
 (B1, B2); the side-major view (A1, A2, B1, B2) is obtained by exchanging
 the middle two qubits when needed.  Single-copy inputs live on (A, B),
 Alice's qubit first; an ensemble is a sequence of (weight, member) pairs.
-The protocol's projectors, each side's and the four joint outcomes', are
-built once here; the eve states are the corners of that table.
+The checks of an input's register and of an ensemble's weights are made in
+:mod:`twocopy.linalg`, the one package module imported here.  The
+protocol's projectors, each side's and the four joint outcomes', are built
+once here; the eve states are the corners of that table.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from .linalg import (
     DensityOperator,
     Ket,
     _derived,
+    _require_register,
+    ensemble_weights,
     partial_trace,
     permute_subsystems,
 )
-from .measures import check_weights
 
 # exchange of the two qubits of a pair
 PAIR_SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -54,15 +57,6 @@ DEFAULT_PHASE_POINTS = 64
 # Any grid of 3 or more points is already exact (see phase_averaged_state),
 # so a larger grid only costs time and memory.
 MAX_PHASE_POINTS = 4096
-
-
-def _checked_weights(members: Sequence[tuple[float, Union[Ket, DensityOperator]]]) -> list[float]:
-    """The weights of (weight, member) pairs, once they and the members' register are checked."""
-    weights = [float(w) for w, _ in members]
-    check_weights(weights)
-    if any(member.labels != SINGLE_COPY for _, member in members):
-        raise ValueError(f"each copy must be a 2-qubit state on {SINGLE_COPY}")
-    return weights
 
 
 # _PLACE[a, b] is the flat index in the two-copy matrix of the product of the
@@ -104,7 +98,7 @@ def _mixture_of_pure_copies(weights, amplitudes: np.ndarray) -> DensityOperator:
 
 def identical_pure_copies(psi: Ket) -> DensityOperator:
     """Two exact copies |psi><psi| x |psi><psi| of one pure bipartite state."""
-    return _mixture_of_pure_copies(_checked_weights(((1.0, psi),)), psi.amplitudes[None])
+    return _mixture_of_pure_copies(ensemble_weights(((1.0, psi),), SINGLE_COPY), psi.amplitudes[None])
 
 
 def de_finetti_state(members: Sequence[tuple[float, DensityOperator]]) -> DensityOperator:
@@ -112,13 +106,13 @@ def de_finetti_state(members: Sequence[tuple[float, DensityOperator]]) -> Densit
 
     Validated in full: rho x rho of a member at the eigenvalue floor can fall below it.
     """
-    weights = _checked_weights(members)
+    weights = ensemble_weights(members, SINGLE_COPY)
     return DensityOperator(COPY_MAJOR, _mixture_of_copies(weights, np.array([rho.entries for _, rho in members])))
 
 
 def pure_de_finetti_state(members: Sequence[tuple[float, Ket]]) -> DensityOperator:
     """De Finetti mixture whose hypotheses are all pure, from (p_i, psi_i) pairs."""
-    weights = _checked_weights(members)
+    weights = ensemble_weights(members, SINGLE_COPY)
     return _mixture_of_pure_copies(weights, np.array([psi.amplitudes for _, psi in members]))
 
 
@@ -190,8 +184,7 @@ def eve_state(kind: str) -> DensityOperator:
 
 def custom_state(rho: DensityOperator) -> DensityOperator:
     """An arbitrary valid density operator on (A1, B1, A2, B2), as it is, as a scenario state."""
-    if rho.labels != COPY_MAJOR:
-        raise ValueError(f"two-copy states need the four qubits {COPY_MAJOR}, got {rho.labels}")
+    _require_register(rho, COPY_MAJOR)
     return rho
 
 

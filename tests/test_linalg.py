@@ -310,3 +310,26 @@ class TestValidateDensity:
         assert len(calls) == 1
         with pytest.raises(ValueError):
             product.entries[0, 0] = 1.0
+
+
+class TestEnsembleWeights:
+    def test_weights_come_back_as_floats(self):
+        weights = linalg.ensemble_weights(((np.float32(0.25), mixed()), (3 / 4, mixed())), SINGLE_COPY)
+        assert weights == [0.25, 0.75] and all(type(w) is float for w in weights)
+
+    def test_weights_are_refused_before_the_members(self):
+        # the second member is on the wrong register too; the weights speak first
+        members = ((0.5, mixed()), (0.6, mixed(COPY_MAJOR)))
+        with pytest.raises(ValueError, match=r"^weights must be nonnegative and sum to 1, got sum 1\.1$"):
+            linalg.ensemble_weights(members, SINGLE_COPY)
+
+    @pytest.mark.parametrize("labels, wrong, refusal", [
+        (SINGLE_COPY, COPY_MAJOR,
+         "expected a 2-qubit state on ('A', 'B'), got ('A1', 'B1', 'A2', 'B2')"),
+        (COPY_MAJOR, SINGLE_COPY,
+         "expected a two-copy state of four qubits on ('A1', 'B1', 'A2', 'B2'), got ('A', 'B')"),
+    ])
+    def test_each_member_must_be_on_the_register(self, labels, wrong, refusal):
+        with pytest.raises(ValueError) as exc:
+            linalg.ensemble_weights(((0.5, mixed(labels)), (0.5, mixed(wrong))), labels)
+        assert str(exc.value) == refusal

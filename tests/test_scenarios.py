@@ -7,6 +7,7 @@ import re
 import reprlib
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -740,6 +741,29 @@ class TestInputBounds:
             "  - parameters: not a valid density operator (hermiticity defect 0.000e+00, "
             f"min eigenvalue 0.000e+00, trace defect {NEARLY_NORMALIZED_TRACE_DEFECTS[name]})\n"
         )
+
+    # finite entries whose sums overflow: the package's own check refuses
+    # each, and no numpy warning is raised on the way
+    @pytest.mark.parametrize("doc, refusal", [
+        ({"scenario": "custom", "parameters": {"rho": [[1e308] * 16] * 16}},
+         r"rho: not a valid density operator \(hermiticity defect 0\.000e\+00, min eigenvalue .*, trace defect inf\)"),
+        ({"scenario": "de-finetti", "parameters": {"members": [{"weight": 1.0, "rho": [[1e308] * 4] * 4}]}},
+         r"members\[0\]\.rho: not a valid density operator \(hermiticity defect 0\.000e\+00, min eigenvalue .*, "
+         r"trace defect inf\)"),
+        ({"scenario": "pure-copies", "parameters": {"ket": [[1e200, 0], 0, 0, 0]}},
+         r"ket: ket must be normalized, \|norm - 1\| = inf"),
+    ], ids=["custom", "de-finetti-member", "ket"])
+    def test_overflowing_entries_refused_without_warnings(self, doc, refusal, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as exc:
+                parse_config(path.read_text())
+            assert main([str(path)]) == 2
+        assert len(exc.value.problems) == 1 and re.fullmatch(refusal, exc.value.problems[0]), exc.value.problems
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"twocopy: {path}: invalid configuration:\n  - {exc.value.problems[0]}\n"
 
     def test_huge_integer_amplitude_rejected(self):
         doc = {"scenario": "pure-copies", "parameters": {"ket": [10**400, 0, 0, 0]}}
