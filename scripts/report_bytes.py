@@ -1,4 +1,4 @@
-"""Whether two versions of the package write the same JSON reports and refusals, byte for byte.
+"""Whether two versions of the package write the same JSON reports, refusals and CLI output, byte for byte.
 
     python scripts/report_bytes.py OLD/src NEW/src --seeds 1-10
 
@@ -9,17 +9,32 @@ inclusive range, four more per seed whose kets have norm 1 + 9e-11 or
 1 - 9e-11 (a pure-copies and a pure-de-finetti document each), and the
 bundled scenarios/*.json of this checkout.  A document that parse_config
 accepts gives the text of emit_report(run(...), "json"), one it refuses the
-text of its ConfigError.  Prints how many reports and how many refusals are
-identical, and for each text that differs its name and the first line on
-which the two sides part.  Exits 1 if any text differs.
+text of its ConfigError.
+
+The same interpreter then calls twocopy.cli.main on the fixed argv lists of
+cli_runs() and records each run's exit code, stdout and stderr: the bundled
+scenarios with ``--format json --seed S`` for each seed of the range, and
+``--seed``, ``--shots`` and ``--phase-points`` overrides on
+scenarios/phase-averaged.json, accepted and refused.  The runs take place
+in a temporary directory that holds a link to scenarios/ and the document
+OVERRIDDEN, whose shots and points only the overrides make valid, so every
+path the CLI prints is the same on both sides.
+
+Prints how many reports, refusals and CLI runs are identical, and for each
+that differs its name and the first line on which the two sides part.
+Exits 1 if any differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,9 +75,48 @@ def documents(first: int, last: int) -> dict[str, str]:
     return docs
 
 
+# a document the parser refuses for its shots and its points, unless overrides replace both
+OVERRIDDEN = ("overridden.json", {"scenario": "phase-averaged", "shots": 0, "parameters": {"points": 2}})
+
+
+def cli_runs(first: int, last: int) -> list[list[str]]:
+    """Every CLI run's argv, in a fixed order; paths are relative to the directory the runs take place in."""
+    bundled = [f"scenarios/{p.name}" for p in sorted((ROOT / "scenarios").glob("*.json"))]
+    phase = "scenarios/phase-averaged.json"
+    runs = [["--format", "json", "--seed", str(seed), *bundled] for seed in range(first, last + 1)]
+    runs += [["--seed", "123456789", "--shots", "300", phase], ["--format", "json", "--seed", "5", "--shots", "300", phase]]
+    for points in ("8", "discretized", "exact", " +12 ", "4096"):
+        runs.append(["--format", "json", "--phase-points", points, phase])
+    runs += [
+        ["--seed", "-1", phase],
+        ["--shots", "9223372036854775808", phase],
+        ["--phase-points", "8", "scenarios/pure-copies-bell.json"],
+        ["--phase-points", "1" * 5000, phase],
+        ["--phase-points", "2", phase],
+        ["--format", "json", "--shots", "100", "--phase-points", "64", OVERRIDDEN[0]],
+    ]
+    return runs
+
+
+def run_name(argv: list[str]) -> str:
+    return shlex.join(arg if len(arg) <= 40 else f"<{len(arg)} characters>" for arg in argv)
+
+
+def run_cli(main, argv: list[str]) -> str:
+    """The exit code, stdout and stderr of ``main(argv)`` as one text; an exit through SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"exit {code}\nstdout:\n{out.getvalue()}stderr:\n{err.getvalue()}"
+
+
 def emit(src: str, first: int, last: int) -> None:
-    """Print one JSON object: each document's name and its report or refusal, as the package in ``src`` writes it."""
+    """Print one JSON object: each document's report or refusal and each CLI run's output, as ``src`` writes them."""
     sys.path.insert(0, src)
+    from twocopy.cli import main as cli_main
     from twocopy.scenarios import ConfigError, emit_report, parse_config, run
 
     texts = {}
@@ -71,6 +125,11 @@ def emit(src: str, first: int, last: int) -> None:
             texts[name] = {"report": emit_report(run(parse_config(doc)), "json")}
         except ConfigError as exc:
             texts[name] = {"refusal": str(exc)}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("scenarios").symlink_to(ROOT / "scenarios")
+        Path(OVERRIDDEN[0]).write_text(json.dumps(OVERRIDDEN[1]))
+        for argv in cli_runs(first, last):
+            texts[f"cli {run_name(argv)}"] = {"cli run": run_cli(cli_main, argv)}
     json.dump(texts, sys.stdout)
 
 
@@ -101,11 +160,11 @@ def main() -> None:
     old, new = (outputs(src, args.seeds) for src in args.sides)
     differ = [name for name in old if old[name] != new[name]]
     counts = []
-    for kind in ("report", "refusal"):
+    for kind, plural in (("report", "reports"), ("refusal", "refusals"), ("cli run", "CLI runs")):
         names = [name for name in old if kind in old[name]]
         same = sum(name not in differ for name in names)
-        counts.append(f"{same} identical of {len(names)} {kind}s")
-    print(f"{' and '.join(counts)} (seeds {first}-{last})")
+        counts.append(f"{same} identical of {len(names)} {plural}")
+    print(f"{counts[0]} and {counts[1]}, and {counts[2]} (seeds {first}-{last})")
     for name in differ:
         a, b = ("\n".join(f"{kind}: {text}" for kind, text in side[name].items()) for side in (old, new))
         print(f"differs: {name}: {first_difference(a, b)}")

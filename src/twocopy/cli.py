@@ -9,24 +9,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .protocol import MAX_SHOTS
-from .scenarios import (
-    SCENARIOS,
-    ConfigError,
-    ScenarioConfig,
-    build_state,
-    emit_report,
-    parse_config,
-    run,
-)
-from .states import MAX_PHASE_POINTS
+from .scenarios import SCENARIOS, ConfigError, emit_report, parse_config, run
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
 EXIT_USAGE = 2
+
+
+def _integer_or_text(text: str) -> int | str:
+    """``text`` as an integer when ``int`` reads it, else as it is, for the parser to accept or refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,6 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--phase-points",
+        type=_integer_or_text,
         default=None,
         help=(
             "override phase discretization for phase-averaged scenarios "
@@ -66,35 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-scenarios", action="store_true", help="list known scenario names and exit"
     )
     return parser
-
-
-def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    updates = {}
-    if args.shots is not None:
-        if not 1 <= args.shots <= MAX_SHOTS:
-            raise ConfigError([f"--shots must be an integer from 1 to {MAX_SHOTS}"])
-        updates["shots"] = args.shots
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(["--seed must be a nonnegative integer"])
-        updates["seed"] = args.seed
-    if args.phase_points is not None:
-        if config.scenario != "phase-averaged":
-            raise ConfigError(["--phase-points only applies to phase-averaged scenarios"])
-        points = args.phase_points
-        try:
-            points = int(points)
-        except ValueError:
-            digits = points.strip().lstrip("+-")
-            # int() refuses an integer of over 4,300 digits, far outside the bound
-            if digits.isdecimal():
-                raise ConfigError(
-                    [f"--phase-points needs 3 to {MAX_PHASE_POINTS} points, got an integer of {len(digits)} digits"]
-                ) from None
-            # phase_averaged_state accepts or refuses any other string
-        updates["parameters"] = {**config.parameters, "points": points}
-        updates["state"] = build_state(config.scenario, updates["parameters"])
-    return replace(config, **updates)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,6 +83,10 @@ def main(argv: list[str] | None = None) -> int:
         print("twocopy: error: --output requires a single config", file=sys.stderr)
         return EXIT_USAGE
 
+    # the overrides are document fields, which parse_config checks with the document's own
+    overrides = {name: value for name, value in (("seed", args.seed), ("shots", args.shots)) if value is not None}
+    if args.phase_points is not None:
+        overrides["parameters"] = {"points": args.phase_points}
     any_failed = False
     outputs = []
     for path_str in args.configs:
@@ -124,9 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"twocopy: error reading {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         try:
-            config = parse_config(text)
-            config = _apply_overrides(config, args)
-            report = run(config)
+            report = run(parse_config(text, overrides))
         except ConfigError as exc:
             print(f"twocopy: {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE

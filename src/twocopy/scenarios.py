@@ -161,23 +161,41 @@ def _finite(node) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
+def _number_grid(node) -> Optional[tuple[list[int], list]]:
+    """The shape and row-major leaves of ``node`` if it is a rectangular nest of lists of plain numbers.
+
+    A plain number is a finite exact ``int`` or ``float``: not a bool, a
+    numpy scalar, a non-finite float or an integer beyond the float range,
+    which the parser refuses and ``%s`` would write otherwise than
+    ``json.dumps``.  Rows must be lists of one length, none empty.
+    """
+    shape, leaves = [], [node]
+    while (kinds := set(map(type, leaves))) == {list}:
+        width = len(leaves[0])
+        if not width or set(map(len, leaves)) != {width}:
+            return None
+        shape.append(width)
+        leaves = list(chain.from_iterable(leaves))
+    try:
+        # math.isfinite overflows on an integer beyond the float range, such as 10**400
+        return (shape, leaves) if kinds <= {int, float} and all(map(math.isfinite, leaves)) else None
+    except OverflowError:
+        return None
+
+
 def _parse_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[str]):
     """An array of ``shape`` amplitudes; each leaf is a number or an [re, im] pair of finite numbers.
 
     An array written in one form throughout, all bare numbers or all pairs,
-    is read in one step; anything else takes the leaf-by-leaf walk, which
-    alone reads mixed forms and writes refusals.
+    is a :func:`_number_grid` and is read in one step; anything else takes
+    the leaf-by-leaf walk, which alone reads mixed forms and writes refusals.
     """
-    leaves = np.array(node, dtype=object)
-    if leaves.shape in (shape, shape + (2,)) and set(map(type, leaves.flat)) <= {int, float}:
-        try:
-            parts = leaves.astype(float)
-        except OverflowError:
-            parts = None
-        if parts is not None and np.isfinite(parts).all():
-            out = np.empty(shape, dtype=complex)
-            out.real, out.imag = (parts, 0.0) if leaves.shape == shape else (parts[..., 0], parts[..., 1])
-            return out
+    grid = _number_grid(node)
+    if grid and tuple(grid[0]) in (shape, shape + (2,)):
+        parts = np.array(grid[1], dtype=float).reshape(grid[0])
+        out = np.empty(shape, dtype=complex)
+        out.real, out.imag = (parts, 0.0) if parts.shape == shape else (parts[..., 0], parts[..., 1])
+        return out
     return _walk_amplitudes(node, shape, where, problems)
 
 
@@ -237,8 +255,15 @@ def _parse_expectations(node, default_tol: float, scenario: str, problems: list[
     return tuple(out)
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     """Parse and validate one JSON scenario document, including its state.
+
+    ``overrides`` holds document fields that replace the document's own
+    once the text decodes to an object and before any check, so they are
+    checked, and refused, exactly as if the document had held them.  A
+    mapping, such as ``{"parameters": {"points": 8}}``, is merged into the
+    document's field when that is a mapping and leaves any other value to
+    be refused.  ``overrides`` itself is never changed.
 
     Raises :class:`ConfigError` listing every violation found.
     """
@@ -250,6 +275,11 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ConfigError(["top-level document must be a JSON object"])
+    for key, value in (overrides or {}).items():
+        if not isinstance(value, dict):
+            doc[key] = value
+        elif isinstance(found := doc.get(key, {}), dict):
+            doc[key] = {**found, **value}
 
     problems: list[str] = []
     known_keys = {"scenario", "parameters", "seed", "shots", "expect", "default_tolerance"}
@@ -450,27 +480,6 @@ def run(config: ScenarioConfig) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
-
-
-def _number_grid(node: list) -> Optional[tuple[list[int], list]]:
-    """The shape and row-major leaves of ``node`` if it is a rectangular nest of lists of plain numbers.
-
-    A plain number is an exact ``int`` or a finite exact ``float``: not a
-    bool, a numpy scalar or a non-finite float, which ``%s`` would write
-    otherwise than ``json.dumps``.  Rows must be lists of one length, none
-    empty.  Only float leaves are checked for finiteness, because
-    ``math.isfinite`` overflows on an integer such as ``10**400``.
-    """
-    shape, leaves = [], [node]
-    while (kinds := set(map(type, leaves))) == {list}:
-        width = len(leaves[0])
-        if not width or set(map(len, leaves)) != {width}:
-            return None
-        shape.append(width)
-        leaves = list(chain.from_iterable(leaves))
-    if kinds <= {int, float} and all(math.isfinite(x) for x in leaves if type(x) is float):
-        return shape, leaves
-    return None
 
 
 def _dumps(node, indent: str = "") -> str:

@@ -13,6 +13,7 @@ from twocopy import (
     sample_outcomes,
     wootters_concurrence,
 )
+from twocopy.linalg import _derived
 from twocopy.protocol import OutcomeDistribution, ShotRecord
 from twocopy.states import (
     COPY_MAJOR,
@@ -144,6 +145,13 @@ class TestJointOutcomeDistribution:
             assert abs(verdict.p_a_alice - alice) < 1e-12
             assert abs(verdict.p_a_alice - antisym(state, "alice")) < 1e-12
             assert abs(verdict.p_a_bob - antisym(state, "bob")) < 1e-12
+
+    def test_imaginary_residue_beyond_the_tolerance_refused(self):
+        # the boundary refuses such a state, so only an unchecked derived one reaches this refusal
+        entries = np.eye(16, dtype=complex) / 16
+        entries[0, 0] += 1e-7j
+        with pytest.raises(ValueError, match=r"^expectation has non-negligible imaginary part 1\.000e-07$"):
+            joint_outcome_distribution(_derived(COPY_MAJOR, entries))
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="sum"):

@@ -442,7 +442,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("twocopy: error writing")
 
     @pytest.mark.parametrize("copies, extra, err", [
-        (1, ["--seed", "-1"], "twocopy: {cfg}: invalid configuration:\n  - --seed must be a nonnegative integer\n"),
+        (1, ["--seed", "-1"], "twocopy: {cfg}: invalid configuration:\n  - seed: must be a nonnegative integer, got -1\n"),
         (2, [], "twocopy: error: --output requires a single config\n"),
     ], ids=["negative-seed", "output-with-two-configs"])
     def test_usage_refusal_writes_one_message_and_no_report(self, copies, extra, err, tmp_path, capsys):
@@ -495,10 +495,39 @@ class TestCli:
         assert report.config["parameters"]["points"] == 8
         assert abs(report.verdict.p_a_alice - 0.25) < 1e-12
 
-    def test_phase_points_on_other_scenario_is_usage_error(self, tmp_path):
+    def test_phase_points_on_other_scenario_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(de_finetti_mixed_config())
         assert main([str(path), "--phase-points", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"twocopy: {path}: invalid configuration:\n  - parameters.points: not a parameter of scenario 'de-finetti'\n"
+        )
+
+    def test_overrides_replace_refused_document_fields(self, tmp_path, capsys):
+        # the document alone is refused for both fields; the overrides replace them before the check
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "phase-averaged", "shots": 0, "parameters": {"points": 2}}))
+        assert main([str(path), "--shots", "100", "--phase-points", "64", "--format", "json"]) == 0
+        report = report_from_json(capsys.readouterr().out)
+        assert report.config["shots"] == 100 and report.shot_record.shots == 100
+        assert report.config["parameters"] == {"points": 64}
+
+    def test_phase_points_leave_malformed_parameters_refused(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "phase-averaged", "parameters": ["points", 8]}))
+        assert main([str(path), "--phase-points", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"twocopy: {path}: invalid configuration:\n  - parameters: must be a mapping\n"
+
+    def test_parse_config_leaves_overrides_unchanged(self):
+        overrides = {"seed": 3, "parameters": {"points": 8}}
+        for text in (MINIMAL_PHASE, json.dumps({"scenario": "phase-averaged"})):
+            config = parse_config(text, overrides)
+            assert config.seed == 3 and config.parameters == {"points": 8}
+        assert overrides == {"seed": 3, "parameters": {"points": 8}}
 
     @pytest.mark.parametrize("points", ["discretized", "exact", "5"])
     @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -525,7 +554,11 @@ class TestCli:
         bundled = REPO_ROOT / "scenarios" / "phase-averaged.json"
         assert main([str(bundled), "--phase-points", "1" * 5000]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"3 to {MAX_PHASE_POINTS} points" in captured.err
+        assert captured.out == ""
+        assert captured.err == (
+            f"twocopy: {bundled}: invalid configuration:\n  - parameters: points must be 'exact', "
+            "'discretized', or an integer, got '111111111111...1111111111111'\n"
+        )
         assert len(captured.err) < 300
 
     def test_alice_certain_state_exits_zero(self, tmp_path, capsys):
@@ -789,7 +822,11 @@ class TestInputBounds:
         path = tmp_path / "cfg.json"
         path.write_text(de_finetti_mixed_config())
         assert main([str(path), "--shots", shots]) == 2
-        assert "--shots" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"twocopy: {path}: invalid configuration:\n  - shots: must be an integer from 1 to {MAX_SHOTS}, got {shots}\n"
+        )
 
     def test_points_bound(self):
         doc = {"scenario": "phase-averaged", "parameters": {"points": MAX_PHASE_POINTS}}
@@ -864,7 +901,7 @@ class TestBoundaryEdges:
 
 class TestComputedOnce:
     def test_state_and_distribution_once_per_scenario(self, monkeypatch, capsys):
-        calls = {"build_state": 0, "joint_outcome_distribution": 0}
+        calls = {"build_state": 0, "joint_outcome_distribution": 0, "phase_averaged_state": 0}
         for name in calls:
             original = getattr(scenarios, name)
 
@@ -873,13 +910,18 @@ class TestComputedOnce:
                 return _original(*args)
 
             monkeypatch.setattr(scenarios, name, counted)
+        # the scenario table builds each phase-averaged state through this name
+        once = {"build_state": len(BUNDLED), "joint_outcome_distribution": len(BUNDLED), "phase_averaged_state": 1}
         for path in BUNDLED:
             run(parse_config(path.read_text()))
-        assert calls == {"build_state": len(BUNDLED), "joint_outcome_distribution": len(BUNDLED)}
-        # --seed replaces the parsed config but leaves its state as it is
-        calls.update(build_state=0, joint_outcome_distribution=0)
+        assert calls == once
+        # an override is a document field: the parser builds each state once with it
+        calls.update(dict.fromkeys(calls, 0))
         assert main(["--seed", "7", *map(str, BUNDLED)]) == 0
-        assert calls == {"build_state": len(BUNDLED), "joint_outcome_distribution": len(BUNDLED)}
+        assert calls == once
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["--phase-points", "8", str(REPO_ROOT / "scenarios" / "phase-averaged.json")]) == 0
+        assert calls == {"build_state": 1, "joint_outcome_distribution": 1, "phase_averaged_state": 1}
 
 
 def test_benchmark_traced_functions_exist():
