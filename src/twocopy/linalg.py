@@ -106,7 +106,7 @@ def _frozen_complex(a, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.array(a, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr.view(float)).all():
         raise ValueError("entries must be finite (no NaN/Inf)")
     arr.setflags(write=False)
     return arr

@@ -55,7 +55,7 @@ def wootters_concurrence(rho: DensityOperator) -> float:
     """
     _require_register(rho, SINGLE_COPY)
     lam, vecs = np.linalg.eigh(rho.entries)
-    y = vecs * np.sqrt(np.clip(lam, 0.0, None))
+    y = vecs * np.sqrt(np.maximum(lam, 0.0))
     s = np.linalg.svd(y.T @ _PRECONCURRENCE_FORM @ y, compute_uv=False)
     return max(0.0, float(2.0 * (s[0] - s[1] - s[2] - s[3])))
 

@@ -99,7 +99,7 @@ def joint_outcome_distribution(state: DensityOperator) -> OutcomeDistribution:
     ``IMAG_ATOL`` and then discarded; :class:`OutcomeDistribution` clamps
     the probabilities to [0, 1] from within ``PROBABILITY_ATOL`` of it.
     """
-    tr = np.trace(_JOINT_STACK @ state.entries, axis1=1, axis2=2)
+    tr = (_JOINT_STACK @ state.entries).trace(axis1=1, axis2=2)
     residue = float(np.abs(tr.imag).max())
     if residue >= IMAG_ATOL:
         raise ValueError(f"expectation has non-negligible imaginary part {residue:.3e}")

@@ -193,9 +193,7 @@ def _parse_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[s
     grid = _number_grid(node)
     if grid and tuple(grid[0]) in (shape, shape + (2,)):
         parts = np.array(grid[1], dtype=float).reshape(grid[0])
-        out = np.empty(shape, dtype=complex)
-        out.real, out.imag = (parts, 0.0) if parts.shape == shape else (parts[..., 0], parts[..., 1])
-        return out
+        return parts.astype(complex) if parts.shape == shape else parts.view(complex).reshape(shape)
     return _walk_amplitudes(node, shape, where, problems)
 
 
@@ -513,7 +511,7 @@ def _dumps(node, indent: str = "") -> str:
     if node and isinstance(node, (list, tuple, dict)):
         inner = indent + "  "
         if isinstance(node, dict):
-            items = [f"{encode_basestring_ascii(k)}: {_dumps(node[k], inner)}" for k in sorted(node)]
+            items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in sorted(node.items())]
             opening, closing = "{", "}"
         else:
             items = [_dumps(v, inner) for v in node]

@@ -59,25 +59,27 @@ DEFAULT_PHASE_POINTS = 64
 MAX_PHASE_POINTS = 4096
 
 
-# _PLACE[a, b] is the flat index in the two-copy matrix of the product of the
-# single-copy entries a = 4i + j and b = 4k + l: row 4i + k, column 4j + l
-_PLACE = np.arange(256).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
-_PLACE.setflags(write=False)
-
-
 def _mixture_of_copies(weights, rhos: np.ndarray) -> np.ndarray:
     """sum_i w_i rho_i x rho_i, a 16x16 array, from an (N, 4, 4) stack of single-copy matrices.
 
-    Only the entries nonzero in some member are summed.  The bytes equal the
-    full ``einsum("n,nij,nkl->ikjl")``: both add each (w a) b in member order
-    from +0, and an entry zero in every member gets only +-0 terms, so +0.
+    The bytes are those of the full ``einsum("n,nij,nkl->ikjl")``.  A dense
+    stack, every entry nonzero in some member, is summed by that einsum
+    itself.  Any other is summed only over its support, the entries nonzero
+    in some member: each (w a) b is still added in member order from +0, and
+    an entry zero in every member gets only +-0 terms, so +0.  The result
+    owns its data, so once frozen no writable array shares it.
     """
     flat = rhos.reshape(len(rhos), 16)
     support = np.flatnonzero(flat.any(axis=0))
-    block = flat[:, support]
     total = np.zeros((16, 16), dtype=complex)
-    # written through a flat view: the result owns its data, so once frozen no writable array shares it
-    total.reshape(256)[_PLACE[support[:, None], support]] = np.einsum("n,na,nb->ab", weights, block, block)
+    if len(support) == 16:
+        np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos, out=total.reshape(4, 4, 4, 4))
+        return total
+    block = flat[:, support]
+    # the product of the single-copy entries a = 4i + j and b = 4k + l goes
+    # to row 4i + k, column 4j + l: to [i, k, j, l] of the 4x4x4x4 view
+    i, j = np.divmod(support, 4)
+    total.reshape(4, 4, 4, 4)[i[:, None], i, j[:, None], j] = np.einsum("n,na,nb->ab", weights, block, block)
     return total
 
 
@@ -91,7 +93,7 @@ def _mixture_of_pure_copies(weights, amplitudes: np.ndarray) -> DensityOperator:
     other matrix.
     """
     m = _mixture_of_copies(weights, np.einsum("ni,nj->nij", amplitudes, amplitudes.conj()))
-    if len(amplitudes) <= TRACE_ONLY_MEMBERS and abs(np.trace(m) - 1.0) <= ATOL:
+    if len(amplitudes) <= TRACE_ONLY_MEMBERS and abs(m.trace() - 1.0) <= ATOL:
         return _derived(COPY_MAJOR, m)
     return DensityOperator(COPY_MAJOR, m)
 

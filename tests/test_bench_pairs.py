@@ -1,0 +1,40 @@
+"""The summary arithmetic of scripts/bench_pairs.py, on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+spec = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+PARENT = [10.0, 12.0, 11.0, 13.0, 9.0, 14.0, 10.0, 12.0, 11.0, 8.0]
+
+
+def test_side_summary_has_the_exclusive_quartiles():
+    # sorted: 8 9 10 10 11 11 12 12 13 14; q1 at rank 2.75, q3 at rank 8.25
+    assert bench_pairs.side_summary(PARENT) == {
+        "median": 11.0, "q1": 9.75, "q3": 12.25, "spread": round(2.5 / 11.0, 6), "runs": PARENT,
+    }
+
+
+def test_a_higher_is_better_metric_counts_the_pairs_the_change_raised():
+    change = [x + 1.0 for x in PARENT[:8]] + [11.0, 7.0]  # one tie, one loss
+    s = bench_pairs.summarise(PARENT, change, "higher")
+    # sorted: 7 10 11 11 11 12 13 13 14 15
+    assert s["change"]["median"] == 11.5
+    assert s["pairs_change_better"] == "8/10"
+    assert s["change_over_parent"] == round(11.5 / 11.0, 4)
+    assert s["worse_than_parent_by"] == round(1.0 - 11.5 / 11.0, 4)
+    assert s["median_gain"] == 0.5
+    assert s["parent_quartile_distance"] == 2.5
+
+
+def test_a_lower_is_better_metric_counts_the_pairs_the_change_lowered():
+    change = [x * 0.5 for x in PARENT]
+    s = bench_pairs.summarise(PARENT, change, "lower")
+    assert s["pairs_change_better"] == "10/10"
+    assert s["change_over_parent"] == 0.5
+    assert s["worse_than_parent_by"] == pytest.approx(-0.5)
+    assert s["median_gain"] == 5.5

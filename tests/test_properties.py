@@ -386,11 +386,25 @@ def test_json_writer_matches_the_standard_library_on_number_grids(node):
     assert _dumps(node) == json.dumps(node, indent=2, sort_keys=True)
 
 
+def signed_zero_stack() -> tuple[np.ndarray, np.ndarray]:
+    """Four members that together cover every entry; |0><0| writes each of its zeros as -0.0."""
+    kets = np.array([[1, 1, 1, 1], [1, 1j, -1, -1j], [1, 2, 0, 0]])
+    corner = np.full((4, 4), complex(-0.0, -0.0))
+    corner[0, 0] = 1.0
+    rhos = np.concatenate([ket_projectors(kets / np.linalg.norm(kets, axis=1)[:, None]), corner[None]])
+    return np.array([0.1, 0.2, 0.3, 0.4]), rhos
+
+
 @REPRODUCIBLE
 @given(copy_stacks())
+@example((np.ones(1), ket_projectors(np.array([[1, 1j, -1, 2]]) / math.sqrt(7.0))))
+@example(signed_zero_stack())
+@example(phase_grid(5))
 def test_mixture_has_the_bytes_of_the_full_einsum(stack):
     weights, rhos = stack
-    assert _mixture_of_copies(weights, rhos).tobytes() == full_mixture(weights, rhos).tobytes()
+    mixture = _mixture_of_copies(weights, rhos)
+    assert mixture.tobytes() == full_mixture(weights, rhos).tobytes()
+    assert mixture.base is None and mixture.flags.owndata
 
 
 @pytest.mark.parametrize("points", [*range(3, 65), 151, 152, 300, 4096])
