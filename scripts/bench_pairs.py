@@ -127,6 +127,8 @@ def main() -> None:
     p.add_argument("--fresh", type=seed_range, default=[])
     p.add_argument("--out", type=Path)
     args = p.parse_args()
+    if len(args.seeds) < 2 or len(args.fresh) == 1:
+        p.error("quartiles need at least two seeds in --seeds and in --fresh")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
         commits = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
