@@ -13,7 +13,9 @@ text of its ConfigError.
 
 The same interpreter then calls twocopy.cli.main on the fixed argv lists of
 cli_runs() and records each run's exit code, stdout and stderr: the bundled
-scenarios with ``--format json --seed S`` for each seed of the range, and
+scenarios with ``--format json --seed S`` and with ``--seed S`` (the
+default table format, whose check lines are written from each config's
+``expect``) for each seed of the range, and
 ``--seed``, ``--shots`` and ``--phase-points`` overrides on
 scenarios/phase-averaged.json, accepted and refused.  The runs take place
 in a temporary directory that holds a link to scenarios/ and the document
@@ -83,7 +85,8 @@ def cli_runs(first: int, last: int) -> list[list[str]]:
     """Every CLI run's argv, in a fixed order; paths are relative to the directory the runs take place in."""
     bundled = [f"scenarios/{p.name}" for p in sorted((ROOT / "scenarios").glob("*.json"))]
     phase = "scenarios/phase-averaged.json"
-    runs = [["--format", "json", "--seed", str(seed), *bundled] for seed in range(first, last + 1)]
+    runs = [[*fmt, "--seed", str(seed), *bundled]
+            for seed in range(first, last + 1) for fmt in (["--format", "json"], [])]
     runs += [["--seed", "123456789", "--shots", "300", phase], ["--format", "json", "--seed", "5", "--shots", "300", phase]]
     for points in ("8", "discretized", "exact", " +12 ", "4096"):
         runs.append(["--format", "json", "--phase-points", points, phase])

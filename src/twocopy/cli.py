@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "embedded in the configuration."
         ),
     )
-    parser.add_argument("configs", nargs="*", metavar="CONFIG", help="scenario JSON file(s)")
+    parser.add_argument("configs", nargs="*", type=Path, metavar="CONFIG", help="scenario JSON file(s)")
     parser.add_argument("--shots", type=int, default=None, help="override the sampled shot count")
     parser.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     parser.add_argument(
@@ -87,40 +87,30 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {name: value for name, value in (("seed", args.seed), ("shots", args.shots)) if value is not None}
     if args.phase_points is not None:
         overrides["parameters"] = {"points": args.phase_points}
-    any_failed = False
-    outputs = []
-    for path_str in args.configs:
-        path = Path(path_str)
+    reports = []
+    for path in args.configs:
         try:
-            text = path.read_text(encoding="utf-8")
+            reports.append(run(parse_config(path.read_text(encoding="utf-8"), overrides)))
         except (OSError, UnicodeDecodeError) as exc:
             print(f"twocopy: error reading {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            report = run(parse_config(text, overrides))
         except ConfigError as exc:
             print(f"twocopy: {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        outputs.append(emit_report(report, args.format))
-        if not report.all_passed:
-            any_failed = True
 
-    rendered = "\n\n".join(outputs)
-    if args.output is not None:
-        try:
-            args.output.write_text(rendered + "\n", encoding="utf-8")
-        except OSError as exc:
-            print(f"twocopy: error writing {args.output}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        try:
-            print(rendered, flush=True)
-        except OSError as exc:
-            print(f"twocopy: error writing stdout: {exc}", file=sys.stderr)
+    rendered = "\n\n".join(emit_report(report, args.format) for report in reports) + "\n"
+    try:
+        if args.output is None:
+            print(rendered, end="", flush=True)
+        else:
+            args.output.write_text(rendered, encoding="utf-8")
+    except OSError as exc:
+        print(f"twocopy: error writing {args.output or 'stdout'}: {exc}", file=sys.stderr)
+        if args.output is None:
             # the interpreter flushes stdout again at exit; send that to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_USAGE
-    return EXIT_EXPECTATION_FAILED if any_failed else EXIT_OK
+        return EXIT_USAGE
+    return EXIT_OK if all(report.all_passed for report in reports) else EXIT_EXPECTATION_FAILED
 
 
 if __name__ == "__main__":

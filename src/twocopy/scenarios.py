@@ -15,8 +15,7 @@ A scenario is described by one JSON document:
       }
     }
 
-``scenario`` is one of pure-copies, de-finetti, pure-de-finetti,
-phase-averaged, eve-antisym, eve-sym, custom.  Complex numbers are written
+``scenario`` names a row of :data:`SCENARIOS`.  Complex numbers are written
 as [re, im] pairs; kets are lists of 4 such pairs, matrices are nested
 lists of them (4x4 for single-copy hypotheses, 16x16 for custom states).
 ``seed`` defaults to 0 and ``shots`` to none.  Expected values without a
@@ -79,13 +78,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Expectation:
-    metric: str
-    value: Union[float, bool]
-    tol: float
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """A parsed scenario with its two-copy state, built and validated once by :func:`build_state`."""
 
@@ -94,7 +86,8 @@ class ScenarioConfig:
     state: DensityOperator = field(compare=False, repr=False)
     seed: int = 0
     shots: Optional[int] = None
-    expectations: tuple[Expectation, ...] = ()
+    # metric -> the entry the report echoes: {"value": v} for a boolean metric, {"value": v, "tol": t} otherwise
+    expect: dict = field(default_factory=dict)
     default_tolerance: float = DEFAULT_EXPECT_TOL
 
     def to_dict(self) -> dict:
@@ -105,11 +98,8 @@ class ScenarioConfig:
             "shots": self.shots,
             "default_tolerance": self.default_tolerance,
         }
-        if self.expectations:
-            doc["expect"] = {
-                e.metric: ({"value": e.value} if isinstance(e.value, bool) else {"value": e.value, "tol": e.tol})
-                for e in self.expectations
-            }
+        if self.expect:
+            doc["expect"] = self.expect
         return doc
 
 
@@ -147,18 +137,13 @@ def _key(key: str) -> str:
 
 
 def _finite(node) -> Optional[float]:
-    """A JSON number as a finite float; None for anything else.
+    """A plain number, as :func:`_number_grid` defines it, as a float; None for anything else.
 
     ``json.loads`` accepts NaN, Infinity, overflowing literals such as 1e400
     and integers of any size; none of them may reach a report.
     """
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        return None
-    try:
-        x = float(node)
-    except OverflowError:
-        return None
-    return x if math.isfinite(x) else None
+    grid = _number_grid(node)
+    return float(node) if grid and not grid[0] else None
 
 
 def _number_grid(node) -> Optional[tuple[list[int], list]]:
@@ -213,44 +198,36 @@ def _walk_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[st
     return np.array([_walk_amplitudes(v, shape[1:], f"{where}[{i}]", problems) for i, v in enumerate(node)])
 
 
-def _parse_expectations(node, default_tol: float, scenario: str, problems: list[str]) -> tuple[Expectation, ...]:
+def _parse_expectations(node, default_tol: float, scenario: str, problems: list[str]) -> dict:
+    """The ``expect`` mapping as the report echoes it, appending a refusal for each bad entry."""
     if node is None:
-        return ()
+        return {}
     if not isinstance(node, dict):
         problems.append("expect: must be a mapping of metric name to {value, tol}")
-        return ()
-    out = []
+        return {}
+    expect = {}
     for metric, spec in node.items():
         if metric not in METRIC_NAMES:
             problems.append(f"expect.{_key(metric)}: unknown metric (choose from {', '.join(METRIC_NAMES)})")
-            continue
-        if not isinstance(spec, dict) or "value" not in spec:
+        elif not isinstance(spec, dict) or "value" not in spec:
             problems.append(f"expect.{metric}: must be a mapping with a 'value' entry")
-            continue
-        if unknown := [k for k in spec if k not in ("value", "tol")]:
+        elif unknown := [k for k in spec if k not in ("value", "tol")]:
             problems.append(f"expect.{metric}: unknown keys {reprlib.repr(unknown)}")
-            continue
-        if metric == "truth_decomposition_bound" and SCENARIOS[scenario].decomposition_bound is None:
+        elif metric == "truth_decomposition_bound" and SCENARIOS[scenario].decomposition_bound is None:
             problems.append(f"expect.{metric}: not reported by scenario {scenario!r}, which has no decomposition")
-            continue
-        value = spec["value"]
-        if metric in _BOOLEAN_METRICS:
-            if not isinstance(value, bool):
-                problems.append(f"expect.{metric}: value must be a boolean")
-            elif "tol" in spec:
-                problems.append(f"expect.{metric}: tol does not apply to a boolean value")
-            else:
-                out.append(Expectation(metric, value, 0.0))
-            continue
-        if _finite(value) is None:
+        elif metric in _BOOLEAN_METRICS and not isinstance(spec["value"], bool):
+            problems.append(f"expect.{metric}: value must be a boolean")
+        elif metric in _BOOLEAN_METRICS and "tol" in spec:
+            problems.append(f"expect.{metric}: tol does not apply to a boolean value")
+        elif metric in _BOOLEAN_METRICS:
+            expect[metric] = {"value": spec["value"]}
+        elif (value := _finite(spec["value"])) is None:
             problems.append(f"expect.{metric}: value must be a finite number")
-            continue
-        tol = _finite(spec.get("tol", default_tol))
-        if tol is None or tol < 0:
+        elif (tol := _finite(spec.get("tol", default_tol))) is None or tol < 0:
             problems.append(f"expect.{metric}: tol must be a finite nonnegative number")
-            continue
-        out.append(Expectation(metric, _finite(value), tol))
-    return tuple(out)
+        else:
+            expect[metric] = {"value": value, "tol": tol}
+    return expect
 
 
 def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
@@ -293,11 +270,9 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         problems.append(f"seed: must be a nonnegative integer, got {reprlib.repr(seed)}")
-        seed = 0
     shots = doc.get("shots")
     if shots is not None and (not isinstance(shots, int) or isinstance(shots, bool) or not 1 <= shots <= MAX_SHOTS):
         problems.append(f"shots: must be an integer from 1 to {MAX_SHOTS}, got {reprlib.repr(shots)}")
-        shots = None
     default_tol = _finite(doc.get("default_tolerance", DEFAULT_EXPECT_TOL))
     if default_tol is None or default_tol < 0:
         got = reprlib.repr(doc["default_tolerance"])
@@ -307,7 +282,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     parameters = doc.get("parameters", {})
     if not isinstance(parameters, dict):
         problems.append("parameters: must be a mapping")
-    expectations = _parse_expectations(doc.get("expect"), default_tol, scenario, problems)
+    expect = _parse_expectations(doc.get("expect"), default_tol, scenario, problems)
     if isinstance(parameters, dict):
         try:
             state = build_state(scenario, parameters)
@@ -315,7 +290,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
             problems.extend(exc.problems)
     if problems:
         raise ConfigError(problems)
-    return ScenarioConfig(scenario, parameters, state, seed, shots, expectations, default_tol)
+    return ScenarioConfig(scenario, parameters, state, seed, shots, expect, default_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +432,14 @@ def run(config: ScenarioConfig) -> ScenarioReport:
     record = sample_outcomes(joint, config.shots, config.seed) if config.shots else None
 
     checks = []
-    for exp in config.expectations:
-        actual = getattr(joint if hasattr(joint, exp.metric) else verdict, exp.metric)
-        if isinstance(exp.value, bool):
-            passed = actual is exp.value
-        elif actual is None:
-            passed = False
+    for metric, entry in config.expect.items():
+        actual = getattr(joint if hasattr(joint, metric) else verdict, metric)
+        expected, tol = entry["value"], entry.get("tol", 0.0)
+        if isinstance(expected, bool):
+            passed = actual is expected
         else:
-            passed = abs(actual - exp.value) <= exp.tol
-        checks.append(CheckResult(exp.metric, exp.value, actual, exp.tol, passed))
+            passed = actual is not None and abs(actual - expected) <= tol
+        checks.append(CheckResult(metric, expected, actual, tol, passed))
     return ScenarioReport(
         config=config.to_dict(),
         verdict=verdict,

@@ -18,8 +18,8 @@ from twocopy.cli import main
 from twocopy.protocol import MAX_SHOTS
 from twocopy.scenarios import (
     METRIC_NAMES,
+    SCENARIOS,
     ConfigError,
-    Expectation,
     build_state,
     emit_report,
     parse_config,
@@ -92,12 +92,47 @@ MEMBER_REFUSALS = {
 }
 
 
+# a numpy scalar is no plain JSON number, wherever an override puts it
+NUMPY_SCALAR_OVERRIDES = {
+    "ket-leaf": (
+        "pure-copies",
+        lambda x: {"parameters": {"ket": [[x, 0], [0, 0], [0, 0], [0, 0]]}},
+        "ket[0]: expected a finite number or [re, im] pair, got [{x!r}, 0]",
+    ),
+    "member-weight": (
+        "pure-de-finetti",
+        lambda x: {"parameters": {"members": [{"weight": x, "ket": MEMBER_KET}]}},
+        "members[0].weight: must be a finite number",
+    ),
+    "default-tolerance": (
+        "eve-sym",
+        lambda x: {"default_tolerance": x},
+        "default_tolerance: must be a finite nonnegative number, got {x!r}",
+    ),
+    "expected-value": ("eve-sym", lambda x: {"expect": {"p_aa": {"value": x}}}, "expect.p_aa: value must be a finite number"),
+    "tol": (
+        "eve-sym",
+        lambda x: {"expect": {"p_aa": {"value": 0.0, "tol": x}}},
+        "expect.p_aa: tol must be a finite nonnegative number",
+    ),
+}
+
+
 class TestParseConfig:
     @pytest.mark.parametrize("scenario, members, problems", MEMBER_REFUSALS.values(), ids=MEMBER_REFUSALS.keys())
     def test_member_refusals(self, scenario, members, problems):
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps({"scenario": scenario, "parameters": {"members": members}}))
         assert exc.value.problems == problems
+
+    @pytest.mark.parametrize("scalar", [np.float64(1.0), np.float32(1.0), np.int64(1)], ids=lambda x: type(x).__name__)
+    @pytest.mark.parametrize(
+        "scenario, override, problem", NUMPY_SCALAR_OVERRIDES.values(), ids=NUMPY_SCALAR_OVERRIDES.keys()
+    )
+    def test_numpy_scalar_override_refused(self, scenario, override, problem, scalar):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"scenario": scenario}), override(scalar))
+        assert exc.value.problems == [problem.format(x=scalar)]
 
     def test_minimal_phase_config(self):
         config = parse_config(MINIMAL_PHASE)
@@ -259,12 +294,18 @@ def test_readme_metric_list_is_metric_names():
     assert tuple(re.findall(r"`([^`]+)`", paragraph)) == METRIC_NAMES
 
 
+def test_readme_scenario_list_is_scenarios():
+    readme = (REPO_ROOT / "README.md").read_text()
+    item = readme.split("* `scenario`: one of", 1)[1].split("\n* ", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", item)) == tuple(SCENARIOS)
+
+
 class TestRun:
     def test_expectation_on_an_unreported_metric_fails(self):
         # the parser refuses this expectation; a config built by hand reaches run with it
         config = dataclasses.replace(
             parse_config(json.dumps({"scenario": "eve-sym"})),
-            expectations=(Expectation("truth_decomposition_bound", 0.0, 1.0),),
+            expect={"truth_decomposition_bound": {"value": 0.0, "tol": 1.0}},
         )
         report = run(config)
         assert [(c.actual, c.passed) for c in report.checks] == [(None, False)]
@@ -453,6 +494,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == err.format(cfg=cfg)
+
+    def test_reports_of_several_configs_in_order_and_any_failure_exits_one(self, tmp_path, capsys):
+        ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+        ok.write_text(de_finetti_mixed_config(expect={"p_a_alice": {"value": 0.25}}))
+        bad.write_text(de_finetti_mixed_config(expect={"p_a_alice": {"value": 0.1, "tol": 1e-6}}))
+        assert main([str(ok)]) == 0
+        passed = capsys.readouterr().out
+        assert main([str(bad)]) == 1
+        failed = capsys.readouterr().out
+        assert main([str(ok), str(bad)]) == 1
+        assert capsys.readouterr().out == passed + "\n" + failed
+
+    @pytest.mark.parametrize("bad, err", [
+        ("missing.json", "twocopy: error reading {path}: [Errno 2] No such file or directory: '{path}'\n"),
+        ("refused.json", "twocopy: {path}: invalid configuration:\n  - seed: must be a nonnegative integer, got -1\n"),
+    ], ids=["unreadable", "refused"])
+    def test_bad_config_after_a_passing_one_writes_no_report(self, bad, err, tmp_path, capsys):
+        ok, path, out = tmp_path / "ok.json", tmp_path / bad, tmp_path / "report.json"
+        ok.write_text(MINIMAL_PHASE)
+        if bad == "refused.json":
+            path.write_text(json.dumps({"scenario": "phase-averaged", "seed": -1}))
+        assert main([str(ok), str(path)]) == 2
+        assert capsys.readouterr() == ("", err.format(path=path))
+        assert main([str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", err.format(path=path)) and not out.exists()
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
