@@ -21,8 +21,15 @@ the parent's), ``change_over_parent`` (the ratio of the medians),
 1 - change / parent for a higher-is-better one), ``median_gain`` (how far
 the change's median is better than the parent's, negative if worse) and
 ``parent_quartile_distance`` (q3 - q1 of the parent's runs).  A workload is
-``all_correct`` if every run on both sides was.  Prints one JSON line;
-``--out`` writes the same object to a file.  Uses only the standard library.
+``all_correct`` if every run on both sides was.
+
+``bundled_warm_ms`` is the warm parse-and-run of the bundled scenarios: for
+each seed, one interpreter per side, sides alternating as above, runs
+``run(parse_config(text))`` over every ``scenarios/*.json`` in
+``WARM_ROUNDS`` timed rounds after one untimed round, and its value is the
+median round in milliseconds.  It is summarised as a metric is, without a
+bound, and gates nothing.  Prints one JSON line; ``--out`` writes the same
+object to a file.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -42,6 +50,22 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # what the parent lends the change's export, so both run the same benchmark
 SHARED = ("bench", "scenarios", "BENCHMARK.json")
+WARM_ROUNDS = 200
+# one side's warm rounds: the seconds of each timed round and the package it imported
+WARM_SCRIPT = """
+import json, sys, time
+from pathlib import Path
+import twocopy
+from twocopy.scenarios import parse_config, run
+texts = [path.read_text() for path in sorted(Path("scenarios").glob("*.json"))]
+rounds = []
+for _ in range(int(sys.argv[1]) + 1):
+    start = time.perf_counter()
+    for text in texts:
+        run(parse_config(text))
+    rounds.append(time.perf_counter() - start)
+print(json.dumps({"package": twocopy.__file__, "configs": len(texts), "round_s": rounds[1:]}))
+"""
 
 
 def seed_range(spec: str) -> list[int]:
@@ -105,6 +129,40 @@ def run_pairs(trees: dict, workloads: list[str], seeds: list[int], seconds: floa
     return results
 
 
+def warm_once(tree: Path) -> float:
+    """The median of one interpreter's warm bundled rounds in ``tree``, in ms."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, "-c", WARM_SCRIPT, str(WARM_ROUNDS)],
+                          capture_output=True, text=True, cwd=tree, env=env)
+    if proc.returncode:
+        sys.exit(f"{tree.name} bundled warm rounds exited {proc.returncode}\n{proc.stderr}")
+    result = json.loads(proc.stdout)
+    if not Path(result["package"]).is_relative_to(tree / "src"):
+        sys.exit(f"{tree.name} bundled warm rounds imported twocopy from {result['package']}")
+    return round_median_ms(result["round_s"])
+
+
+def round_median_ms(round_s: list[float]) -> float:
+    return round(statistics.median(round_s) * 1000.0, 6)
+
+
+def warm_pairs(trees: dict, seeds: list[int]) -> dict:
+    """{side: [bundled_warm_ms per seed]}, the parent first on odd seeds."""
+    runs = {side: [] for side in SIDES}
+    for seed in seeds:
+        for side in SIDES if seed % 2 else SIDES[::-1]:
+            runs[side].append(warm_once(trees[side]))
+        print(f"seed {seed} bundled warm: " + ", ".join(f"{side} {runs[side][-1]} ms" for side in SIDES),
+              file=sys.stderr, flush=True)
+    return runs
+
+
+def warm_summary(runs: dict) -> dict:
+    """The bundled_warm_ms entry: per-seed medians of ``WARM_ROUNDS`` rounds, summarised as a metric is."""
+    return {"unit": "ms", "better": "lower", "bound": None, "rounds": WARM_ROUNDS,
+            "runs_per_side": len(runs["parent"]), **summarise(runs["parent"], runs["change"], "lower")}
+
+
 def workload_summary(results: dict, metrics: list[dict]) -> dict:
     out = {
         "runs_per_side": len(results["parent"]),
@@ -143,18 +201,22 @@ def main() -> None:
         workloads = [w["name"] for w in benchmark["workloads"]]
         metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
         main_runs = run_pairs(trees, workloads, args.seeds, seconds)
+        main_warm = warm_pairs(trees, args.seeds)
         fresh_runs = run_pairs(trees, workloads, args.fresh, seconds) if args.fresh else None
+        fresh_warm = warm_pairs(trees, args.fresh) if args.fresh else None
     summary = {
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "command": f"python3 bench/run.py --workload W --seed K --seconds {seconds} --trace 0",
         "seeds": [args.seeds[0], args.seeds[-1]],
         "workloads": {w: workload_summary(main_runs[w], metrics) for w in workloads},
+        "bundled_warm_ms": warm_summary(main_warm),
     }
     if fresh_runs:
         summary["fresh_seed_pairs"] = {
             "seeds": [args.fresh[0], args.fresh[-1]],
             "workloads": {w: workload_summary(fresh_runs[w], metrics) for w in workloads},
+            "bundled_warm_ms": warm_summary(fresh_warm),
         }
     print(json.dumps(summary))
     if args.out:

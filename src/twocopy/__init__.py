@@ -28,10 +28,8 @@ from .protocol import (
     EstimateVerdict,
     OutcomeDistribution,
     ShotRecord,
-    disagreement_probability,
     evaluate_scenario,
     joint_outcome_distribution,
-    naive_concurrence_estimate,
     sample_outcomes,
 )
 from .scenarios import (

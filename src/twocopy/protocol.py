@@ -80,18 +80,6 @@ class ShotRecord:
             raise ValueError("outcome counts must sum to the number of shots")
 
 
-def naive_concurrence_estimate(p_a: float) -> tuple[float, bool]:
-    """Concurrence claim 2 sqrt(p_a) plus a validity flag.
-
-    The value is returned unclamped: an estimate above 1 is evidence that
-    the identical-pure-copies assumption is wrong, and the flag (p_a within
-    the [0, 1/4] range that assumption allows) reports exactly that.
-    """
-    if not 0.0 <= p_a <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p_a!r}")
-    return 2.0 * math.sqrt(p_a), p_a <= VALIDITY_THRESHOLD + VALIDITY_TOL
-
-
 def joint_outcome_distribution(state: DensityOperator) -> OutcomeDistribution:
     """Joint (Alice, Bob) outcome probabilities of the two commuting projections.
 
@@ -104,11 +92,6 @@ def joint_outcome_distribution(state: DensityOperator) -> OutcomeDistribution:
     if residue >= IMAG_ATOL:
         raise ValueError(f"expectation has non-negligible imaginary part {residue:.3e}")
     return OutcomeDistribution(*tr.real.tolist())
-
-
-def disagreement_probability(d: OutcomeDistribution) -> float:
-    """Probability that Alice's and Bob's outcomes differ."""
-    return min(d.p_as + d.p_sa, 1.0)
 
 
 def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> ShotRecord:
@@ -132,6 +115,8 @@ def evaluate_scenario(
 ) -> EstimateVerdict:
     """Set the protocol's outcome on one state beside the ground truth.
 
+    The claim is 2 sqrt(p_a) from Alice's antisymmetric probability, and the
+    disagreement probability is that of Alice's and Bob's outcomes differing.
     ``dist`` is the state's joint outcome distribution, as returned by
     :func:`joint_outcome_distribution`.  The single-copy truth is the
     closed-form concurrence of the first copy's marginal.
@@ -142,14 +127,16 @@ def evaluate_scenario(
     """
     p_alice = min(dist.p_aa + dist.p_as, 1.0)
     p_bob = min(dist.p_aa + dist.p_sa, 1.0)
-    naive, valid = naive_concurrence_estimate(p_alice)
     truth = wootters_concurrence(single_copy_marginal(state, copy=1))
     return EstimateVerdict(
         p_a_alice=p_alice,
         p_a_bob=p_bob,
-        naive_concurrence=naive,
-        estimator_valid=valid,
-        disagreement_prob=disagreement_probability(dist),
+        # The claim is unclamped: a value above 1 is evidence that the
+        # identical-pure-copies assumption is wrong, and the flag (p_a within
+        # the [0, 1/4] range that assumption allows) reports exactly that.
+        naive_concurrence=2.0 * math.sqrt(p_alice),
+        estimator_valid=p_alice <= VALIDITY_THRESHOLD + VALIDITY_TOL,
+        disagreement_prob=min(dist.p_as + dist.p_sa, 1.0),
         truth_single_copy_concurrence=truth,
         truth_decomposition_bound=decomposition_bound,
     )

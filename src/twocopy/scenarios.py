@@ -321,7 +321,7 @@ def _members(node, key: str) -> tuple:
             problems.append(f"members[{i}]: expected a mapping with 'weight'")
         elif unknown := [k for k in entry if k not in ("weight", key)]:
             problems.append(f"members[{i}]: unknown keys {reprlib.repr(unknown)}")
-        elif _finite(entry["weight"]) is None:
+        elif (weight := _finite(entry["weight"])) is None:
             problems.append(f"members[{i}].weight: must be a finite number")
         elif key not in entry:
             problems.append(f"members[{i}].{key}: required")
@@ -331,7 +331,7 @@ def _members(node, key: str) -> tuple:
             except ConfigError as exc:
                 problems.extend(exc.problems)
             else:
-                members.append((_finite(entry["weight"]), member))
+                members.append((weight, member))
     if problems:
         raise ConfigError(problems)
     return tuple(members)
@@ -424,11 +424,27 @@ def build_state(scenario: str, parameters: dict) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(scenario: str, state: DensityOperator) -> tuple[OutcomeDistribution, EstimateVerdict]:
+    """The state's joint outcome distribution and its verdict under the scenario's row."""
+    joint = joint_outcome_distribution(state)
+    return joint, evaluate_scenario(state, joint, SCENARIOS[scenario].decomposition_bound)
+
+
+# Each scenario's constant states, evaluated once, keyed by the row's name and
+# the state's id.  The ids are safe keys: these states are module constants of
+# twocopy.states that live as long as the process, so no other object can
+# reuse their ids.  Any other pairing of row and state is evaluated per run.
+_CONSTANT_EVALUATIONS = {
+    (name, id(state)): _evaluate(name, state)
+    for name, state in [("eve-antisym", eve_state("antisymmetric")), ("eve-sym", eve_state("symmetric"))]
+    + [("phase-averaged", phase_averaged_state(points)) for points in ("exact", "discretized")]
+}
+
+
 def run(config: ScenarioConfig) -> ScenarioReport:
     """Evaluate a scenario deterministically and check its expectations."""
-    state = config.state
-    joint = joint_outcome_distribution(state)
-    verdict = evaluate_scenario(state, joint, SCENARIOS[config.scenario].decomposition_bound)
+    key = (config.scenario, id(config.state))
+    joint, verdict = _CONSTANT_EVALUATIONS.get(key) or _evaluate(config.scenario, config.state)
     record = sample_outcomes(joint, config.shots, config.seed) if config.shots else None
 
     checks = []

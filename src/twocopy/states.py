@@ -150,12 +150,12 @@ def phase_averaged_state(points: Union[int, str] = "exact") -> DensityOperator:
     returns the uniform Riemann sum over the circle instead, which already
     reproduces the closed form to machine precision because the integrand
     has no Fourier component beyond order two.  ``points="discretized"``
-    uses the default grid of 64 points.
+    returns the default grid of 64 points, built once at import like the
+    closed form.
     """
-    if points == "exact":
-        return _PHASE_AVERAGED
-    if points == "discretized":
-        points = DEFAULT_PHASE_POINTS
+    # a tuple first: a dict lookup would raise TypeError on an unhashable points
+    if points in ("exact", "discretized"):
+        return _PHASE_AVERAGED[points]
     if isinstance(points, bool) or not isinstance(points, int):
         raise ValueError(f"points must be 'exact', 'discretized', or an integer, got {reprlib.repr(points)}")
     if not 3 <= points <= MAX_PHASE_POINTS:
@@ -202,10 +202,13 @@ _DECOMPOSITION = (
     (0.25, Ket(COPY_MAJOR, np.eye(16)[0b1010])),
     (0.5, logical_bell_state()),
 )
-_PHASE_AVERAGED = DensityOperator(
-    COPY_MAJOR,
-    sum((w * np.outer(psi.amplitudes, psi.amplitudes.conj()) for w, psi in _DECOMPOSITION), np.zeros((16, 16))),
-)
+_PHASE_AVERAGED = {
+    "exact": DensityOperator(
+        COPY_MAJOR,
+        sum((w * np.outer(psi.amplitudes, psi.amplitudes.conj()) for w, psi in _DECOMPOSITION), np.zeros((16, 16))),
+    ),
+    "discretized": phase_averaged_state(DEFAULT_PHASE_POINTS),
+}
 # Eve's states are the table's corners P_x x P_x / d_x^2, with d_a = 1 and d_s = 3
 _EVE_STATES = {
     "antisymmetric": DensityOperator(COPY_MAJOR, JOINT_PROJECTORS["aa"]),

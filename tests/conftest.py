@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twocopy import SINGLE_COPY, DensityOperator, Ket, joint_outcome_distribution
+from twocopy import SINGLE_COPY, DensityOperator, Ket, evaluate_scenario, joint_outcome_distribution
 from twocopy.states import JOINT_PROJECTORS, OUTCOMES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -52,6 +52,11 @@ def antisym(state: DensityOperator, side: str) -> float:
     """Probability that ``side``, "alice" or "bob", finds its pair antisymmetric: a joint-outcome marginal."""
     d = joint_outcome_distribution(state)
     return d.p_aa + {"alice": d.p_as, "bob": d.p_sa}[side]
+
+
+def verdict_of(state: DensityOperator):
+    """The protocol's verdict on ``state`` from its joint outcome distribution, with no decomposition bound."""
+    return evaluate_scenario(state, joint_outcome_distribution(state))
 
 
 def pure_concurrence(ket: Ket) -> float:

@@ -11,11 +11,9 @@ from twocopy import (
     SINGLE_COPY,
     DensityOperator,
     decomposition_infimum_oracle,
-    disagreement_probability,
     ensemble_upper_bound_entanglement,
     evaluate_scenario,
     joint_outcome_distribution,
-    naive_concurrence_estimate,
     sample_outcomes,
     wootters_concurrence,
 )
@@ -29,7 +27,15 @@ from twocopy.states import (
     single_copy_marginal,
 )
 
-from conftest import antisym, pure_concurrence, random_density, random_ket, random_product_ket, random_pure_ensemble
+from conftest import (
+    antisym,
+    pure_concurrence,
+    random_density,
+    random_ket,
+    random_product_ket,
+    random_pure_ensemble,
+    verdict_of,
+)
 
 AB = SINGLE_COPY
 
@@ -61,8 +67,7 @@ def test_criterion_02_estimator_exact_on_identical_pure_copies():
     worst = 0.0
     for _ in range(500):
         psi = random_ket(rng)
-        p_a = antisym(identical_pure_copies(psi), "alice")
-        estimate, _ = naive_concurrence_estimate(p_a)
+        estimate = verdict_of(identical_pure_copies(psi)).naive_concurrence
         worst = max(worst, abs(estimate - pure_concurrence(psi)))
     report(2, "2 sqrt(p_a) equals the concurrence for identical pure copies", worst < 1e-8, f"worst {worst:.2e}")
 
@@ -72,7 +77,7 @@ def test_criterion_03_completely_mixed_false_positive():
     state = de_finetti_state(ens)
     p_alice = antisym(state, "alice")
     p_bob = antisym(state, "bob")
-    naive, _ = naive_concurrence_estimate(p_alice)
+    naive = verdict_of(state).naive_concurrence
     truth = wootters_concurrence(single_copy_marginal(state, 1))
     ok = (
         abs(p_alice - 0.25) <= 1e-12
@@ -117,10 +122,9 @@ def test_criterion_06_two_sided_check_discriminates_mixedness():
     rng = np.random.default_rng(106)
     worst = 0.0
     for _ in range(100):
-        dist = joint_outcome_distribution(identical_pure_copies(random_ket(rng)))
-        worst = max(worst, disagreement_probability(dist))
+        worst = max(worst, verdict_of(identical_pure_copies(random_ket(rng))).disagreement_prob)
     mixed = de_finetti_state(((1.0, DensityOperator(AB, np.eye(4) / 4)),))
-    d_mixed = disagreement_probability(joint_outcome_distribution(mixed))
+    d_mixed = verdict_of(mixed).disagreement_prob
     ok = worst <= 1e-12 and abs(d_mixed - 0.375) <= 1e-12
     report(6, "identical copies never disagree; fully mixed copies disagree 3/8", ok,
            f"worst pure {worst:.2e}, mixed {d_mixed!r}")
@@ -131,20 +135,20 @@ def test_criterion_07_eve_attack():
     sym = eve_state("symmetric")
     dist_anti = joint_outcome_distribution(anti)
     dist_sym = joint_outcome_distribution(sym)
-    naive_anti, valid_anti = naive_concurrence_estimate(antisym(anti, "alice"))
-    naive_sym, valid_sym = naive_concurrence_estimate(antisym(sym, "alice"))
+    v_anti = evaluate_scenario(anti, dist_anti)
+    v_sym = evaluate_scenario(sym, dist_sym)
     ok = (
         np.allclose(dist_anti.as_tuple(), (1, 0, 0, 0), atol=1e-12)
         and np.allclose(dist_sym.as_tuple(), (0, 0, 0, 1), atol=1e-12)
-        and abs(naive_anti - 2.0) <= 1e-12
-        and not valid_anti
-        and abs(naive_sym) <= 1e-12
-        and valid_sym
-        and disagreement_probability(dist_anti) <= 1e-12
-        and disagreement_probability(dist_sym) <= 1e-12
+        and abs(v_anti.naive_concurrence - 2.0) <= 1e-12
+        and not v_anti.estimator_valid
+        and abs(v_sym.naive_concurrence) <= 1e-12
+        and v_sym.estimator_valid
+        and v_anti.disagreement_prob <= 1e-12
+        and v_sym.disagreement_prob <= 1e-12
     )
     report(7, "adversarial states pin both outcomes and break the estimate's range", ok,
-           f"naive {naive_anti!r} flagged invalid" if not valid_anti else "flag missing")
+           f"naive {v_anti.naive_concurrence!r} flagged invalid" if not v_anti.estimator_valid else "flag missing")
 
 
 def test_criterion_08_oracle_agrees_with_closed_form():
@@ -167,7 +171,7 @@ def test_criterion_09_overestimation_on_pure_de_finetti():
     for _ in range(100):
         ensemble = random_pure_ensemble(rng, k=int(rng.integers(2, 5)))
         state = pure_de_finetti_state(ensemble)
-        naive, _ = naive_concurrence_estimate(antisym(state, "alice"))
+        naive = verdict_of(state).naive_concurrence
         truth = wootters_concurrence(single_copy_marginal(state, 1))
         worst_margin = min(worst_margin, naive - truth)
     report(9, "the estimate never undershoots the truth on pure mixtures", worst_margin >= -1e-8,

@@ -38,3 +38,20 @@ def test_a_lower_is_better_metric_counts_the_pairs_the_change_lowered():
     assert s["change_over_parent"] == 0.5
     assert s["worse_than_parent_by"] == pytest.approx(-0.5)
     assert s["median_gain"] == 5.5
+
+
+def test_a_warm_run_is_the_median_round_in_milliseconds():
+    # sorted: 0.002 0.0025 0.003 0.004; the median is 0.00275 s
+    assert bench_pairs.round_median_ms([0.004, 0.002, 0.003, 0.0025]) == 2.75
+
+
+def test_the_warm_summary_is_a_lower_is_better_metric_without_a_bound():
+    runs = {"parent": PARENT, "change": [x - 1.0 for x in PARENT]}
+    s = bench_pairs.warm_summary(runs)
+    assert (s["unit"], s["better"], s["bound"]) == ("ms", "lower", None)
+    assert s["rounds"] == bench_pairs.WARM_ROUNDS
+    assert s["runs_per_side"] == 10
+    assert s["parent"]["median"] == 11.0 and s["change"]["median"] == 10.0
+    assert s["pairs_change_better"] == "10/10"
+    assert s["median_gain"] == 1.0
+    assert s["parent_quartile_distance"] == 2.5

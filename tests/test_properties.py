@@ -17,7 +17,7 @@ import twocopy
 from twocopy import COPY_MAJOR, SINGLE_COPY, DensityOperator, Ket, joint_outcome_distribution, validate_density
 from twocopy.cli import main
 from twocopy.linalg import ATOL, EIGENVALUE_FLOOR, PROBABILITY_ATOL
-from twocopy.protocol import OutcomeDistribution, disagreement_probability, evaluate_scenario
+from twocopy.protocol import OutcomeDistribution, evaluate_scenario
 from twocopy.scenarios import ConfigError, _dumps, emit_report, parse_config, report_from_json, report_to_json, run
 from twocopy.states import (
     MAX_PHASE_POINTS,
@@ -337,7 +337,7 @@ def test_every_accepted_distribution_evaluates_within_zero_and_one(weights, shif
         assume(False)
     assert all(0.0 <= p <= 1.0 for p in d.as_tuple())
     verdict = evaluate_scenario(phase_averaged_state("exact"), d)
-    for p in (disagreement_probability(d), verdict.disagreement_prob, verdict.p_a_alice, verdict.p_a_bob):
+    for p in (verdict.disagreement_prob, verdict.p_a_alice, verdict.p_a_bob):
         assert 0.0 <= p <= 1.0
 
 

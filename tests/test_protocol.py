@@ -5,15 +5,13 @@ from twocopy import (
     SINGLE_COPY,
     DensityOperator,
     Ket,
-    disagreement_probability,
     ensemble_upper_bound_entanglement,
     evaluate_scenario,
     joint_outcome_distribution,
-    naive_concurrence_estimate,
     sample_outcomes,
     wootters_concurrence,
 )
-from twocopy.linalg import _derived
+from twocopy.linalg import PROBABILITY_ATOL, _derived
 from twocopy.protocol import OutcomeDistribution, ShotRecord
 from twocopy.states import (
     COPY_MAJOR,
@@ -36,6 +34,7 @@ from conftest import (
     random_product_ket,
     random_pure_ensemble,
     random_unit_vector,
+    verdict_of,
 )
 
 AB = SINGLE_COPY
@@ -99,27 +98,34 @@ class TestAntisymProbability:
         assert abs(antisym(state, "bob") - 0.25) < 1e-12
 
 
+def verdict_at(p_a: float):
+    """The verdict on a distribution whose Alice-antisymmetric probability is ``p_a``; the state only sets the truth."""
+    return evaluate_scenario(eve_state("symmetric"), OutcomeDistribution(p_a, 0.0, 0.0, 1.0 - p_a))
+
+
 class TestNaiveEstimate:
     def test_quarter_probability_claims_maximal(self):
-        estimate, valid = naive_concurrence_estimate(0.25)
-        assert estimate == 1.0 and valid
+        v = verdict_at(0.25)
+        assert v.naive_concurrence == 1.0 and v.estimator_valid
 
     def test_zero(self):
-        assert naive_concurrence_estimate(0.0) == (0.0, True)
+        v = verdict_at(0.0)
+        assert (v.naive_concurrence, v.estimator_valid) == (0.0, True)
 
     def test_probability_one_is_flagged(self):
-        estimate, valid = naive_concurrence_estimate(1.0)
-        assert estimate == 2.0 and not valid
+        v = verdict_at(1.0)
+        assert v.naive_concurrence == 2.0 and not v.estimator_valid
 
     def test_never_clamped(self):
-        estimate, _ = naive_concurrence_estimate(0.81)
-        assert abs(estimate - 1.8) < 1e-12
+        assert abs(verdict_at(0.81).naive_concurrence - 1.8) < 1e-12
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            naive_concurrence_estimate(1.0001)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            naive_concurrence_estimate(-0.1)
+    def test_alice_probability_above_one_within_the_tolerance_reads_one(self):
+        # p_aa + p_as exceeds 1 by less than PROBABILITY_ATOL: the distribution
+        # accepts it, and the verdict reads Alice's probability as exactly 1
+        v = evaluate_scenario(eve_state("antisymmetric"), OutcomeDistribution(1.0, PROBABILITY_ATOL / 2, 0.0, 0.0))
+        assert v.p_a_alice == 1.0
+        assert v.naive_concurrence == 2.0
+        assert v.estimator_valid is False
 
 
 class TestJointOutcomeDistribution:
@@ -164,20 +170,17 @@ class TestDisagreementProbability:
     def test_identical_copies_always_agree(self, rng):
         for _ in range(25):
             state = identical_pure_copies(random_ket(rng))
-            dist = joint_outcome_distribution(state)
-            assert disagreement_probability(dist) < 1e-12
+            assert verdict_of(state).disagreement_prob < 1e-12
 
     def test_fully_mixed_disagrees_three_eighths(self):
-        dist = joint_outcome_distribution(fully_mixed_two_copies())
-        assert abs(disagreement_probability(dist) - 0.375) < 1e-12
+        assert abs(verdict_of(fully_mixed_two_copies()).disagreement_prob - 0.375) < 1e-12
 
     def test_phase_averaged_fools_the_two_sided_check(self):
         state = phase_averaged_state("exact")
-        dist = joint_outcome_distribution(state)
-        naive, _ = naive_concurrence_estimate(antisym(state, "alice"))
+        v = verdict_of(state)
         truth = wootters_concurrence(single_copy_marginal(state, 1))
-        assert disagreement_probability(dist) < 1e-12
-        assert abs(naive - 1.0) < 1e-12
+        assert v.disagreement_prob < 1e-12
+        assert abs(v.naive_concurrence - 1.0) < 1e-12
         assert truth == 0.0
 
 

@@ -20,6 +20,7 @@ from twocopy.scenarios import (
     METRIC_NAMES,
     SCENARIOS,
     ConfigError,
+    ScenarioConfig,
     build_state,
     emit_report,
     parse_config,
@@ -27,7 +28,7 @@ from twocopy.scenarios import (
     report_to_json,
     run,
 )
-from twocopy.states import JOINT_PROJECTORS, MAX_PHASE_POINTS
+from twocopy.states import JOINT_PROJECTORS, MAX_PHASE_POINTS, eve_state, phase_averaged_state
 
 from conftest import (
     ALICE_ANTISYMMETRIC,
@@ -965,6 +966,10 @@ class TestBoundaryEdges:
         assert report_to_json(report_from_json(out)) == out
 
 
+# the bundled configs whose states are constants, evaluated once per process
+CONSTANT_BUNDLED = ("eve-antisym", "eve-sym", "phase-averaged")
+
+
 class TestComputedOnce:
     def test_state_and_distribution_once_per_scenario(self, monkeypatch, capsys):
         calls = {"build_state": 0, "joint_outcome_distribution": 0, "phase_averaged_state": 0}
@@ -976,18 +981,81 @@ class TestComputedOnce:
                 return _original(*args)
 
             monkeypatch.setattr(scenarios, name, counted)
-        # the scenario table builds each phase-averaged state through this name
-        once = {"build_state": len(BUNDLED), "joint_outcome_distribution": len(BUNDLED), "phase_averaged_state": 1}
         for path in BUNDLED:
+            calls.update(dict.fromkeys(calls, 0))
             run(parse_config(path.read_text()))
-        assert calls == once
+            # the scenario table builds each phase-averaged state through this name
+            assert calls == {
+                "build_state": 1,
+                "joint_outcome_distribution": int(path.stem not in CONSTANT_BUNDLED),
+                "phase_averaged_state": int(path.stem == "phase-averaged"),
+            }, path.stem
         # an override is a document field: the parser builds each state once with it
+        assert len(BUNDLED) == 7
         calls.update(dict.fromkeys(calls, 0))
         assert main(["--seed", "7", *map(str, BUNDLED)]) == 0
-        assert calls == once
+        assert calls == {"build_state": 7, "joint_outcome_distribution": 4, "phase_averaged_state": 1}
+        phase = str(REPO_ROOT / "scenarios" / "phase-averaged.json")
         calls.update(dict.fromkeys(calls, 0))
-        assert main(["--phase-points", "8", str(REPO_ROOT / "scenarios" / "phase-averaged.json")]) == 0
+        assert main(["--phase-points", "8", phase]) == 0
         assert calls == {"build_state": 1, "joint_outcome_distribution": 1, "phase_averaged_state": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["--phase-points", "discretized", phase]) == 0
+        assert calls == {"build_state": 1, "joint_outcome_distribution": 0, "phase_averaged_state": 1}
+
+
+# the four (row, constant state) pairs evaluated at import
+CONSTANT_DOCUMENTS = {
+    "eve-antisym": {"scenario": "eve-antisym"},
+    "eve-sym": {"scenario": "eve-sym"},
+    "phase-averaged-exact": {"scenario": "phase-averaged", "parameters": {"points": "exact"}},
+    "phase-averaged-discretized": {"scenario": "phase-averaged", "parameters": {"points": "discretized"}},
+}
+
+
+def constant_config(name: str):
+    doc = {**CONSTANT_DOCUMENTS[name], "seed": 5, "shots": 1000,
+           "expect": {"naive_concurrence": {"value": 1.0, "tol": 1e-12}, "estimator_valid": {"value": True}}}
+    return parse_config(json.dumps(doc))
+
+
+class TestConstantEvaluations:
+    @pytest.mark.parametrize("name", CONSTANT_DOCUMENTS)
+    def test_stored_report_equals_a_fresh_evaluation(self, name):
+        config = constant_config(name)
+        assert (config.scenario, id(config.state)) in scenarios._CONSTANT_EVALUATIONS
+        # a separate operator with the same entries is not in the table, so run evaluates it afresh
+        fresh = dataclasses.replace(config, state=DensityOperator(COPY_MAJOR, config.state.entries.copy()))
+        assert (fresh.scenario, id(fresh.state)) not in scenarios._CONSTANT_EVALUATIONS
+        assert report_to_json(run(config)) == report_to_json(run(fresh))
+
+    def test_constant_state_under_another_row_takes_that_rows_bound(self):
+        config = ScenarioConfig(scenario="custom", parameters={}, state=phase_averaged_state())
+        report = run(config)
+        assert report.verdict.truth_decomposition_bound is None
+        assert '"truth_decomposition_bound": null' in report_to_json(report)
+        stored = run(constant_config("phase-averaged-exact"))
+        bound = SCENARIOS["phase-averaged"].decomposition_bound
+        assert dataclasses.replace(report.verdict, truth_decomposition_bound=bound) == stored.verdict
+        # and the phase-averaged row's bound reaches a state that is not its own constant
+        report = run(ScenarioConfig(scenario="phase-averaged", parameters={}, state=eve_state("symmetric")))
+        assert report.verdict.truth_decomposition_bound == bound
+
+    def test_discretized_grid_is_the_64_point_grid(self):
+        shared, built = phase_averaged_state("discretized"), phase_averaged_state(64)
+        assert shared is phase_averaged_state("discretized") and built is not shared
+        assert shared.entries.tobytes() == built.entries.tobytes()
+        config = constant_config("phase-averaged-discretized")
+        assert report_to_json(run(config)) == report_to_json(run(dataclasses.replace(config, state=built)))
+
+    @pytest.mark.parametrize("points", [[64], {"n": 64}], ids=["list", "mapping"])
+    def test_unhashable_points_refused(self, points):
+        doc = {"scenario": "phase-averaged", "parameters": {"points": points}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert info.value.problems == [
+            f"parameters: points must be 'exact', 'discretized', or an integer, got {points!r}"
+        ]
 
 
 def test_benchmark_traced_functions_exist():

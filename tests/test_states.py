@@ -37,6 +37,7 @@ from conftest import (
     random_de_finetti_ensemble,
     random_ket,
     random_pure_ensemble,
+    verdict_of,
 )
 
 AB = SINGLE_COPY
@@ -219,13 +220,9 @@ class TestEveState:
         assert abs(antisym(state, "bob")) < 1e-14
 
     def test_antisymmetric_naive_estimate_out_of_range(self):
-        from twocopy import naive_concurrence_estimate
-
-        estimate, valid = naive_concurrence_estimate(
-            antisym(eve_state("antisymmetric"), "alice")
-        )
-        assert abs(estimate - 2.0) < 1e-12
-        assert not valid
+        verdict = verdict_of(eve_state("antisymmetric"))
+        assert abs(verdict.naive_concurrence - 2.0) < 1e-12
+        assert not verdict.estimator_valid
 
     def test_states_are_corners_of_the_projector_table(self):
         # P_xx / d_x^2 with d_a = 1 and d_s = 3, entry for entry
