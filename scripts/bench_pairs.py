@@ -27,9 +27,13 @@ the change's median is better than the parent's, negative if worse) and
 each seed, one interpreter per side, sides alternating as above, runs
 ``run(parse_config(text))`` over every ``scenarios/*.json`` in
 ``WARM_ROUNDS`` timed rounds after one untimed round, and its value is the
-median round in milliseconds.  It is summarised as a metric is, without a
-bound, and gates nothing.  Prints one JSON line; ``--out`` writes the same
-object to a file.  Uses only the standard library.
+median round in milliseconds.  ``tier1_s`` is the wall time of the tier-1
+suite (``python -m pytest -q --continue-on-collection-errors`` with the
+export's ``src`` first on the path), run ``TIER1_RUNS`` times in each
+export after the seeds, sides alternating as above; ``tests`` holds each
+side's pytest summary without its time.  Both are summarised as a metric
+is, without a bound, and gate nothing.  Prints one JSON line; ``--out``
+writes the same object to a file.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +56,9 @@ SIDES = ("parent", "change")
 # what the parent lends the change's export, so both run the same benchmark
 SHARED = ("bench", "scenarios", "BENCHMARK.json")
 WARM_ROUNDS = 200
+# tier-1 runs per side: each takes about 20 s, so 5 pairs cost some 3.5 minutes
+TIER1_RUNS = 5
+TIER1_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 # one side's warm rounds: the seconds of each timed round and the package it imported
 WARM_SCRIPT = """
 import json, sys, time
@@ -146,21 +154,43 @@ def round_median_ms(round_s: list[float]) -> float:
     return round(statistics.median(round_s) * 1000.0, 6)
 
 
-def warm_pairs(trees: dict, seeds: list[int]) -> dict:
-    """{side: [bundled_warm_ms per seed]}, the parent first on odd seeds."""
+def tier1_once(tree: Path) -> tuple[float, str]:
+    """The wall time in seconds of one tier-1 run in ``tree``, and pytest's summary without its time."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_COMMAND], capture_output=True, text=True, cwd=tree, env=env)
+    seconds = time.perf_counter() - start
+    if proc.returncode:
+        sys.exit(f"{tree.name} tier-1 exited {proc.returncode}\n{proc.stdout[-4000:]}{proc.stderr}")
+    return round(seconds, 3), proc.stdout.splitlines()[-1].rsplit(" in ", 1)[0]
+
+
+def alternate(trees: dict, rounds: list[int], measure, label: str) -> dict:
+    """{side: [measure(tree) per round]}, the parent first on odd rounds."""
     runs = {side: [] for side in SIDES}
-    for seed in seeds:
-        for side in SIDES if seed % 2 else SIDES[::-1]:
-            runs[side].append(warm_once(trees[side]))
-        print(f"seed {seed} bundled warm: " + ", ".join(f"{side} {runs[side][-1]} ms" for side in SIDES),
-              file=sys.stderr, flush=True)
+    for n in rounds:
+        for side in SIDES if n % 2 else SIDES[::-1]:
+            runs[side].append(measure(trees[side]))
+        print(f"{label} {n}: " + ", ".join(f"{side} {runs[side][-1]}" for side in SIDES), file=sys.stderr, flush=True)
     return runs
 
 
-def warm_summary(runs: dict) -> dict:
-    """The bundled_warm_ms entry: per-seed medians of ``WARM_ROUNDS`` rounds, summarised as a metric is."""
-    return {"unit": "ms", "better": "lower", "bound": None, "rounds": WARM_ROUNDS,
+def unbounded_summary(runs: dict, unit: str, **extra) -> dict:
+    """A lower-is-better measure that no bound gates, summarised as a metric is."""
+    return {"unit": unit, "better": "lower", "bound": None, **extra,
             "runs_per_side": len(runs["parent"]), **summarise(runs["parent"], runs["change"], "lower")}
+
+
+def warm_summary(runs: dict) -> dict:
+    """The bundled_warm_ms entry: per-seed medians of ``WARM_ROUNDS`` rounds."""
+    return unbounded_summary(runs, "ms", rounds=WARM_ROUNDS)
+
+
+def tier1_summary(runs: dict) -> dict:
+    """The tier1_s entry from {side: [(seconds, pytest summary) per run]}: the seconds, and each side's last summary."""
+    seconds = {side: [s for s, _ in runs[side]] for side in SIDES}
+    tests = {side: runs[side][-1][1] for side in SIDES}
+    return unbounded_summary(seconds, "s", command="python " + " ".join(TIER1_COMMAND), tests=tests)
 
 
 def workload_summary(results: dict, metrics: list[dict]) -> dict:
@@ -201,9 +231,10 @@ def main() -> None:
         workloads = [w["name"] for w in benchmark["workloads"]]
         metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
         main_runs = run_pairs(trees, workloads, args.seeds, seconds)
-        main_warm = warm_pairs(trees, args.seeds)
+        main_warm = alternate(trees, args.seeds, warm_once, "seed bundled warm ms")
         fresh_runs = run_pairs(trees, workloads, args.fresh, seconds) if args.fresh else None
-        fresh_warm = warm_pairs(trees, args.fresh) if args.fresh else None
+        fresh_warm = alternate(trees, args.fresh, warm_once, "seed bundled warm ms") if args.fresh else None
+        tier1 = alternate(trees, list(range(1, TIER1_RUNS + 1)), tier1_once, "tier-1 run")
     summary = {
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
@@ -211,6 +242,7 @@ def main() -> None:
         "seeds": [args.seeds[0], args.seeds[-1]],
         "workloads": {w: workload_summary(main_runs[w], metrics) for w in workloads},
         "bundled_warm_ms": warm_summary(main_warm),
+        "tier1_s": tier1_summary(tier1),
     }
     if fresh_runs:
         summary["fresh_seed_pairs"] = {

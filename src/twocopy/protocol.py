@@ -41,12 +41,16 @@ class OutcomeDistribution:
     p_ss: float
 
     def __post_init__(self) -> None:
-        """Refuse values beyond ``PROBABILITY_ATOL`` of [0, 1] or of a unit sum; store them clamped to [0, 1]."""
+        """Refuse values beyond ``PROBABILITY_ATOL`` of [0, 1] or of a unit sum; clamp those outside [0, 1] into it.
+
+        A value within [0, 1], ``-0.0`` included, is stored as given.
+        """
         probs = self.as_tuple()
         for name, p in zip(OUTCOMES, probs):
             if not -PROBABILITY_ATOL <= p <= 1.0 + PROBABILITY_ATOL:
                 raise ValueError(f"p_{name} = {p!r} outside [0, 1]")
-            object.__setattr__(self, f"p_{name}", min(max(p, 0.0), 1.0))
+            if not 0.0 <= p <= 1.0:
+                object.__setattr__(self, f"p_{name}", min(max(p, 0.0), 1.0))
         if abs(sum(probs) - 1.0) > PROBABILITY_ATOL:
             raise ValueError(f"outcome probabilities sum to {sum(probs)!r}, not 1")
 

@@ -31,9 +31,11 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional, Union, get_type_hints
+from operator import attrgetter
+from typing import Callable, Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -91,16 +93,11 @@ class ScenarioConfig:
     default_tolerance: float = DEFAULT_EXPECT_TOL
 
     def to_dict(self) -> dict:
-        doc: dict[str, Any] = {
-            "scenario": self.scenario,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "shots": self.shots,
-            "default_tolerance": self.default_tolerance,
-        }
-        if self.expect:
-            doc["expect"] = self.expect
-        return doc
+        """The document as a report echoes it: every field but ``state``, and ``expect`` only when non-empty."""
+        return {name: getattr(self, name) for name in _ECHOED_FIELDS if name != "expect" or self.expect}
+
+
+_ECHOED_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name != "state")
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,7 @@ def _finite(node) -> Optional[float]:
     return float(node) if grid and not grid[0] else None
 
 
-def _number_grid(node) -> Optional[tuple[list[int], list]]:
+def _number_grid(node) -> Optional[tuple[tuple[int, ...], list]]:
     """The shape and row-major leaves of ``node`` if it is a rectangular nest of lists of plain numbers.
 
     A plain number is a finite exact ``int`` or ``float``: not a bool, a
@@ -163,7 +160,7 @@ def _number_grid(node) -> Optional[tuple[list[int], list]]:
         leaves = list(chain.from_iterable(leaves))
     try:
         # math.isfinite overflows on an integer beyond the float range, such as 10**400
-        return (shape, leaves) if kinds <= {int, float} and all(map(math.isfinite, leaves)) else None
+        return (tuple(shape), leaves) if kinds <= {int, float} and all(map(math.isfinite, leaves)) else None
     except OverflowError:
         return None
 
@@ -176,7 +173,7 @@ def _parse_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[s
     the leaf-by-leaf walk, which alone reads mixed forms and writes refusals.
     """
     grid = _number_grid(node)
-    if grid and tuple(grid[0]) in (shape, shape + (2,)):
+    if grid and grid[0] in (shape, shape + (2,)):
         parts = np.array(grid[1], dtype=float).reshape(grid[0])
         return parts.astype(complex) if parts.shape == shape else parts.view(complex).reshape(shape)
     return _walk_amplitudes(node, shape, where, problems)
@@ -456,18 +453,29 @@ def run(config: ScenarioConfig) -> ScenarioReport:
         else:
             passed = actual is not None and abs(actual - expected) <= tol
         checks.append(CheckResult(metric, expected, actual, tol, passed))
-    return ScenarioReport(
-        config=config.to_dict(),
-        verdict=verdict,
-        joint=joint,
-        shot_record=record,
-        checks=tuple(checks),
-    )
+    return ScenarioReport(config.to_dict(), verdict, joint, record, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
+
+
+# The parser accepts amplitude arrays of 6 shapes (a ket as 4 numbers or 4
+# [re, im] pairs, a single-copy density as 4x4 of either, a custom state as
+# 16x16 of either), and a report echoes them at 2 depths (as a parameter or
+# as a member's), so this many layouts serve every parsed document.
+GRID_LAYOUTS = 12
+
+
+@lru_cache(maxsize=GRID_LAYOUTS)
+def _grid_layout(shape: tuple[int, ...], indent: str) -> str:
+    """The layout ``json.dumps`` gives every nest of ``shape`` at ``indent``, with a ``%s`` slot per leaf."""
+    text = "%s"
+    for depth in reversed(range(len(shape))):
+        outer = indent + "  " * depth
+        text = f"[\n{outer}  " + f",\n{outer}  ".join([text] * shape[depth]) + f"\n{outer}]"
+    return text
 
 
 def _dumps(node, indent: str = "") -> str:
@@ -477,9 +485,9 @@ def _dumps(node, indent: str = "") -> str:
     encoder, one generator step per node; this writes the same bytes with
     the same scalar encoders and one call per node.  A list that
     :func:`_number_grid` accepts, such as an echoed amplitude array, is
-    written in one step: the layout ``json.dumps`` gives every nest of its
-    shape, with a ``%s`` slot per leaf, filled by ``%``, which writes an
-    exact ``int`` or ``float`` by its ``__repr__`` as ``json.dumps`` does.
+    written in one step: its shape's :func:`_grid_layout` filled by ``%``,
+    which writes an exact ``int`` or ``float`` by its ``__repr__`` as
+    ``json.dumps`` does.
     """
     if isinstance(node, float) and math.isfinite(node):
         return float.__repr__(node)
@@ -492,12 +500,7 @@ def _dumps(node, indent: str = "") -> str:
     if type(node) is int:
         return int.__repr__(node)
     if isinstance(node, list) and (grid := _number_grid(node)):
-        shape, leaves = grid
-        text = "%s"
-        for depth in reversed(range(len(shape))):
-            outer = indent + "  " * depth
-            text = f"[\n{outer}  " + f",\n{outer}  ".join([text] * shape[depth]) + f"\n{outer}]"
-        return text % tuple(leaves)
+        return _grid_layout(grid[0], indent) % tuple(grid[1])
     if node and isinstance(node, (list, tuple, dict)):
         inner = indent + "  "
         if isinstance(node, dict):
@@ -511,25 +514,51 @@ def _dumps(node, indent: str = "") -> str:
     return json.dumps(node)
 
 
+def _layout(tree: dict, indent: str = "") -> tuple[str, list]:
+    """The text :func:`_dumps` writes for a mapping shaped as ``tree``, with a ``%s`` slot per leaf.
+
+    A leaf is a getter of one value from a report.  The slots come back in
+    the order the text holds them, as (getter, the indent ``_dumps`` writes
+    that value at) pairs.
+    """
+    inner, items, slots = indent + "  ", [], []
+    for key, leaf in sorted(tree.items()):
+        text, leaf_slots = _layout(leaf, inner) if isinstance(leaf, dict) else ("%s", [(leaf, inner)])
+        items.append(f"{encode_basestring_ascii(key)}: {text}")
+        slots += leaf_slots
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}", slots
+
+
+def _fields(record: type, path: str) -> dict:
+    """Each field of a report record by name, as the getter of its value from the report."""
+    return {f.name: attrgetter(f"{path}.{f.name}") for f in fields(record)}
+
+
+# the report as a tree of getters: each record by its fields, config and checks whole
+_REPORT = {
+    "config": attrgetter("config"), "shot_record": attrgetter("shot_record"), "all_passed": attrgetter("all_passed"),
+    "verdict": _fields(EstimateVerdict, "verdict"), "joint_distribution": _fields(OutcomeDistribution, "joint"),
+    "checks": lambda r: [vars(c) for c in r.checks],
+}
+_SHOT_RECORD = _fields(ShotRecord, "shot_record") | {
+    "counts": {name: lambda r, i=i: r.shot_record.counts[i] for i, name in enumerate(OUTCOMES)}}
+# the report's layout without a shot record, which writes null, and with one
+_REPORT_LAYOUTS = (_layout(_REPORT), _layout(_REPORT | {"shot_record": _SHOT_RECORD}))
+
+
 def report_to_json(r: ScenarioReport) -> str:
     """Structured machine format; full precision, byte-stable across runs.
 
     The text is that of ``json.dumps(..., indent=2, sort_keys=True)`` byte
     for byte: two-space indents, sorted keys, ASCII escapes in strings and
-    floats as Python writes them with ``repr``.
+    floats as Python writes them with ``repr``.  The layout of the report
+    and of its records is fixed at import from the records' fields; each
+    value is written into it by :func:`_dumps`, so ``config``, ``checks``
+    and any value of a hand-built record are written as ``json.dumps``
+    writes them, or refused as it refuses them.
     """
-    record = None
-    if r.shot_record is not None:
-        record = {**vars(r.shot_record), "counts": dict(zip(OUTCOMES, r.shot_record.counts))}
-    doc = {
-        "config": r.config,
-        "verdict": vars(r.verdict),
-        "joint_distribution": vars(r.joint),
-        "shot_record": record,
-        "checks": [vars(c) for c in r.checks],
-        "all_passed": r.all_passed,
-    }
-    return _dumps(doc)
+    text, slots = _REPORT_LAYOUTS[r.shot_record is not None]
+    return text % tuple([_dumps(get(r), indent) for get, indent in slots])
 
 
 def report_from_json(text: str) -> ScenarioReport:

@@ -55,3 +55,26 @@ def test_the_warm_summary_is_a_lower_is_better_metric_without_a_bound():
     assert s["pairs_change_better"] == "10/10"
     assert s["median_gain"] == 1.0
     assert s["parent_quartile_distance"] == 2.5
+
+
+def test_the_tier1_summary_is_a_lower_is_better_metric_without_a_bound():
+    # fixed (seconds, pytest summary) pairs; no suite is started here
+    runs = {"parent": [(20.0, "635 passed"), (18.0, "635 passed"), (19.0, "635 passed"), (21.0, "635 passed")],
+            "change": [(19.5, "650 passed"), (18.5, "650 passed"), (18.0, "650 passed"), (20.0, "650 passed")]}
+    s = bench_pairs.tier1_summary(runs)
+    assert (s["unit"], s["better"], s["bound"]) == ("s", "lower", None)
+    assert s["command"] == "python -m pytest -q --continue-on-collection-errors"
+    assert s["tests"] == {"parent": "635 passed", "change": "650 passed"}
+    assert s["runs_per_side"] == 4
+    assert s["parent"]["runs"] == [20.0, 18.0, 19.0, 21.0]
+    assert s["parent"]["median"] == 19.5 and s["change"]["median"] == 19.0
+    assert s["pairs_change_better"] == "3/4"
+    assert s["median_gain"] == 0.5
+
+
+def test_sides_alternate_the_parent_first_on_odd_rounds():
+    order = []
+    trees = {"parent": "P", "change": "C"}
+    runs = bench_pairs.alternate(trees, [1, 2, 3], lambda tree: order.append(tree) or len(order), "round")
+    assert order == ["P", "C", "C", "P", "P", "C"]
+    assert runs == {"parent": [1, 4, 5], "change": [2, 3, 6]}

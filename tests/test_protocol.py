@@ -1,3 +1,7 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -164,6 +168,26 @@ class TestJointOutcomeDistribution:
             OutcomeDistribution(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="outside"):
             OutcomeDistribution(1.5, -0.5, 0.0, 0.0)
+
+    def test_entries_within_the_tolerance_outside_the_range_are_clamped(self):
+        d = OutcomeDistribution(1.0 + PROBABILITY_ATOL / 2, -PROBABILITY_ATOL / 2, 0.0, 0.0)
+        assert d.as_tuple() == (1.0, 0.0, 0.0, 0.0)
+        assert math.copysign(1.0, d.p_as) == 1.0  # a clamped entry is a plain 0.0, not -0.0
+
+    @pytest.mark.parametrize("index, p", [(0, 1.0 + 2 * PROBABILITY_ATOL), (1, -2 * PROBABILITY_ATOL)])
+    def test_entries_beyond_the_tolerance_are_refused_with_their_value(self, index, p):
+        probs = [0.5, 0.5, 0.0, 0.0]
+        probs[index] = p
+        name = ("aa", "as")[index]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'p_{name} = {p!r} outside [0, 1]')}$"):
+            OutcomeDistribution(*probs)
+
+    def test_entries_within_the_range_are_stored_as_given(self):
+        given = (np.float64(0.25), -0.0, 0.75, 0)
+        d = OutcomeDistribution(*given)
+        assert all(stored is value for stored, value in zip(d.as_tuple(), given))
+        assert repr(d.p_as) == "-0.0"
+        assert json.dumps(vars(d)) == '{"p_aa": 0.25, "p_as": -0.0, "p_sa": 0.75, "p_ss": 0}'
 
 
 class TestDisagreementProbability:

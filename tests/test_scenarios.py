@@ -361,6 +361,15 @@ class TestRun:
 
 
 class TestEmission:
+    @pytest.mark.parametrize("expect", [{}, {"p_aa": {"value": 0.0, "tol": 1e-12}}], ids=["without-expect", "with-expect"])
+    def test_config_echo_holds_every_field_but_the_state(self, expect):
+        config = parse_config(json.dumps({"scenario": "eve-sym", "expect": expect}))
+        echoed = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"state"} - (set() if expect else {"expect"})
+        assert echoed - {"expect"} == {"scenario", "parameters", "seed", "shots", "default_tolerance"}
+        echo = config.to_dict()
+        assert set(echo) == echoed
+        assert all(echo[name] is getattr(config, name) for name in echoed)
+
     def test_json_round_trip_equality(self):
         config = parse_config(de_finetti_mixed_config(shots=500))
         report = run(config)
@@ -450,6 +459,62 @@ def test_json_writer_writes_each_amplitude_array_in_one_call(monkeypatch, scenar
     monkeypatch.setattr(scenarios, "_dumps", lambda *args: calls.append(args) or dumps(*args))
     emit_report(report, "json")
     assert len(calls) <= 40
+
+
+def written_or_refused(write, report):
+    """The text ``write`` gives for ``report``, or the type of the exception it raises."""
+    try:
+        return write(report)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _replaced(record: str, **values):
+    """A report with shots whose ``record`` field holds ``values`` in place of its own."""
+    report = run(parse_config(de_finetti_mixed_config(shots=500, seed=3)))
+    return dataclasses.replace(report, **{record: dataclasses.replace(getattr(report, record), **values)})
+
+
+HAND_BUILT_REPORTS = {
+    "numpy-float": lambda: _replaced("verdict", naive_concurrence=np.float64(0.5)),
+    "nan": lambda: _replaced("verdict", p_a_bob=float("nan"), disagreement_prob=float("-inf")),
+    "none": lambda: _replaced("verdict", truth_single_copy_concurrence=None),
+    "numpy-bool": lambda: _replaced("verdict", estimator_valid=np.bool_(True)),
+    "list": lambda: _replaced("verdict", truth_decomposition_bound=[0.5, {"b": [], "a": 1}]),
+    "numpy-float-joint": lambda: _replaced("joint", p_aa=np.float64(0.0625)),
+    "numpy-int-counts": lambda: _replaced("shot_record", counts=(np.int64(30), 90, 95, 285)),
+    "seed-of-4000-digits": lambda: _replaced("shot_record", seed=10**3999),
+    "boolean-shots": lambda: _replaced("shot_record", shots=True, counts=(1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("build", HAND_BUILT_REPORTS.values(), ids=HAND_BUILT_REPORTS.keys())
+def test_layout_writer_writes_or_refuses_hand_built_records_as_the_standard_library(build):
+    report = build()
+    assert written_or_refused(report_to_json, report) == written_or_refused(stdlib_report_json, report)
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_each_record_section_is_what_the_general_writer_writes(path):
+    report = run(parse_config(path.read_text()))
+    sections = {"verdict": vars(report.verdict), "joint_distribution": vars(report.joint)}
+    if report.shot_record is not None:
+        counts = dict(zip(scenarios.OUTCOMES, report.shot_record.counts))
+        sections["shot_record"] = {**vars(report.shot_record), "counts": counts}
+    text = report_to_json(report)
+    for key, record in sections.items():
+        assert re.search(f'\n  "{key}": {re.escape(scenarios._dumps(record, "  "))},?\n', text)
+
+
+def test_more_grid_shapes_than_the_layout_cache_holds_match_the_standard_library():
+    report = run(parse_config(MINIMAL_PHASE))
+    # two rounds over more distinct shapes than the cache holds, each echoed at two depths
+    shapes = [(n,) for n in range(1, scenarios.GRID_LAYOUTS + 3)] + [(n, 2) for n in range(1, 4)]
+    grids = {f"{i}": np.arange(np.prod(shape), dtype=float).reshape(shape).tolist() for i, shape in enumerate(shapes)}
+    for _ in range(2):
+        hand_built = dataclasses.replace(report, config={"grids": grids, "nested": {"grids": grids}})
+        assert report_to_json(hand_built) == stdlib_report_json(hand_built)
+    assert scenarios._grid_layout.cache_info().currsize == scenarios.GRID_LAYOUTS
 
 
 class TestCli:
