@@ -32,7 +32,12 @@ suite (``python -m pytest -q --continue-on-collection-errors`` with the
 export's ``src`` first on the path), run ``TIER1_RUNS`` times in each
 export after the seeds, sides alternating as above; ``tests`` holds each
 side's pytest summary without its time.  Both are summarised as a metric
-is, without a bound, and gate nothing.  Prints one JSON line; ``--out``
+is, without a bound, and gate nothing.  ``by_layer`` holds the per-layer
+metrics: after the seeds, ``bench/run.py ... --trace 1`` runs for seeds 1 to
+``TRACE_RUNS`` in each export and workload, sides alternating as above, and
+each metric of BENCHMARK.json's ``per_layer`` list is summarised per
+workload as an end-to-end one is, with its ``better`` and no bound (a ratio
+or spread over a median of 0 is null).  Prints one JSON line; ``--out``
 writes the same object to a file.  Uses only the standard library.
 """
 
@@ -59,6 +64,8 @@ WARM_ROUNDS = 200
 # tier-1 runs per side: each takes about 20 s, so 5 pairs cost some 3.5 minutes
 TIER1_RUNS = 5
 TIER1_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# traced runs per side and workload: each takes one run_seconds, so 3 pairs of 4 workloads cost some 10 minutes
+TRACE_RUNS = 3
 # one side's warm rounds: the seconds of each timed round and the package it imported
 WARM_SCRIPT = """
 import json, sys, time
@@ -86,20 +93,20 @@ def side_summary(runs: list[float]) -> dict:
     median = statistics.median(runs)
     q1, _, q3 = statistics.quantiles(runs, n=4)
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
-            "spread": round((q3 - q1) / median, 6), "runs": runs}
+            "spread": round((q3 - q1) / median, 6) if median else None, "runs": runs}
 
 
 def summarise(parent: list[float], change: list[float], better: str) -> dict:
     """Both sides' summaries and the pairwise comparison of one metric; run i of each side shares a seed."""
     sign = 1.0 if better == "higher" else -1.0
     p, c = side_summary(parent), side_summary(change)
-    ratio = c["median"] / p["median"]
+    ratio = c["median"] / p["median"] if p["median"] else None
     return {
         "parent": p,
         "change": c,
         "pairs_change_better": f"{sum(sign * (b - a) > 0 for a, b in zip(parent, change))}/{len(parent)}",
-        "change_over_parent": round(ratio, 4),
-        "worse_than_parent_by": round(-sign * (ratio - 1.0), 4),
+        "change_over_parent": None if ratio is None else round(ratio, 4),
+        "worse_than_parent_by": None if ratio is None else round(-sign * (ratio - 1.0), 4),
         "median_gain": round(sign * (c["median"] - p["median"]), 6),
         "parent_quartile_distance": round(p["q3"] - p["q1"], 6),
     }
@@ -115,24 +122,24 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree)
     if proc.returncode:
         sys.exit(f"{tree.name} {workload} seed {seed}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def run_pairs(trees: dict, workloads: list[str], seeds: list[int], seconds: float) -> dict:
+def run_pairs(trees: dict, workloads: list[str], seeds: list[int], seconds: float, trace: int = 0) -> dict:
     """{workload: {side: [result per seed]}}, the parent first on odd seeds."""
     results = {w: {side: [] for side in SIDES} for w in workloads}
     for seed in seeds:
         for workload in workloads:
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                result = run_once(trees[side], workload, seed, seconds)
+                result = run_once(trees[side], workload, seed, seconds, trace)
                 results[workload][side].append(result)
-                print(f"seed {seed} {workload} {side}: correct {result['correct']}, "
+                print(f"seed {seed} {workload} {side} trace {trace}: correct {result['correct']}, "
                       f"failed {result['failed']} of {result['attempted']}", file=sys.stderr, flush=True)
     return results
 
@@ -202,7 +209,7 @@ def workload_summary(results: dict, metrics: list[dict]) -> dict:
     }
     for m in metrics:
         runs = {side: [round(r["metrics"][m["name"]]["value"], 6) for r in results[side]] for side in SIDES}
-        out[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+        out[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m.get("bound"),
                           **summarise(runs["parent"], runs["change"], m["better"])}
     return out
 
@@ -235,6 +242,7 @@ def main() -> None:
         fresh_runs = run_pairs(trees, workloads, args.fresh, seconds) if args.fresh else None
         fresh_warm = alternate(trees, args.fresh, warm_once, "seed bundled warm ms") if args.fresh else None
         tier1 = alternate(trees, list(range(1, TIER1_RUNS + 1)), tier1_once, "tier-1 run")
+        traced = run_pairs(trees, workloads, list(range(1, TRACE_RUNS + 1)), seconds, trace=1)
     summary = {
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
@@ -243,6 +251,11 @@ def main() -> None:
         "workloads": {w: workload_summary(main_runs[w], metrics) for w in workloads},
         "bundled_warm_ms": warm_summary(main_warm),
         "tier1_s": tier1_summary(tier1),
+        "by_layer": {
+            "command": f"python3 bench/run.py --workload W --seed K --seconds {seconds} --trace 1",
+            "seeds": [1, TRACE_RUNS],
+            "workloads": {w: workload_summary(traced[w], benchmark["per_layer"]) for w in workloads},
+        },
     }
     if fresh_runs:
         summary["fresh_seed_pairs"] = {

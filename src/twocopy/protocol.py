@@ -80,6 +80,8 @@ class ShotRecord:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
+        if len(self.counts) != len(OUTCOMES):
+            raise ValueError(f"expected one count per outcome ({', '.join(OUTCOMES)}), got {len(self.counts)}")
         if sum(self.counts) != self.shots:
             raise ValueError("outcome counts must sum to the number of shots")
 

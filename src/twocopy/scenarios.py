@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Callable, Optional, Union, get_type_hints
 
 import numpy as np
@@ -254,9 +253,8 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
             doc[key] = {**found, **value}
 
     problems: list[str] = []
-    known_keys = {"scenario", "parameters", "seed", "shots", "expect", "default_tolerance"}
     for key in doc:
-        if key not in known_keys:
+        if key not in _ECHOED_FIELDS:
             problems.append(f"unknown key {reprlib.repr(key)}")
 
     scenario = doc.get("scenario")
@@ -466,6 +464,14 @@ def run(config: ScenarioConfig) -> ScenarioReport:
 # 16x16 of either), and a report echoes them at 2 depths (as a parameter or
 # as a member's), so this many layouts serve every parsed document.
 GRID_LAYOUTS = 12
+# The key sets, in insertion order, of the mappings in a parsed document's
+# report: the report, its config with and without expect, the verdict, the
+# joint distribution, the shot record, its counts and each check (8); the
+# parameters, holding one of ket, members, points or rho (4); a member's
+# weight and ket or rho, in either order (4); and an expectation with and
+# without its tol (2).  An expect mapping's own key set is one of many;
+# those cycle through the cache.
+MAPPING_LAYOUTS = 18
 
 
 @lru_cache(maxsize=GRID_LAYOUTS)
@@ -478,19 +484,33 @@ def _grid_layout(shape: tuple[int, ...], indent: str) -> str:
     return text
 
 
+@lru_cache(maxsize=MAPPING_LAYOUTS)
+def _mapping_layout(keys: tuple[str, ...], indent: str) -> tuple[tuple[str, ...], str]:
+    """The sorted ``keys`` and the layout ``json.dumps`` gives a mapping of them at ``indent``, a ``%s`` slot per value."""
+    order = tuple(sorted(keys))
+    items = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in order]
+    return order, f"{{\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}}}"
+
+
 def _dumps(node, indent: str = "") -> str:
     """The text of ``json.dumps(node, indent=2, sort_keys=True)`` for string-keyed mappings.
 
     ``json.dumps`` writes indented JSON only through its pure-Python
     encoder, one generator step per node; this writes the same bytes with
-    the same scalar encoders and one call per node.  A list that
-    :func:`_number_grid` accepts, such as an echoed amplitude array, is
-    written in one step: its shape's :func:`_grid_layout` filled by ``%``,
-    which writes an exact ``int`` or ``float`` by its ``__repr__`` as
-    ``json.dumps`` does.
+    the same scalar encoders and one call per node.  A mapping is written
+    into its key set's :func:`_mapping_layout`, each value by this function
+    at the next indent.  A list that :func:`_number_grid` accepts, such as
+    an echoed amplitude array, is written in one step: its shape's
+    :func:`_grid_layout` filled by ``%``, which writes an exact ``int`` or
+    ``float`` by its ``__repr__`` as ``json.dumps`` does.  An empty list,
+    tuple or mapping is written as ``[]`` or ``{}``.
     """
     if isinstance(node, float) and math.isfinite(node):
         return float.__repr__(node)
+    if isinstance(node, dict) and node:
+        order, text = _mapping_layout(tuple(node), indent)
+        inner = indent + "  "
+        return text % tuple([_dumps(node[key], inner) for key in order])
     if isinstance(node, str):
         return encode_basestring_ascii(node)
     if node is None:
@@ -501,49 +521,13 @@ def _dumps(node, indent: str = "") -> str:
         return int.__repr__(node)
     if isinstance(node, list) and (grid := _number_grid(node)):
         return _grid_layout(grid[0], indent) % tuple(grid[1])
-    if node and isinstance(node, (list, tuple, dict)):
+    if isinstance(node, (list, tuple)) and node:
         inner = indent + "  "
-        if isinstance(node, dict):
-            items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in sorted(node.items())]
-            opening, closing = "{", "}"
-        else:
-            items = [_dumps(v, inner) for v in node]
-            opening, closing = "[", "]"
-        return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
-    # integer subclasses, non-finite floats and empty containers
+        return f"[\n{inner}" + f",\n{inner}".join([_dumps(v, inner) for v in node]) + f"\n{indent}]"
+    if isinstance(node, (list, tuple, dict)):
+        return "{}" if isinstance(node, dict) else "[]"
+    # integer subclasses and non-finite floats
     return json.dumps(node)
-
-
-def _layout(tree: dict, indent: str = "") -> tuple[str, list]:
-    """The text :func:`_dumps` writes for a mapping shaped as ``tree``, with a ``%s`` slot per leaf.
-
-    A leaf is a getter of one value from a report.  The slots come back in
-    the order the text holds them, as (getter, the indent ``_dumps`` writes
-    that value at) pairs.
-    """
-    inner, items, slots = indent + "  ", [], []
-    for key, leaf in sorted(tree.items()):
-        text, leaf_slots = _layout(leaf, inner) if isinstance(leaf, dict) else ("%s", [(leaf, inner)])
-        items.append(f"{encode_basestring_ascii(key)}: {text}")
-        slots += leaf_slots
-    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}", slots
-
-
-def _fields(record: type, path: str) -> dict:
-    """Each field of a report record by name, as the getter of its value from the report."""
-    return {f.name: attrgetter(f"{path}.{f.name}") for f in fields(record)}
-
-
-# the report as a tree of getters: each record by its fields, config and checks whole
-_REPORT = {
-    "config": attrgetter("config"), "shot_record": attrgetter("shot_record"), "all_passed": attrgetter("all_passed"),
-    "verdict": _fields(EstimateVerdict, "verdict"), "joint_distribution": _fields(OutcomeDistribution, "joint"),
-    "checks": lambda r: [vars(c) for c in r.checks],
-}
-_SHOT_RECORD = _fields(ShotRecord, "shot_record") | {
-    "counts": {name: lambda r, i=i: r.shot_record.counts[i] for i, name in enumerate(OUTCOMES)}}
-# the report's layout without a shot record, which writes null, and with one
-_REPORT_LAYOUTS = (_layout(_REPORT), _layout(_REPORT | {"shot_record": _SHOT_RECORD}))
 
 
 def report_to_json(r: ScenarioReport) -> str:
@@ -551,14 +535,14 @@ def report_to_json(r: ScenarioReport) -> str:
 
     The text is that of ``json.dumps(..., indent=2, sort_keys=True)`` byte
     for byte: two-space indents, sorted keys, ASCII escapes in strings and
-    floats as Python writes them with ``repr``.  The layout of the report
-    and of its records is fixed at import from the records' fields; each
-    value is written into it by :func:`_dumps`, so ``config``, ``checks``
-    and any value of a hand-built record are written as ``json.dumps``
-    writes them, or refused as it refuses them.
+    floats as Python writes them with ``repr``.  The report is one plain
+    mapping of its config, records and checks, written by :func:`_dumps`,
+    so any value of a hand-built record is written as ``json.dumps`` writes
+    it, or refused as it refuses it, and a new record field needs no edit.
     """
-    text, slots = _REPORT_LAYOUTS[r.shot_record is not None]
-    return text % tuple([_dumps(get(r), indent) for get, indent in slots])
+    record = r.shot_record and {**vars(r.shot_record), "counts": dict(zip(OUTCOMES, r.shot_record.counts))}
+    return _dumps({"config": r.config, "verdict": vars(r.verdict), "joint_distribution": vars(r.joint),
+                   "shot_record": record, "checks": [vars(c) for c in r.checks], "all_passed": r.all_passed})
 
 
 def report_from_json(text: str) -> ScenarioReport:

@@ -1,6 +1,7 @@
 """The summary arithmetic of scripts/bench_pairs.py, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,34 @@ def test_sides_alternate_the_parent_first_on_odd_rounds():
     runs = bench_pairs.alternate(trees, [1, 2, 3], lambda tree: order.append(tree) or len(order), "round")
     assert order == ["P", "C", "C", "P", "P", "C"]
     assert runs == {"parent": [1, 4, 5], "change": [2, 3, 6]}
+
+
+def test_each_per_layer_metric_is_summarised_with_its_direction_and_no_bound():
+    # fixed --trace 1 results over BENCHMARK.json's per-layer metrics; no benchmark is started here
+    per_layer = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["per_layer"]
+
+    def result(emit_ms, traced_rate):
+        values = {m["name"]: 1.0 for m in per_layer} | {
+            "scenarios.emit_report_ms": emit_ms, "trace.traced_ops_per_s": traced_rate,
+            "measures.decomposition_infimum_oracle_calls": 0}
+        return {"correct": True, "failed": 0, "attempted": 100,
+                "metrics": {name: {"value": value, "unit": "-"} for name, value in values.items()}}
+
+    results = {"parent": [result(0.13, 900.0), result(0.12, 1000.0), result(0.11, 950.0)],
+               "change": [result(0.08, 1000.0), result(0.07, 1100.0), result(0.09, 900.0)]}
+    s = bench_pairs.workload_summary(results, per_layer)
+    assert s["runs_per_side"] == 3 and s["all_correct"]
+    assert {m["name"] for m in per_layer} <= set(s)
+    assert {(s[m["name"]]["better"], s[m["name"]]["bound"]) for m in per_layer} == {("lower", None), ("higher", None)}
+    emit = s["scenarios.emit_report_ms"]
+    assert (emit["unit"], emit["better"]) == ("ms", "lower")
+    assert emit["parent"]["median"] == 0.12 and emit["change"]["median"] == 0.08
+    assert emit["pairs_change_better"] == "3/3"
+    rate = s["trace.traced_ops_per_s"]
+    assert rate["better"] == "higher" and rate["pairs_change_better"] == "2/3"
+    assert rate["median_gain"] == 50.0
+    # a count that stays at 0 has no ratio and no spread
+    oracle = s["measures.decomposition_infimum_oracle_calls"]
+    assert oracle["parent"]["spread"] is None
+    assert oracle["change_over_parent"] is None and oracle["worse_than_parent_by"] is None
+    assert oracle["median_gain"] == 0

@@ -113,9 +113,16 @@ def number_grids(draw):
     return grid
 
 
-# number grids inside the JSON trees above, as list items and dict values
+class EmptyDict(dict):
+    """A mapping subclass, which the writer and ``json.dumps`` write as ``{}`` when empty."""
+
+
+# the empty containers, which the writer writes as text
+EMPTY = st.sampled_from([[], (), {}, EmptyDict()])
+
+# number grids and empty containers inside the JSON trees above, as list items and dict values
 GRID_JSON = st.recursive(
-    number_grids() | JSON,
+    number_grids() | EMPTY | JSON,
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
     max_leaves=4,
 )
@@ -382,6 +389,11 @@ def test_random_reports_agree_with_the_independent_reference(bench, data):
 
 @REPRODUCIBLE
 @given(GRID_JSON)
+@example([])
+@example(())
+@example({})
+@example(EmptyDict())
+@example({"a": [[], (), {}, EmptyDict()], "b": {"c": EmptyDict(), "d": ()}})
 def test_json_writer_matches_the_standard_library_on_number_grids(node):
     assert _dumps(node) == json.dumps(node, indent=2, sort_keys=True)
 

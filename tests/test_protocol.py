@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -250,6 +251,16 @@ class TestSampleOutcomes:
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError, match="sum"):
             ShotRecord(shots=10, seed=0, counts=(3, 3, 3, 3))
+
+    @pytest.mark.parametrize("counts", [(10, 0, 0), (10, 0, 0, 0, 0)], ids=["three", "five"])
+    def test_counts_must_be_one_per_outcome(self, counts):
+        with pytest.raises(ValueError, match=rf"^expected one count per outcome \(aa, as, sa, ss\), got {len(counts)}$"):
+            ShotRecord(shots=10, seed=0, counts=counts)
+
+    def test_a_replaced_record_with_three_counts_is_refused(self):
+        record = sample_outcomes(joint_outcome_distribution(fully_mixed_two_copies()), shots=10, seed=0)
+        with pytest.raises(ValueError, match="one count per outcome"):
+            dataclasses.replace(record, counts=record.counts[:3])
 
 
 class TestEvaluateScenario:

@@ -220,6 +220,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("scenario: phase-averaged")
 
+    def test_the_config_state_is_not_a_document_key(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"scenario": "eve-sym", "state": [1, 0, 0, 0]}))
+        assert exc.value.problems == ["unknown key 'state'"]
+
 
 def _bad_leaf(where: str, leaf: str) -> str:
     return f"{where}: expected a finite number or [re, im] pair, got {leaf}"
@@ -515,6 +520,30 @@ def test_more_grid_shapes_than_the_layout_cache_holds_match_the_standard_library
         hand_built = dataclasses.replace(report, config={"grids": grids, "nested": {"grids": grids}})
         assert report_to_json(hand_built) == stdlib_report_json(hand_built)
     assert scenarios._grid_layout.cache_info().currsize == scenarios.GRID_LAYOUTS
+
+
+def test_more_key_sets_than_the_layout_cache_holds_match_the_standard_library():
+    report = run(parse_config(MINIMAL_PHASE))
+    # two rounds over more distinct key sets than the cache holds, each written at two depths
+    mappings = {f"{n}": {f"k{i}": i for i in range(n)} for n in range(1, scenarios.MAPPING_LAYOUTS + 3)}
+    for _ in range(2):
+        hand_built = dataclasses.replace(report, config={"mappings": mappings, "nested": {"mappings": mappings}})
+        assert report_to_json(hand_built) == stdlib_report_json(hand_built)
+    assert scenarios._mapping_layout.cache_info().currsize == scenarios.MAPPING_LAYOUTS
+
+
+HAND_BUILT_CONFIGS = {
+    "percent-keys": {"100%": 1, "%s": "%d", "%%": {"%(x)s": [], "%": "%%"}},
+    "quoted-and-non-ascii-keys": {'say "hi"': "q", "\u00e9t\u00e9": {"\u2603": 1.5, "\\": None, "\n": True}},
+    "sorted-insertion": {"a": {"x": 3, "y": [2, {"p": 1, "q": 0}]}, "b": 1},
+    "reversed-insertion": {"b": 1, "a": {"y": [2, {"q": 0, "p": 1}], "x": 3}},
+}
+
+
+@pytest.mark.parametrize("config", HAND_BUILT_CONFIGS.values(), ids=HAND_BUILT_CONFIGS.keys())
+def test_hand_built_config_keys_are_written_as_the_standard_library(config):
+    report = dataclasses.replace(run(parse_config(MINIMAL_PHASE)), config=config)
+    assert report_to_json(report) == stdlib_report_json(report)
 
 
 class TestCli:
