@@ -37,8 +37,11 @@ metrics: after the seeds, ``bench/run.py ... --trace 1`` runs for seeds 1 to
 ``TRACE_RUNS`` in each export and workload, sides alternating as above, and
 each metric of BENCHMARK.json's ``per_layer`` list is summarised per
 workload as an end-to-end one is, with its ``better`` and no bound (a ratio
-or spread over a median of 0 is null).  Prints one JSON line; ``--out``
-writes the same object to a file.  Uses only the standard library.
+or spread over a median of 0 is null).  Beside each per-layer time in ms
+stands ``<name>_share``: in each traced run, that time divided by the sum of
+the run's per-layer times, so that a share moves with the code and not with
+the speed of the machine, which scales every time of a run alike.  Prints
+one JSON line; ``--out`` writes the same object to a file.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -214,6 +217,20 @@ def workload_summary(results: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def with_shares(result: dict, per_layer: list[dict]) -> dict:
+    """A traced run's ``result`` with each per-layer time in ms also as ``<name>_share`` of the run's summed times."""
+    times = {m["name"]: result["metrics"][m["name"]]["value"] for m in per_layer if m["unit"] == "ms"}
+    total = sum(times.values())
+    shares = {f"{name}_share": {"value": value / total if total else 0.0, "unit": "share"} for name, value in times.items()}
+    return {**result, "metrics": {**result["metrics"], **shares}}
+
+
+def layer_summary(results: dict, per_layer: list[dict]) -> dict:
+    """One workload's ``by_layer`` entry: each per-layer metric, and beside each time its share."""
+    shares = [{"name": f"{m['name']}_share", "unit": "share", "better": m["better"]} for m in per_layer if m["unit"] == "ms"]
+    return workload_summary({side: [with_shares(r, per_layer) for r in results[side]] for side in SIDES}, per_layer + shares)
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
@@ -254,7 +271,7 @@ def main() -> None:
         "by_layer": {
             "command": f"python3 bench/run.py --workload W --seed K --seconds {seconds} --trace 1",
             "seeds": [1, TRACE_RUNS],
-            "workloads": {w: workload_summary(traced[w], benchmark["per_layer"]) for w in workloads},
+            "workloads": {w: layer_summary(traced[w], benchmark["per_layer"]) for w in workloads},
         },
     }
     if fresh_runs:

@@ -459,22 +459,7 @@ def run(config: ScenarioConfig) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-# The parser accepts amplitude arrays of 6 shapes (a ket as 4 numbers or 4
-# [re, im] pairs, a single-copy density as 4x4 of either, a custom state as
-# 16x16 of either), and a report echoes them at 2 depths (as a parameter or
-# as a member's), so this many layouts serve every parsed document.
-GRID_LAYOUTS = 12
-# The key sets, in insertion order, of the mappings in a parsed document's
-# report: the report, its config with and without expect, the verdict, the
-# joint distribution, the shot record, its counts and each check (8); the
-# parameters, holding one of ket, members, points or rho (4); a member's
-# weight and ket or rho, in either order (4); and an expectation with and
-# without its tol (2).  An expect mapping's own key set is one of many;
-# those cycle through the cache.
-MAPPING_LAYOUTS = 18
-
-
-@lru_cache(maxsize=GRID_LAYOUTS)
+@lru_cache
 def _grid_layout(shape: tuple[int, ...], indent: str) -> str:
     """The layout ``json.dumps`` gives every nest of ``shape`` at ``indent``, with a ``%s`` slot per leaf."""
     text = "%s"
@@ -484,7 +469,7 @@ def _grid_layout(shape: tuple[int, ...], indent: str) -> str:
     return text
 
 
-@lru_cache(maxsize=MAPPING_LAYOUTS)
+@lru_cache
 def _mapping_layout(keys: tuple[str, ...], indent: str) -> tuple[tuple[str, ...], str]:
     """The sorted ``keys`` and the layout ``json.dumps`` gives a mapping of them at ``indent``, a ``%s`` slot per value."""
     order = tuple(sorted(keys))
@@ -503,7 +488,9 @@ def _dumps(node, indent: str = "") -> str:
     an echoed amplitude array, is written in one step: its shape's
     :func:`_grid_layout` filled by ``%``, which writes an exact ``int`` or
     ``float`` by its ``__repr__`` as ``json.dumps`` does.  An empty list,
-    tuple or mapping is written as ``[]`` or ``{}``.
+    tuple or mapping is written as ``[]`` or ``{}``.  Mapping keys must be
+    strings: any other key, such as ``1``, ``True``, ``None`` or ``1.5``,
+    raises ``TypeError``, where ``json.dumps`` would write it as a string.
     """
     if isinstance(node, float) and math.isfinite(node):
         return float.__repr__(node)
@@ -539,6 +526,8 @@ def report_to_json(r: ScenarioReport) -> str:
     mapping of its config, records and checks, written by :func:`_dumps`,
     so any value of a hand-built record is written as ``json.dumps`` writes
     it, or refused as it refuses it, and a new record field needs no edit.
+    The one exception is a mapping key that is not a string, which only a
+    hand-built ``config`` can hold: it raises ``TypeError``.
     """
     record = r.shot_record and {**vars(r.shot_record), "counts": dict(zip(OUTCOMES, r.shot_record.counts))}
     return _dumps({"config": r.config, "verdict": vars(r.verdict), "joint_distribution": vars(r.joint),

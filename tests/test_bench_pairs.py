@@ -110,3 +110,38 @@ def test_each_per_layer_metric_is_summarised_with_its_direction_and_no_bound():
     assert oracle["parent"]["spread"] is None
     assert oracle["change_over_parent"] is None and oracle["worse_than_parent_by"] is None
     assert oracle["median_gain"] == 0
+
+
+def test_each_per_layer_time_is_also_summarised_as_its_share_of_the_run():
+    # fixed --trace 1 results whose times double from run to run, as on a slower machine; no benchmark is started here
+    per_layer = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["per_layer"]
+
+    def result(emit_ms, construct_ms):
+        values = {m["name"]: 0.0 if m["unit"] == "ms" else 7.0 for m in per_layer} | {
+            "scenarios.emit_report_ms": emit_ms, "states.construct_ms": construct_ms}
+        return {"correct": True, "failed": 0, "attempted": 100,
+                "metrics": {name: {"value": value, "unit": "-"} for name, value in values.items()}}
+
+    one = bench_pairs.with_shares(result(0.75, 0.25), per_layer)["metrics"]
+    assert one["scenarios.emit_report_ms_share"]["value"] == 0.75
+    assert one["states.construct_ms_share"]["value"] == 0.25
+    assert one["linalg.validate_density_ms_share"]["value"] == 0.0
+    assert one["scenarios.emit_report_ms"]["value"] == 0.75
+    # only times have shares, and a run that spent no traced time has shares of 0
+    assert not any(name.endswith("_calls_share") or name.endswith("_per_s_share") for name in one)
+    assert bench_pairs.with_shares(result(0.0, 0.0), per_layer)["metrics"]["states.construct_ms_share"]["value"] == 0.0
+
+    results = {"parent": [result(0.75, 0.25), result(1.5, 0.5), result(3.0, 1.0)],
+               "change": [result(0.5, 0.5), result(2.0, 2.0), result(0.25, 0.25)]}
+    s = bench_pairs.layer_summary(results, per_layer)
+    times = [m for m in per_layer if m["unit"] == "ms"]
+    assert {m["name"] for m in per_layer} | {f"{m['name']}_share" for m in times} <= set(s)
+    emit = s["scenarios.emit_report_ms_share"]
+    assert (emit["unit"], emit["better"], emit["bound"]) == ("share", "lower", None)
+    assert emit["parent"]["runs"] == [0.75, 0.75, 0.75] and emit["change"]["runs"] == [0.5, 0.5, 0.5]
+    assert emit["pairs_change_better"] == "3/3"
+    assert emit["change_over_parent"] == round(0.5 / 0.75, 4)
+    # the times themselves still move with the runs
+    assert s["scenarios.emit_report_ms"]["parent"]["runs"] == [0.75, 1.5, 3.0]
+    assert s["scenarios.emit_report_ms"]["pairs_change_better"] == "2/3"
+    assert s["scenarios.build_state_calls"]["parent"]["median"] == 7.0

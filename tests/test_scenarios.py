@@ -514,22 +514,42 @@ def test_each_record_section_is_what_the_general_writer_writes(path):
 def test_more_grid_shapes_than_the_layout_cache_holds_match_the_standard_library():
     report = run(parse_config(MINIMAL_PHASE))
     # two rounds over more distinct shapes than the cache holds, each echoed at two depths
-    shapes = [(n,) for n in range(1, scenarios.GRID_LAYOUTS + 3)] + [(n, 2) for n in range(1, 4)]
+    bound = scenarios._grid_layout.cache_info().maxsize
+    shapes = [(n,) for n in range(1, bound + 3)] + [(n, 2) for n in range(1, 4)]
     grids = {f"{i}": np.arange(np.prod(shape), dtype=float).reshape(shape).tolist() for i, shape in enumerate(shapes)}
     for _ in range(2):
         hand_built = dataclasses.replace(report, config={"grids": grids, "nested": {"grids": grids}})
         assert report_to_json(hand_built) == stdlib_report_json(hand_built)
-    assert scenarios._grid_layout.cache_info().currsize == scenarios.GRID_LAYOUTS
+    assert scenarios._grid_layout.cache_info().currsize == bound
 
 
 def test_more_key_sets_than_the_layout_cache_holds_match_the_standard_library():
     report = run(parse_config(MINIMAL_PHASE))
     # two rounds over more distinct key sets than the cache holds, each written at two depths
-    mappings = {f"{n}": {f"k{i}": i for i in range(n)} for n in range(1, scenarios.MAPPING_LAYOUTS + 3)}
+    bound = scenarios._mapping_layout.cache_info().maxsize
+    mappings = {f"{n}": {f"k{i}": i for i in range(n)} for n in range(1, bound + 3)}
     for _ in range(2):
         hand_built = dataclasses.replace(report, config={"mappings": mappings, "nested": {"mappings": mappings}})
         assert report_to_json(hand_built) == stdlib_report_json(hand_built)
-    assert scenarios._mapping_layout.cache_info().currsize == scenarios.MAPPING_LAYOUTS
+    assert scenarios._mapping_layout.cache_info().currsize == bound
+
+
+def test_a_second_pass_over_the_bundled_reports_builds_no_layout():
+    reports = [run(parse_config(path.read_text())) for path in BUNDLED]
+    for report in reports:
+        report_to_json(report)
+    misses = scenarios._mapping_layout.cache_info().misses, scenarios._grid_layout.cache_info().misses
+    for report in reports:
+        report_to_json(report)
+    assert (scenarios._mapping_layout.cache_info().misses, scenarios._grid_layout.cache_info().misses) == misses
+
+
+@pytest.mark.parametrize("key", [1, True, None, 1.5, (1, 2)], ids=repr)
+def test_a_config_key_that_is_not_a_string_is_refused(key):
+    # json.dumps writes the first four as strings; the layout writer takes string keys only
+    report = dataclasses.replace(run(parse_config(MINIMAL_PHASE)), config={key: "a"})
+    with pytest.raises(TypeError):
+        report_to_json(report)
 
 
 HAND_BUILT_CONFIGS = {
