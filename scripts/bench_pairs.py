@@ -41,7 +41,8 @@ or spread over a median of 0 is null).  Beside each per-layer time in ms
 stands ``<name>_share``: in each traced run, that time divided by the sum of
 the run's per-layer times, so that a share moves with the code and not with
 the speed of the machine, which scales every time of a run alike.  Prints
-one JSON line; ``--out`` writes the same object to a file.  Uses only the standard library.
+one JSON line; ``--out`` writes the same object to a file.  Uses only the
+standard library.
 """
 
 from __future__ import annotations
