@@ -88,8 +88,16 @@ print(json.dumps({"package": twocopy.__file__, "configs": len(texts), "round_s":
 
 
 def seed_range(spec: str) -> list[int]:
+    """The seeds of ``--seeds`` or ``--fresh``: one seed ``K``, or an inclusive range ``A-B`` with A <= B.
+
+    An argparse type, shared by the scripts that take seeds: an empty range
+    such as ``5-3`` is refused as an argparse error (exit 2).
+    """
     lo, _, hi = spec.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {spec!r}: give one seed K or a range A-B with A <= B")
+    return seeds
 
 
 def side_summary(runs: list[float]) -> dict:

@@ -95,6 +95,59 @@ MUTANTS = (
         "tests/test_scenarios.py::TestParseConfig::test_the_config_state_is_not_a_document_key",
         "a document's 'state' key is accepted and silently ignored",
     ),
+    Mutant(
+        "one-step-read-takes-only-pairs", "twocopy/scenarios.py",
+        "if grid and grid[0] in (shape, shape + (2,)):", "if grid and grid[0] == shape + (2,):",
+        "tests/test_scenarios.py::TestParseAmplitudes::test_accepted_arrays_keep_every_bit",
+        "a bare number is no amplitude, so an array of bare numbers is refused leaf by leaf",
+    ),
+    Mutant(
+        "leaf-refusal-not-appended", "twocopy/scenarios.py",
+        '        problems.append(f"{where}: expected a finite number or [re, im] pair, got {reprlib.repr(node)}")\n', "",
+        "tests/test_scenarios.py::TestParseAmplitudes::test_refusals_are_the_walks",
+        "a bad leaf is read as 0 and the document is accepted, or refused without naming it",
+    ),
+    Mutant(
+        "support-sum-by-broadcast", "twocopy/states.py",
+        'np.einsum("n,na,nb->ab", weights, block, block)',
+        "(weights[:, None, None] * block[:, :, None] * block[:, None, :]).sum(axis=0)",
+        "tests/test_properties.py::test_mixture_has_the_bytes_of_the_full_einsum",
+        "a sparse mixture of copies is summed in another order and loses the bytes of the full einsum",
+    ),
+    Mutant(
+        "support-sum-optimized", "twocopy/states.py",
+        'np.einsum("n,na,nb->ab", weights, block, block)', 'np.einsum("n,na,nb->ab", weights, block, block, optimize=True)',
+        "tests/test_properties.py::test_mixture_has_the_bytes_of_the_full_einsum",
+        "a sparse mixture of copies is contracted pairwise and loses the bytes of the full einsum",
+    ),
+    Mutant(
+        "pure-copies-without-trace-check", "twocopy/states.py",
+        "if len(amplitudes) <= TRACE_ONLY_MEMBERS and abs(m.trace() - 1.0) <= ATOL:",
+        "if len(amplitudes) <= TRACE_ONLY_MEMBERS:",
+        "tests/test_properties.py::test_mixtures_of_pure_copies_can_miss_only_the_trace_bound",
+        "a mixture of pure copies outside the trace bound is accepted unvalidated",
+    ),
+    Mutant(
+        "pure-copies-trace-check-at-twice-the-bound", "twocopy/states.py",
+        "if len(amplitudes) <= TRACE_ONLY_MEMBERS and abs(m.trace() - 1.0) <= ATOL:",
+        "if len(amplitudes) <= TRACE_ONLY_MEMBERS and abs(m.trace() - 1.0) <= 2 * ATOL:",
+        "tests/test_properties.py::test_mixtures_of_pure_copies_can_miss_only_the_trace_bound",
+        "a mixture of pure copies up to twice the trace bound off is accepted, where DensityOperator refuses it",
+    ),
+    Mutant(
+        "pure-copies-without-member-count-guard", "twocopy/states.py",
+        "if len(amplitudes) <= TRACE_ONLY_MEMBERS and abs(m.trace() - 1.0) <= ATOL:",
+        "if abs(m.trace() - 1.0) <= ATOL:",
+        "tests/test_states.py::TestTraceOnlyMixtures::test_more_members_than_the_bound_are_validated_in_full",
+        "a mixture of more members than the rounding argument covers is checked by its trace alone",
+    ),
+    Mutant(
+        "dense-mixture-returns-a-view", "twocopy/states.py",
+        '        np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos, out=total.reshape(4, 4, 4, 4))\n        return total\n',
+        '        return np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos).reshape(16, 16)\n',
+        "tests/test_properties.py::test_mixture_has_the_bytes_of_the_full_einsum",
+        "a dense mixture is a view of the einsum's 4x4x4x4 result, so the frozen state does not own its data",
+    ),
 )
 
 

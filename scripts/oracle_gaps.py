@@ -24,14 +24,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
+from bench_pairs import seed_range  # noqa: E402
 from twocopy import SINGLE_COPY, DensityOperator, decomposition_infimum_oracle, wootters_concurrence  # noqa: E402
 from twocopy import measures  # noqa: E402
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", required=True, help="an inclusive range of oracle-sweep seeds, A-B")
-    first, last = (int(x) for x in parser.parse_args().seeds.split("-"))
+    parser.add_argument("--seeds", required=True, type=seed_range, help="one oracle-sweep seed K, or an inclusive range A-B")
+    seeds = parser.parse_args().seeds
     finish, starts = measures._finish, []
 
     def alone(tau):
@@ -40,7 +41,7 @@ def main() -> None:
 
     measures._finish = alone
     gaps, high, total, wide = [], 0, 0, []
-    for seed in range(first, last + 1):
+    for seed in seeds:
         for index, state in enumerate(workloads.oracle_sweep(seed)):
             rho = DensityOperator(SINGLE_COPY, np.array([[complex(*z) for z in row] for row in state["rho"]]))
             starts.clear()
@@ -50,7 +51,7 @@ def main() -> None:
             total += len(starts)
             if gaps[-1] > 1e-8:
                 wide.append([seed, index, state["rank"], gaps[-1]])
-    print(json.dumps({"seeds": [first, last], "worst_gap": max(gaps), "least_gap": min(gaps),
+    print(json.dumps({"seeds": [seeds[0], seeds[-1]], "worst_gap": max(gaps), "least_gap": min(gaps),
                       "starts_above_1e-6": [high, total], "states_above_1e-8": wide}))
 
 

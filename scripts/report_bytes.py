@@ -44,6 +44,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+from bench_pairs import seed_range  # noqa: E402
 
 # a ket norm inside the ket's own bound (1e-10) whose two-copy state has a
 # trace defect of about 3.6e-10, outside the state's
@@ -136,8 +137,8 @@ def emit(src: str, first: int, last: int) -> None:
     json.dump(texts, sys.stdout)
 
 
-def outputs(src: str, seeds: str) -> dict[str, dict[str, str]]:
-    cmd = [sys.executable, __file__, "--emit", str(Path(src).resolve()), "--seeds", seeds]
+def outputs(src: str, first: int, last: int) -> dict[str, dict[str, str]]:
+    cmd = [sys.executable, __file__, "--emit", str(Path(src).resolve()), "--seeds", f"{first}-{last}"]
     return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
 
 
@@ -151,16 +152,16 @@ def first_difference(a: str, b: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="*", metavar="SRC", help="the two src directories to compare")
-    parser.add_argument("--seeds", required=True, help="an inclusive range of workload seeds, A-B")
+    parser.add_argument("--seeds", required=True, type=seed_range, help="one workload seed K, or an inclusive range A-B")
     parser.add_argument("--emit", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    first, last = (int(x) for x in args.seeds.split("-"))
+    first, last = args.seeds[0], args.seeds[-1]
     if args.emit:
         emit(args.emit, first, last)
         return
     if len(args.sides) != 2:
         parser.error("give two src directories")
-    old, new = (outputs(src, args.seeds) for src in args.sides)
+    old, new = (outputs(src, first, last) for src in args.sides)
     differ = [name for name in old if old[name] != new[name]]
     counts = []
     for kind, plural in (("report", "reports"), ("refusal", "refusals"), ("cli run", "CLI runs")):

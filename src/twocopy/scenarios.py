@@ -167,31 +167,25 @@ def _number_grid(node) -> Optional[tuple[tuple[int, ...], list]]:
 def _parse_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[str]):
     """An array of ``shape`` amplitudes; each leaf is a number or an [re, im] pair of finite numbers.
 
-    An array written in one form throughout, all bare numbers or all pairs,
-    is a :func:`_number_grid` and is read in one step; anything else takes
-    the leaf-by-leaf walk, which alone reads mixed forms and writes refusals.
+    One reader, as :func:`_dumps` writes: a node that is a :func:`_number_grid`
+    of ``shape``, all bare numbers, or of ``shape + (2,)``, all pairs, is read
+    in one step, down to a single leaf of shape ``()``.  Any other node is
+    refused if it is a leaf or not a list of ``shape[0]`` entries, and read
+    entry by entry otherwise, so one array may mix the two forms.  Each
+    refusal is appended to ``problems`` under its index path, in order.
     """
     grid = _number_grid(node)
     if grid and grid[0] in (shape, shape + (2,)):
         parts = np.array(grid[1], dtype=float).reshape(grid[0])
         return parts.astype(complex) if parts.shape == shape else parts.view(complex).reshape(shape)
-    return _walk_amplitudes(node, shape, where, problems)
-
-
-def _walk_amplitudes(node, shape: tuple[int, ...], where: str, problems: list[str]):
-    """:func:`_parse_amplitudes` one leaf at a time, appending a refusal for each bad leaf or list."""
     if not shape:
-        parts = node if isinstance(node, list) and len(node) == 2 else (node, 0)
-        re, im = _finite(parts[0]), _finite(parts[1])
-        if re is None or im is None:
-            problems.append(f"{where}: expected a finite number or [re, im] pair, got {reprlib.repr(node)}")
-            return 0j
-        return complex(re, im)
+        problems.append(f"{where}: expected a finite number or [re, im] pair, got {reprlib.repr(node)}")
+        return 0j
     if not isinstance(node, list) or len(node) != shape[0]:
         wanted = f"a list of {shape[0]} amplitudes" if len(shape) == 1 else f"a {'x'.join(map(str, shape))} matrix"
         problems.append(f"{where}: expected {wanted}")
         return np.zeros(shape, dtype=complex)
-    return np.array([_walk_amplitudes(v, shape[1:], f"{where}[{i}]", problems) for i, v in enumerate(node)])
+    return np.array([_parse_amplitudes(v, shape[1:], f"{where}[{i}]", problems) for i, v in enumerate(node)])
 
 
 def _parse_expectations(node, default_tol: float, scenario: str, problems: list[str]) -> dict:

@@ -1,5 +1,6 @@
 """The summary arithmetic of scripts/bench_pairs.py, on fixed numbers."""
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -145,3 +146,17 @@ def test_each_per_layer_time_is_also_summarised_as_its_share_of_the_run():
     assert s["scenarios.emit_report_ms"]["parent"]["runs"] == [0.75, 1.5, 3.0]
     assert s["scenarios.emit_report_ms"]["pairs_change_better"] == "2/3"
     assert s["scenarios.build_state_calls"]["parent"]["median"] == 7.0
+
+
+def test_seeds_are_one_seed_or_an_inclusive_range_and_an_empty_range_is_refused(capsys):
+    assert bench_pairs.seed_range("2") == [2]
+    assert bench_pairs.seed_range("2-4") == [2, 3, 4]
+    with pytest.raises(argparse.ArgumentTypeError, match="'5-3'"):
+        bench_pairs.seed_range("5-3")
+    # as the scripts read it: an argparse error, exit 2
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--seeds", type=bench_pairs.seed_range)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--seeds", "5-3"])
+    assert exc.value.code == 2
+    assert "empty seed range '5-3'" in capsys.readouterr().err

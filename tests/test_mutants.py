@@ -27,6 +27,13 @@ def test_each_old_text_occurs_exactly_once_in_its_file(mutant):
 
 
 @pytest.mark.parametrize("mutant", ROWS.values(), ids=ROWS.keys())
+def test_each_mutated_file_still_compiles(mutant):
+    # a row that breaks the syntax would stop the mutant run at its import, not fail its node
+    path = REPO_ROOT / "src" / mutant.file
+    compile(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new), str(path), "exec")
+
+
+@pytest.mark.parametrize("mutant", ROWS.values(), ids=ROWS.keys())
 def test_each_node_names_a_test_that_exists(mutant):
     path, *names = mutant.node.split("::")
     text = (REPO_ROOT / path).read_text(encoding="utf-8")

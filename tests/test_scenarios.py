@@ -230,7 +230,7 @@ def _bad_leaf(where: str, leaf: str) -> str:
     return f"{where}: expected a finite number or [re, im] pair, got {leaf}"
 
 
-# malformed amplitude arrays and the exact refusals the leaf-by-leaf walk writes for them;
+# malformed amplitude arrays and the exact refusals the entry-by-entry read writes for them;
 # the all-pairs and all-bare cases have the shape the one-step read accepts, so only
 # the leaf type check stands between a bool or a numeric string and an array
 REFUSED_AMPLITUDES = {
@@ -272,7 +272,7 @@ ACCEPTED_AMPLITUDES = {
 
 
 def _leaf(node) -> complex:
-    """One amplitude as ``complex(re, im)`` of its parts made floats, the walk's own construction."""
+    """One amplitude as ``complex(re, im)`` of its parts made floats, built apart from the reader's one-step read."""
     re, im = node if isinstance(node, list) else (node, 0)
     return complex(float(re), float(im))
 
@@ -515,6 +515,7 @@ def test_more_grid_shapes_than_the_layout_cache_holds_match_the_standard_library
     report = run(parse_config(MINIMAL_PHASE))
     # two rounds over more distinct shapes than the cache holds, each echoed at two depths
     bound = scenarios._grid_layout.cache_info().maxsize
+    assert isinstance(bound, int), "the layout cache must be bounded"
     shapes = [(n,) for n in range(1, bound + 3)] + [(n, 2) for n in range(1, 4)]
     grids = {f"{i}": np.arange(np.prod(shape), dtype=float).reshape(shape).tolist() for i, shape in enumerate(shapes)}
     for _ in range(2):
@@ -527,6 +528,7 @@ def test_more_key_sets_than_the_layout_cache_holds_match_the_standard_library():
     report = run(parse_config(MINIMAL_PHASE))
     # two rounds over more distinct key sets than the cache holds, each written at two depths
     bound = scenarios._mapping_layout.cache_info().maxsize
+    assert isinstance(bound, int), "the layout cache must be bounded"
     mappings = {f"{n}": {f"k{i}": i for i in range(n)} for n in range(1, bound + 3)}
     for _ in range(2):
         hand_built = dataclasses.replace(report, config={"mappings": mappings, "nested": {"mappings": mappings}})
