@@ -148,6 +148,98 @@ MUTANTS = (
         "tests/test_properties.py::test_mixture_has_the_bytes_of_the_full_einsum",
         "a dense mixture is a view of the einsum's 4x4x4x4 result, so the frozen state does not own its data",
     ),
+    Mutant(
+        "p-as-p-sa-swapped", "twocopy/protocol.py",
+        "OutcomeDistribution(*tr.real.tolist())", "OutcomeDistribution(*tr.real[[0, 2, 1, 3]].tolist())",
+        "tests/test_properties.py::test_random_reports_agree_with_the_independent_reference",
+        "Alice's and Bob's mixed outcomes are exchanged, so p_a_alice reads Bob's probability",
+    ),
+    Mutant(
+        "concurrence-without-eigenvalue-clip", "twocopy/measures.py",
+        "y = vecs * np.sqrt(np.maximum(lam, 0.0))", "y = vecs * np.sqrt(lam)",
+        "tests/test_measures.py::TestWoottersConcurrence::test_zero_eigenvalues_rounded_below_zero_keep_the_closed_form",
+        "an eigenvalue rounded below zero makes a NaN root, and the singular values of a rank-1 state fail",
+    ),
+    Mutant(
+        "marginal-of-the-other-copy", "twocopy/states.py",
+        "partial_trace(state.entries, copy)", "partial_trace(state.entries, 3 - copy)",
+        "tests/test_properties.py::test_random_reports_agree_with_the_independent_reference",
+        "the truth is the concurrence of copy 2 where copy 1 is asked for",
+    ),
+    Mutant(
+        "bool-is-a-plain-number", "twocopy/scenarios.py",
+        "kinds <= {int, float} and", "kinds <= {int, float, bool} and",
+        "tests/test_properties.py::test_json_writer_matches_the_standard_library_on_number_grids",
+        "a grid holding True is written True, where json.dumps writes true",
+    ),
+    Mutant(
+        "number-grid-without-finiteness-check", "twocopy/scenarios.py",
+        "kinds <= {int, float} and all(map(math.isfinite, leaves))", "kinds <= {int, float}",
+        "tests/test_properties.py::test_json_writer_matches_the_standard_library_on_number_grids",
+        "a grid holding NaN is written nan, where json.dumps writes NaN",
+    ),
+    Mutant(
+        "number-grid-without-overflow-guard", "twocopy/scenarios.py",
+        "    try:\n"
+        "        # math.isfinite overflows on an integer beyond the float range, such as 10**400\n"
+        "        return (tuple(shape), leaves) if kinds <= {int, float} and all(map(math.isfinite, leaves)) else None\n"
+        "    except OverflowError:\n"
+        "        return None\n",
+        "    return (tuple(shape), leaves) if kinds <= {int, float} and all(map(math.isfinite, leaves)) else None\n",
+        "tests/test_scenarios.py::TestParseAmplitudes::test_an_integer_beyond_the_float_range_is_no_plain_number",
+        "[10**400] raises OverflowError in the reader and the writer, where the parser refuses it",
+    ),
+    Mutant(
+        "oracle-start-that-never-moves", "twocopy/measures.py",
+        "better = moved_value < value", "better = (moved_value < value) & (np.arange(len(value)) > 0)",
+        "tests/test_measures.py::TestQuasiNewtonFinish::test_objective_never_rises",
+        "the first live start never takes a step, so the oracle searches from fewer starts than STARTS",
+    ),
+    Mutant(
+        "constant-states-without-table-lookup", "twocopy/scenarios.py",
+        "joint, verdict = _CONSTANT_EVALUATIONS.get(key) or _evaluate(config.scenario, config.state)",
+        "joint, verdict = _evaluate(config.scenario, config.state)",
+        "tests/test_scenarios.py::TestComputedOnce::test_state_and_distribution_once_per_scenario",
+        "the eve and phase-averaged states are evaluated again on every run",
+    ),
+    Mutant(
+        "constant-states-looked-up-by-id-alone", "twocopy/scenarios.py",
+        "key = (config.scenario, id(config.state))",
+        "key = next((k for k in _CONSTANT_EVALUATIONS if k[1] == id(config.state)), None)",
+        "tests/test_scenarios.py::TestConstantEvaluations::test_constant_state_under_another_row_takes_that_rows_bound",
+        "a constant state under another scenario row gets its own row's verdict and decomposition bound",
+    ),
+    Mutant(
+        "phase-points-looked-up-in-a-set", "twocopy/states.py",
+        'if points in ("exact", "discretized"):', 'if points in {"exact", "discretized"}:',
+        "tests/test_states.py::TestPhaseAveragedState::test_unhashable_points_are_refused_with_a_value_error",
+        "unhashable points raise TypeError, which the parser does not turn into a refusal",
+    ),
+    Mutant(
+        "discretized-grid-of-63-points", "twocopy/states.py",
+        '"discretized": phase_averaged_state(DEFAULT_PHASE_POINTS),',
+        '"discretized": phase_averaged_state(DEFAULT_PHASE_POINTS - 1),',
+        "tests/test_scenarios.py::TestConstantEvaluations::test_discretized_grid_is_the_64_point_grid",
+        "the shared \"discretized\" state is a 63-point grid, not the documented 64",
+    ),
+    Mutant(
+        "alice-probability-unclamped", "twocopy/protocol.py",
+        "p_alice = min(dist.p_aa + dist.p_as, 1.0)", "p_alice = dist.p_aa + dist.p_as",
+        "tests/test_protocol.py::TestNaiveEstimate::test_alice_probability_above_one_within_the_tolerance_reads_one",
+        "Alice's probability reads above 1 when p_aa + p_as rounds past it within the tolerance",
+    ),
+    Mutant(
+        "construction-without-finiteness-check", "twocopy/linalg.py",
+        "    if not np.isfinite(arr.view(float)).all():\n        raise ValueError(\"entries must be finite (no NaN/Inf)\")\n", "",
+        "tests/test_linalg.py::TestLayout::test_construction_refusals_in_order",
+        "a ket with a NaN amplitude passes its norm check, and a NaN matrix reaches the eigensolver",
+    ),
+    Mutant(
+        "construction-keeps-labels-as-given", "twocopy/linalg.py",
+        'object.__setattr__(state, "labels", labels)', 'object.__setattr__(state, "labels", state.labels)',
+        "tests/test_linalg.py::TestLayout::test_labels_fix_the_shape",
+        "a state built from a list of labels keeps the list, which equals neither register",
+    ),
 )
 
 

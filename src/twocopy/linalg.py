@@ -21,8 +21,12 @@ Every validity check on the package's states is made here, beside the
 tolerances it uses: the entries of a :class:`Ket` or
 :class:`DensityOperator`, the register a state must be on, and the weights
 and members of an ensemble (:func:`ensemble_weights`).  Everything here is
-a pure function of its inputs.  Arrays are copied on construction and
-frozen, so values are safe to share between threads.
+a pure function of its inputs.  A :class:`Ket` and a
+:class:`DensityOperator` meet one construction check (``_freeze``): the
+labels name a register, the array has that register's shape and finite
+entries, and it is stored as a frozen complex copy, so values are safe to
+share between threads.  Each class then adds its own check, the norm or
+the density invariants.
 Every :class:`DensityOperator` built from a matrix is validated, the one
 ``tensor_product`` returns too: the product of two valid factors may leave
 the trace bound, as two traces of 1 + 9e-11 give 1 + 1.8e-10.  Only
@@ -70,12 +74,27 @@ SINGLE_COPY = ("A", "B")
 COPY_MAJOR = ("A1", "B1", "A2", "B2")
 
 
-def _register(labels) -> tuple[tuple[str, ...], int]:
-    """The register ``labels`` names and its dimension."""
-    labels = tuple(labels)
+def _freeze(state, name: str, ndim: int) -> np.ndarray:
+    """Check a new state's register and its array ``name``, set both frozen on it, and return the array.
+
+    ``state.labels`` must name ``SINGLE_COPY`` or ``COPY_MAJOR``; it is stored
+    as a tuple.  The array is copied as complex, must have ``ndim`` axes of
+    that register's dimension and finite entries, and is stored read-only.
+    The refusals come in that order: labels, shape, finiteness.
+    """
+    labels = tuple(state.labels)
     if labels not in (SINGLE_COPY, COPY_MAJOR):
         raise ValueError(f"labels must be {SINGLE_COPY} or {COPY_MAJOR}, got {labels}")
-    return labels, 2 ** len(labels)
+    arr = np.array(getattr(state, name), dtype=complex)
+    shape = (2 ** len(labels),) * ndim
+    if arr.shape != shape:
+        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr.view(float)).all():
+        raise ValueError("entries must be finite (no NaN/Inf)")
+    arr.setflags(write=False)
+    object.__setattr__(state, "labels", labels)
+    object.__setattr__(state, name, arr)
+    return arr
 
 
 def _require_register(x, labels: tuple[str, ...]) -> None:
@@ -102,16 +121,6 @@ def ensemble_weights(members: Sequence[tuple[float, object]], labels: tuple[str,
     return weights
 
 
-def _frozen_complex(a, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.array(a, dtype=complex)
-    if arr.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr.view(float)).all():
-        raise ValueError("entries must be finite (no NaN/Inf)")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Ket:
     """Normalized pure state on ``SINGLE_COPY`` or ``COPY_MAJOR``."""
@@ -120,15 +129,12 @@ class Ket:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        labels, dim = _register(self.labels)
-        object.__setattr__(self, "labels", labels)
-        amps = _frozen_complex(self.amplitudes, (dim,))
+        amps = _freeze(self, "amplitudes", 1)
         # a norm beyond the largest double is inf, and refused as such
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"ket must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
-        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
@@ -144,13 +150,9 @@ class DensityOperator:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        labels, dim = _register(self.labels)
-        object.__setattr__(self, "labels", labels)
-        entries = _frozen_complex(self.entries, (dim, dim))
-        report = validate_density(entries)
+        report = validate_density(_freeze(self, "entries", 2))
         if not report.passed:
             raise ValueError(f"not a valid density operator ({report})")
-        object.__setattr__(self, "entries", entries)
 
 
 def _derived(labels: tuple[str, ...], entries: np.ndarray) -> DensityOperator:

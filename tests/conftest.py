@@ -23,6 +23,11 @@ def random_ket(rng, labels=SINGLE_COPY) -> Ket:
     return Ket(labels, random_unit_vector(rng, 2 ** len(labels)))
 
 
+def bell() -> Ket:
+    """The Bell state (|01> + |10>) / sqrt 2 on the single-copy register."""
+    return Ket(SINGLE_COPY, np.array([0, 1, 1, 0]) / np.sqrt(2))
+
+
 def basis_ket(labels, bits: str) -> Ket:
     """The computational basis state with the given bits, first label first."""
     return Ket(labels, np.eye(2 ** len(labels))[int(bits, 2)])

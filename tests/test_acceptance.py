@@ -5,6 +5,8 @@ captured output), so the module doubles as a checklist of the numerical
 claims the package must reproduce.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from twocopy import (
@@ -14,6 +16,8 @@ from twocopy import (
     ensemble_upper_bound_entanglement,
     evaluate_scenario,
     joint_outcome_distribution,
+    parse_config,
+    run,
     sample_outcomes,
     wootters_concurrence,
 )
@@ -38,6 +42,7 @@ from conftest import (
 )
 
 AB = SINGLE_COPY
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def report(number: int, description: str, passed: bool, detail: str = "") -> None:
@@ -191,3 +196,19 @@ def test_criterion_10_finite_statistics():
     ok = within and record == replay
     report(10, "sampled frequencies match within 5 sigma and replay bit-exactly", ok,
            f"counts {record.counts}")
+
+
+def test_criterion_14_werner_twins_share_their_data_not_their_truth():
+    # Werner F = 3/4 and its rank-2 Bell-diagonal twin: the same Tr rho_A^2,
+    # Tr rho_B^2 and Tr rho^2, so i.i.d. copies of either give one joint
+    # distribution; the property in test_properties.py covers every such pair
+    werner, twin = (run(parse_config((SCENARIOS / f"werner-three-quarters{s}.json").read_text())) for s in ("", "-twin"))
+    gap = max(abs(x - y) for x, y in zip(werner.joint.as_tuple(), twin.joint.as_tuple()))
+    truths = (werner.verdict.truth_single_copy_concurrence, twin.verdict.truth_single_copy_concurrence)
+    ok = (
+        gap <= 1e-15
+        and werner.shot_record.counts == twin.shot_record.counts
+        and abs(truths[0] - truths[1]) > 0.09
+    )
+    report(14, "two i.i.d. sources give one joint distribution and one record, with two truths", ok,
+           f"gap {gap:.1e}, counts {twin.shot_record.counts}, truths {truths[0]!r} and {truths[1]!r}")

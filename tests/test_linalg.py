@@ -69,6 +69,43 @@ class TestLayout:
         with pytest.raises(ValueError, match="shape"):
             DensityOperator(COPY_MAJOR, np.eye(4) / 4)
 
+    # each refusal's exact text; where an input breaks two rules, the first
+    # of labels, shape, finiteness, then the norm or density check is named
+    REGISTERS = f"labels must be {SINGLE_COPY} or {COPY_MAJOR}, got ('A',)"
+
+    @pytest.mark.parametrize(
+        "cls,labels,array,message",
+        [
+            (Ket, ("A",), np.eye(2)[0], REGISTERS),
+            (DensityOperator, ("A",), np.eye(2) / 2, REGISTERS),
+            (Ket, SINGLE_COPY, np.eye(16)[0], "expected array of shape (4,), got (16,)"),
+            (Ket, COPY_MAJOR, np.eye(4)[0], "expected array of shape (16,), got (4,)"),
+            (Ket, SINGLE_COPY, np.eye(4), "expected array of shape (4,), got (4, 4)"),
+            (DensityOperator, COPY_MAJOR, np.eye(4) / 4, "expected array of shape (16, 16), got (4, 4)"),
+            (DensityOperator, SINGLE_COPY, np.eye(16) / 16, "expected array of shape (4, 4), got (16, 16)"),
+            (DensityOperator, SINGLE_COPY, np.eye(4)[0], "expected array of shape (4, 4), got (4,)"),
+            # a bad register before a bad shape
+            (Ket, ("A",), np.eye(16)[0], REGISTERS),
+            (DensityOperator, ("A",), np.full((16, 16), np.nan), REGISTERS),
+            # a bad shape before a non-finite entry
+            (Ket, SINGLE_COPY, np.full(16, np.nan), "expected array of shape (4,), got (16,)"),
+            (DensityOperator, COPY_MAJOR, np.full((4, 4), np.inf), "expected array of shape (16, 16), got (4, 4)"),
+            # a non-finite entry before the norm or the density check
+            (Ket, SINGLE_COPY, [np.inf, 0, 0, 0], "entries must be finite (no NaN/Inf)"),
+            (DensityOperator, SINGLE_COPY, np.full((4, 4), np.nan), "entries must be finite (no NaN/Inf)"),
+            (Ket, SINGLE_COPY, [1, 1, 0, 0], "ket must be normalized, |norm - 1| = 4.142e-01"),
+            (
+                DensityOperator, SINGLE_COPY, np.eye(4) / 2,
+                "not a valid density operator (hermiticity defect 0.000e+00, min eigenvalue 5.000e-01, "
+                "trace defect 1.000e+00)",
+            ),
+        ],
+    )
+    def test_construction_refusals_in_order(self, cls, labels, array, message):
+        with pytest.raises(ValueError) as refusal:
+            cls(labels, array)
+        assert str(refusal.value) == message
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)])
     @pytest.mark.parametrize("labels", [SINGLE_COPY, COPY_MAJOR])
     def test_non_finite_entries_refused(self, labels, bad):

@@ -32,7 +32,7 @@ from twocopy.measures import (
 )
 from twocopy.states import logical_bell_state, phase_averaged_decomposition, pure_de_finetti_state
 
-from conftest import basis_ket, density, pure_concurrence, random_density, random_ket, random_product_ket
+from conftest import basis_ket, bell, density, pure_concurrence, random_density, random_ket, random_product_ket
 
 AB = SINGLE_COPY
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,10 +45,6 @@ LOW_CONCURRENCE_KET = [
     0.07250917327336644 - 0.45231072179846005j,
     -0.5966129804102906 + 0.19878028070769385j,
 ]
-
-
-def bell() -> Ket:
-    return Ket(AB, np.array([0, 1, 1, 0]) / np.sqrt(2))
 
 
 def werner_half() -> DensityOperator:
@@ -103,6 +99,18 @@ class TestWoottersConcurrence:
         kets.append(Ket(AB, np.array(LOW_CONCURRENCE_KET) / np.linalg.norm(LOW_CONCURRENCE_KET)))
         for psi in kets:
             assert abs(wootters_concurrence(density(psi)) - pure_concurrence(psi)) < 1e-12
+
+    def test_zero_eigenvalues_rounded_below_zero_keep_the_closed_form(self, rng):
+        # eigh rounds some zero eigenvalues of a rank-1 state below 0; clipped, their roots stay real
+        kets = [random_ket(rng) for _ in range(20)]
+        assert any(np.linalg.eigh(density(psi).entries)[0].min() < 0.0 for psi in kets)
+        outcomes = []
+        for psi in kets:
+            try:
+                outcomes.append(abs(wootters_concurrence(density(psi)) - pure_concurrence(psi)) < 1e-12)
+            except np.linalg.LinAlgError as exc:
+                outcomes.append(exc)
+        assert outcomes == [True] * len(kets)
 
     def test_convexity(self, rng):
         for _ in range(20):

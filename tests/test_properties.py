@@ -1,6 +1,7 @@
-"""Property-based tests: malformed configs, CLI exit codes, joint-distribution invariants, states at the
-boundary's edges, random reports against the independent reference, the JSON writer on number grids, and
-the bytes of the two-copy mixtures and the rounding of mixtures of pure copies."""
+"""Property-based tests: malformed configs, CLI exit codes, joint-distribution invariants, the rank-2 twin
+of every Bell-diagonal state, states at the boundary's edges, random reports against the independent
+reference, the JSON writer on number grids, and the bytes of the two-copy mixtures and the rounding of
+mixtures of pure copies."""
 
 import copy
 import json
@@ -24,6 +25,7 @@ from twocopy.states import (
     OUTCOMES,
     _mixture_of_copies,
     custom_state,
+    de_finetti_state,
     identical_pure_copies,
     phase_averaged_state,
     pure_de_finetti_state,
@@ -346,6 +348,36 @@ def test_every_accepted_distribution_evaluates_within_zero_and_one(weights, shif
     verdict = evaluate_scenario(phase_averaged_state("exact"), d)
     for p in (verdict.disagreement_prob, verdict.p_a_alice, verdict.p_a_bob):
         assert 0.0 <= p <= 1.0
+
+
+# the Bell states phi+, phi-, psi+ and psi- as rows
+BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+
+
+def bell_diagonal_copies(lam) -> DensityOperator:
+    """rho x rho for the Bell-diagonal rho = sum_i lam_i |B_i><B_i|."""
+    rho = DensityOperator(SINGLE_COPY, np.einsum("i,ij,ik->jk", lam, BELL_BASIS, BELL_BASIS))
+    return de_finetti_state(((1.0, rho),))
+
+
+@REPRODUCIBLE
+@given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+@example([0.75, 1 / 12, 1 / 12, 1 / 12])
+@example([0.5, 0.5, 0.0, 0.0])
+@example([1.0, 0.0, 0.0, 0.0])
+def test_every_bell_diagonal_state_has_a_rank_two_twin_at_the_bound(weights):
+    # both have Tr rho_A^2 = Tr rho_B^2 = 1/2 and the same t = Tr rho^2, so one
+    # joint distribution; the twin's concurrence is sqrt(2t - 1), the bound
+    assume(sum(weights) > 0.0)
+    lam = np.array(weights) / sum(weights)
+    t = float(lam @ lam)
+    assume(2.0 * t >= 1.0)
+    s = math.sqrt(2.0 * t - 1.0)
+    # l1 = (1 + s) / 2 on psi- and l2 = (1 - s) / 2 on psi+
+    state, twin = bell_diagonal_copies(lam), bell_diagonal_copies([0.0, 0.0, (1.0 - s) / 2.0, (1.0 + s) / 2.0])
+    joint, twin_joint = joint_outcome_distribution(state), joint_outcome_distribution(twin)
+    assert max(abs(x - y) for x, y in zip(joint.as_tuple(), twin_joint.as_tuple())) <= 1e-14
+    assert abs(evaluate_scenario(twin, twin_joint).truth_single_copy_concurrence - s) <= 1e-12
 
 
 @settings(REPRODUCIBLE, max_examples=50)

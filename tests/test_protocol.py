@@ -9,7 +9,6 @@ import pytest
 from twocopy import (
     SINGLE_COPY,
     DensityOperator,
-    Ket,
     ensemble_upper_bound_entanglement,
     evaluate_scenario,
     joint_outcome_distribution,
@@ -34,6 +33,7 @@ from twocopy.states import (
 from conftest import (
     ALICE_ANTISYMMETRIC,
     antisym,
+    bell,
     random_de_finetti_ensemble,
     random_ket,
     random_product_ket,
@@ -43,10 +43,6 @@ from conftest import (
 )
 
 AB = SINGLE_COPY
-
-
-def bell() -> Ket:
-    return Ket(AB, np.array([0, 1, 1, 0]) / np.sqrt(2))
 
 
 def fully_mixed_two_copies():

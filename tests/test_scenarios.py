@@ -293,6 +293,16 @@ class TestParseAmplitudes:
         assert entries.shape == shape and entries.dtype == complex
         assert entries.tobytes() == np.array(leaves).tobytes()
 
+    def test_an_integer_beyond_the_float_range_is_no_plain_number(self):
+        # math.isfinite raises OverflowError on such an integer; the reader answers None instead
+        outcomes = []
+        for node in (10**400, [10**400], [[1, 0], [10**400, 0]]):
+            try:
+                outcomes.append(scenarios._number_grid(node))
+            except OverflowError as exc:
+                outcomes.append(exc)
+        assert outcomes == [None, None, None]
+
 
 def test_readme_metric_list_is_metric_names():
     readme = (REPO_ROOT / "README.md").read_text()
@@ -1107,10 +1117,10 @@ class TestComputedOnce:
                 "phase_averaged_state": int(path.stem == "phase-averaged"),
             }, path.stem
         # an override is a document field: the parser builds each state once with it
-        assert len(BUNDLED) == 7
+        assert len(BUNDLED) == 9
         calls.update(dict.fromkeys(calls, 0))
         assert main(["--seed", "7", *map(str, BUNDLED)]) == 0
-        assert calls == {"build_state": 7, "joint_outcome_distribution": 4, "phase_averaged_state": 1}
+        assert calls == {"build_state": 9, "joint_outcome_distribution": 6, "phase_averaged_state": 1}
         phase = str(REPO_ROOT / "scenarios" / "phase-averaged.json")
         calls.update(dict.fromkeys(calls, 0))
         assert main(["--phase-points", "8", phase]) == 0

@@ -7,7 +7,6 @@ from twocopy import (
     COPY_MAJOR,
     SINGLE_COPY,
     DensityOperator,
-    Ket,
     joint_outcome_distribution,
     validate_density,
     wootters_concurrence,
@@ -31,6 +30,7 @@ from twocopy.states import (
 from conftest import (
     antisym,
     basis_ket,
+    bell,
     density,
     exchange_copies,
     pure_concurrence,
@@ -41,10 +41,6 @@ from conftest import (
 )
 
 AB = SINGLE_COPY
-
-
-def bell() -> Ket:
-    return Ket(AB, np.array([0, 1, 1, 0]) / np.sqrt(2))
 
 
 ALL_CONSTRUCTED = [
@@ -184,6 +180,13 @@ class TestPhaseAveragedState:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="3"):
             phase_averaged_state(2)
+
+    @pytest.mark.parametrize("points", [[64], {"n": 64}], ids=["list", "mapping"])
+    def test_unhashable_points_are_refused_with_a_value_error(self, points):
+        # the parser turns a ValueError into a refusal; a set or dict lookup would raise TypeError
+        with pytest.raises(Exception) as refusal:
+            phase_averaged_state(points)
+        assert type(refusal.value) is ValueError, repr(refusal.value)
 
 
 class TestLogicalBellState:
