@@ -29,9 +29,11 @@ each seed, one interpreter per side, sides alternating as above, runs
 ``WARM_ROUNDS`` timed rounds after one untimed round, and its value is the
 median round in milliseconds.  ``tier1_s`` is the wall time of the tier-1
 suite (``python -m pytest -q --continue-on-collection-errors`` with the
-export's ``src`` first on the path), run ``TIER1_RUNS`` times in each
-export after the seeds, sides alternating as above; ``tests`` holds each
-side's pytest summary without its time.  Both are summarised as a metric
+export's ``src`` first on the path), run ``TIER1_RUNS`` times after the
+seeds, sides alternating as above, in a second export of each revision
+that keeps its own ``scenarios/``: the suite checks the revision's bundled
+configs against its own golden reports.  ``tests`` holds each side's
+pytest summary without its time.  Both are summarised as a metric
 is, without a bound, and gate nothing.  ``by_layer`` holds the per-layer
 metrics: after the seeds, ``bench/run.py ... --trace 1`` runs for seeds 1 to
 ``TRACE_RUNS`` in each export and workload, sides alternating as above, and
@@ -267,7 +269,10 @@ def main() -> None:
         main_warm = alternate(trees, args.seeds, warm_once, "seed bundled warm ms")
         fresh_runs = run_pairs(trees, workloads, args.fresh, seconds) if args.fresh else None
         fresh_warm = alternate(trees, args.fresh, warm_once, "seed bundled warm ms") if args.fresh else None
-        tier1 = alternate(trees, list(range(1, TIER1_RUNS + 1)), tier1_once, "tier-1 run")
+        own = {side: Path(tmp, f"{side}-own") for side in SIDES}
+        for side, commit in commits.items():
+            export(commit, own[side])
+        tier1 = alternate(own, list(range(1, TIER1_RUNS + 1)), tier1_once, "tier-1 run")
         traced = run_pairs(trees, workloads, list(range(1, TRACE_RUNS + 1)), seconds, trace=1)
     summary = {
         "parent_commit": commits["parent"],
