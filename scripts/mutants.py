@@ -7,16 +7,22 @@ an exact old text that occurs once in it, the new text that replaces it,
 the pytest node id that should fail on the result, and what the fault
 breaks.  For each row, this checkout's ``src`` is copied to a temporary
 directory (under ``$TMPDIR``), the one replacement is applied, and
-``python -m pytest -x -q NODE`` runs from the checkout with the copy first
-on ``PYTHONPATH``.  A mutant is killed when
-pytest reports a failing test; it survives when the tests pass.  The script
-stops if an old text does not occur exactly once, if the copy is not the
-package that gets imported, or if pytest ends otherwise (no test collected,
-a usage error).
+``python -m pytest -x -vv -rfE NODE`` runs from the checkout with the copy
+first on ``PYTHONPATH``.  A mutant is killed when a test fails on an
+assertion: every line of pytest's short summary is ``FAILED`` with an
+``AssertionError`` (an ``assert`` statement's, which pytest shows as
+``assert ...``, or one raised by ``numpy.testing``) or pytest's ``Failed``
+(``pytest.fail``, a ``pytest.raises`` that saw nothing raised).  It
+survives when the tests pass.  It crashed when a test fails on any other
+exception (a ``LinAlgError``, a ``TypeError``) or errors in its setup: a
+crash shows that the fault breaks something, not that a test checks what
+it breaks.  The script stops if an old text does not occur exactly once,
+if the copy is not the package that gets imported, or if pytest ends
+otherwise (no test collected, a usage error).
 
 Prints one JSON line, ``{"killed": K, "total": N, "survivors": [names],
-"wall_s": S}``.  Exits 1 if any mutant survives.  Uses only the standard
-library and the installed pytest.
+"crashed": [names], "wall_s": S}``.  Exits 1 if any mutant survives or
+crashes.  Uses only the standard library and the installed pytest.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -48,7 +55,7 @@ MUTANTS = (
     Mutant(
         "keys-without-percent-doubling", "twocopy/scenarios.py",
         'encode_basestring_ascii(key).replace("%", "%%") + ": %s"', 'encode_basestring_ascii(key) + ": %s"',
-        "tests/test_scenarios.py::test_hand_built_config_keys_are_written_as_the_standard_library",
+        "tests/test_scenarios.py::test_hand_built_config_keys_are_written_as_the_standard_library[paired-percent-keys]",
         "a key holding % is read as a format slot when the mapping's values are filled in",
     ),
     Mutant(
@@ -191,9 +198,15 @@ MUTANTS = (
     ),
     Mutant(
         "oracle-start-that-never-moves", "twocopy/measures.py",
-        "better = moved_value < value", "better = (moved_value < value) & (np.arange(len(value)) > 0)",
+        "better = live & (moved_value < value)", "better = live & (moved_value < value) & (np.arange(len(value)) > 0)",
         "tests/test_measures.py::TestQuasiNewtonFinish::test_objective_never_rises",
-        "the first live start never takes a step, so the oracle searches from fewer starts than STARTS",
+        "start 0 never takes a step, so the oracle searches from fewer starts than STARTS",
+    ),
+    Mutant(
+        "stopped-start-keeps-moving", "twocopy/measures.py",
+        "better = live & (moved_value < value)", "better = moved_value < value",
+        "tests/test_measures.py::TestQuasiNewtonFinish::test_a_stopped_start_stays_as_it_is",
+        "a start that has stalled FINISH_STALL times keeps taking steps, so the oracle's result depends on when the others stop",
     ),
     Mutant(
         "constant-states-without-table-lookup", "twocopy/scenarios.py",
@@ -252,8 +265,26 @@ def mutate(mutant: Mutant, src: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def killed(mutant: Mutant, tmp: Path) -> bool:
-    """Whether ``mutant``'s node fails on a mutated copy of this checkout's ``src``."""
+# a short-summary line of a test that failed on an assertion:
+# FAILED NODE - AssertionError: ..., - assert ... (a rewritten assert) or - Failed: ...
+ASSERTION_FAILURE = re.compile(r"FAILED .+? - (?:(?:AssertionError|Failed)(?::|$)|assert\b)")
+
+
+def summary(stdout: str) -> list[str]:
+    """The ``FAILED`` and ``ERROR`` lines of a ``pytest -vv -rfE`` run's short summary."""
+    return [line for line in stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+
+
+def verdict(returncode: int, stdout: str) -> str:
+    """``survived``, ``killed`` or ``crashed``, from a ``pytest -vv -rfE`` run's exit code (0 or 1) and output."""
+    if returncode == 0:
+        return "survived"
+    lines = summary(stdout)
+    return "killed" if lines and all(map(ASSERTION_FAILURE.match, lines)) else "crashed"
+
+
+def outcome(mutant: Mutant, tmp: Path) -> str:
+    """``mutant``'s verdict: how its node ends on a mutated copy of this checkout's ``src``."""
     src = tmp / mutant.name / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     mutate(mutant, src)
@@ -262,22 +293,26 @@ def killed(mutant: Mutant, tmp: Path) -> bool:
                              capture_output=True, text=True, cwd=ROOT, env=env).stdout.strip()
     if not package or not Path(package).is_relative_to(src):
         sys.exit(f"{mutant.name}: twocopy imported from {package or 'nowhere'}, not from the mutated copy")
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", mutant.node],
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-vv", "-rfE", "-p", "no:cacheprovider", mutant.node],
                           capture_output=True, text=True, cwd=ROOT, env=env)
     if proc.returncode not in (0, 1):
         sys.exit(f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout[-4000:]}{proc.stderr}")
-    print(f"{mutant.name}: {'killed' if proc.returncode else 'survived'}", file=sys.stderr, flush=True)
-    return proc.returncode == 1
+    result = verdict(proc.returncode, proc.stdout)
+    print(f"{mutant.name}: {result}", *summary(proc.stdout) if result == "crashed" else (), sep="\n  ",
+          file=sys.stderr, flush=True)
+    return result
 
 
 def main() -> None:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        survivors = [m.name for m in MUTANTS if not killed(m, Path(tmp))]
+        results = {m.name: outcome(m, Path(tmp)) for m in MUTANTS}
     wall = round(time.perf_counter() - start, 1)
-    print(json.dumps({"killed": len(MUTANTS) - len(survivors), "total": len(MUTANTS), "survivors": survivors, "wall_s": wall}))
-    sys.exit(1 if survivors else 0)
+    survivors, crashed = ([name for name, r in results.items() if r == kind] for kind in ("survived", "crashed"))
+    killed = len(MUTANTS) - len(survivors) - len(crashed)
+    print(json.dumps({"killed": killed, "total": len(MUTANTS), "survivors": survivors, "crashed": crashed, "wall_s": wall}))
+    sys.exit(1 if survivors or crashed else 0)
 
 
 if __name__ == "__main__":

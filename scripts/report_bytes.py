@@ -20,11 +20,13 @@ default table format, whose check lines are written from each config's
 scenarios/phase-averaged.json, accepted and refused.  The runs take place
 in a temporary directory that holds a link to scenarios/ and the document
 OVERRIDDEN, whose shots and points only the overrides make valid, so every
-path the CLI prints is the same on both sides.
+path the CLI prints is the same on both sides.  Last, it records the
+``float.hex`` of decomposition_infimum_oracle on every state of
+oracle_sweep(seed), with that state's own oracle seed.
 
-Prints how many reports, refusals and CLI runs are identical, and for each
-that differs its name and the first line on which the two sides part.
-Exits 1 if any differs.
+Prints how many reports, refusals, CLI runs and oracle values are
+identical, and for each that differs its name and the first line on which
+the two sides part.  Exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -118,8 +120,9 @@ def run_cli(main, argv: list[str]) -> str:
 
 
 def emit(src: str, first: int, last: int) -> None:
-    """Print one JSON object: each document's report or refusal and each CLI run's output, as ``src`` writes them."""
+    """Print one JSON object: each document's report or refusal, each CLI run's output and each oracle value, from ``src``."""
     sys.path.insert(0, src)
+    from twocopy import SINGLE_COPY, DensityOperator, decomposition_infimum_oracle
     from twocopy.cli import main as cli_main
     from twocopy.scenarios import ConfigError, emit_report, parse_config, run
 
@@ -134,6 +137,10 @@ def emit(src: str, first: int, last: int) -> None:
         Path(OVERRIDDEN[0]).write_text(json.dumps(OVERRIDDEN[1]))
         for argv in cli_runs(first, last):
             texts[f"cli {run_name(argv)}"] = {"cli run": run_cli(cli_main, argv)}
+    for seed in range(first, last + 1):
+        for k, s in enumerate(workloads.oracle_sweep(seed)):
+            rho = DensityOperator(SINGLE_COPY, np.array([[complex(*z) for z in row] for row in s["rho"]]))
+            texts[f"oracle-sweep seed {seed} #{k}"] = {"oracle value": decomposition_infimum_oracle(rho, s["seed"]).hex()}
     json.dump(texts, sys.stdout)
 
 
@@ -164,11 +171,12 @@ def main() -> None:
     old, new = (outputs(src, first, last) for src in args.sides)
     differ = [name for name in old if old[name] != new[name]]
     counts = []
-    for kind, plural in (("report", "reports"), ("refusal", "refusals"), ("cli run", "CLI runs")):
+    kinds = (("report", "reports"), ("refusal", "refusals"), ("cli run", "CLI runs"), ("oracle value", "oracle values"))
+    for kind, plural in kinds:
         names = [name for name in old if kind in old[name]]
         same = sum(name not in differ for name in names)
         counts.append(f"{same} identical of {len(names)} {plural}")
-    print(f"{counts[0]} and {counts[1]}, and {counts[2]} (seeds {first}-{last})")
+    print(f"{counts[0]} and {counts[1]}, {counts[2]}, and {counts[3]} (seeds {first}-{last})")
     for name in differ:
         a, b = ("\n".join(f"{kind}: {text}" for kind, text in side[name].items()) for side in (old, new))
         print(f"differs: {name}: {first_difference(a, b)}")

@@ -40,6 +40,7 @@ full.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -131,8 +132,7 @@ class Ket:
     def __post_init__(self) -> None:
         amps = _freeze(self, "amplitudes", 1)
         # a norm beyond the largest double is inf, and refused as such
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"ket must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
 

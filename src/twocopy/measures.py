@@ -179,33 +179,32 @@ def _finish(tau: np.ndarray) -> float:
 
     Each start stops after FINISH_STALL iterations in a row that each lower
     its value 2 sum_i |tau_ii| by less than FINISH_TOL / 2, or after
-    FINISH_ITERATIONS, and leaves the batch.  Returns the least value reached.
+    FINISH_ITERATIONS, and then stays in its row as it is: it takes no step,
+    so its gradient change is 0 and its inverse Hessian is kept.  Returns
+    the least value reached.
     """
-    value, stopped = _values(tau), np.inf
+    value = _values(tau)
     grad = _gradient(tau)
     hess = np.broadcast_to(np.eye(32), (len(tau), 32, 32))
     stalls = np.zeros(len(tau), dtype=int)
     for _ in range(FINISH_ITERATIONS):
+        live = stalls < FINISH_STALL
+        if not live.any():
+            break
         step = -(hess @ grad.view(float).reshape(len(tau), 32, 1))
         w, a = _line_search(tau, step.reshape(len(tau), 4, 8).view(complex))
         moved = w @ tau @ w.transpose(0, 2, 1)
         moved = (moved + moved.transpose(0, 2, 1)) / 2.0
         moved_value = _values(moved)
-        better = moved_value < value
+        better = live & (moved_value < value)
         stalls = np.where(better & (value - moved_value >= FINISH_TOL / 2.0), 0, stalls + 1)
         tau = np.where(better[:, None, None], moved, tau)
         value = np.where(better, moved_value, value)
-        live = stalls < FINISH_STALL
-        if not live.all():
-            stopped = min(stopped, value[~live].min())
-            tau, value, stalls, grad, hess, step, a = (x[live] for x in (tau, value, stalls, grad, hess, step, a))
-            if not live.any():
-                break
         new_grad = _gradient(tau)
         y = (new_grad - grad).view(float).reshape(len(tau), 32)
         hess = _bfgs(hess, a[:, None] * step[:, :, 0], y)
         grad = new_grad
-    return float(np.min(value, initial=stopped))
+    return float(value.min())
 
 
 def decomposition_infimum_oracle(rho: DensityOperator, seed: int = 0) -> float:

@@ -21,6 +21,8 @@ from twocopy import measures
 from twocopy.measures import (
     _ANGLES,
     _PRECONCURRENCE_FORM,
+    FINISH_STALL,
+    FINISH_TOL,
     MEMBERS,
     RANK_CUTOFF,
     STARTS,
@@ -285,17 +287,14 @@ class TestQuasiNewtonFinish:
 
     @staticmethod
     def followed(steps):
-        """For each step with a successor, the row each successor row came from: it stayed or moved to W tau W^T.
-
-        Stopped starts leave the batch, so the successor may have fewer rows.
-        """
+        """Each stack with its successor, after checking that row k of the successor is row k, as it was or moved to W tau W^T."""
         for (t, _, w, _), (after, *_) in zip(steps, steps[1:]):
             moved = w @ t @ w.transpose(0, 2, 1)
             moved = (moved + moved.transpose(0, 2, 1)) / 2.0
-            rows = [next(k for k in range(len(t)) if np.array_equal(row, t[k]) or np.array_equal(row, moved[k]))
-                    for row in after]
-            assert rows == sorted(set(rows))
-            yield t, after, rows
+            assert after.shape == t.shape
+            for k in range(len(t)):
+                assert np.array_equal(after[k], t[k]) or np.array_equal(after[k], moved[k])
+            yield t, after
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_every_step_is_a_unitary_congruence(self, rng, monkeypatch, rank):
@@ -310,15 +309,27 @@ class TestQuasiNewtonFinish:
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_objective_never_rises(self, rng, monkeypatch, rank):
         result, steps, _ = self.recorded_finish(monkeypatch, finalist_stack(rng, rank))
-        # each start's value at the last line search it reaches, found by following its row
-        first = _values(steps[0][0])
-        last, origin = first.copy(), np.arange(len(first))
-        for t, after, rows in self.followed(steps):
-            assert np.all(_values(after) <= _values(t)[rows])
-            origin = origin[rows]
-            last[origin] = _values(after)
+        # each start's value at the last line search, in its own row
+        first, last = _values(steps[0][0]), _values(steps[-1][0])
+        for t, after in self.followed(steps):
+            assert np.all(_values(after) <= _values(t))
         assert np.all(last < first)
         assert result <= last.min()
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_a_stopped_start_stays_as_it_is(self, rng, monkeypatch, rank):
+        # a start stops once FINISH_STALL iterations in a row each gained
+        # under FINISH_TOL / 2; from then on its row of tau and its
+        # direction never change, while the others search on
+        _, steps, _ = self.recorded_finish(monkeypatch, finalist_stack(rng, rank))
+        stalls, stopped, checked = np.zeros(STARTS, dtype=int), np.zeros(STARTS, dtype=bool), 0
+        for (t, h, *_), (after, h_after, *_) in zip(steps, steps[1:]):
+            stopped |= stalls >= FINISH_STALL
+            assert np.array_equal(after[stopped], t[stopped])
+            assert np.array_equal(h_after[stopped], h[stopped])
+            checked += stopped.sum()
+            stalls = np.where(_values(t) - _values(after) >= FINISH_TOL / 2.0, 0, stalls + 1)
+        assert checked > 0 and not stopped.all()
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_finish_repeats_bit_for_bit(self, rng, rank):

@@ -566,6 +566,8 @@ def test_a_config_key_that_is_not_a_string_is_refused(key):
 
 HAND_BUILT_CONFIGS = {
     "percent-keys": {"100%": 1, "%s": "%d", "%%": {"%(x)s": [], "%": "%%"}},
+    # % signs that pair up: undoubled, each pair would be read as one %, and the keys written short, with no error
+    "paired-percent-keys": {"%%": 1, "50%%": {"%%%%": "%"}},
     "quoted-and-non-ascii-keys": {'say "hi"': "q", "\u00e9t\u00e9": {"\u2603": 1.5, "\\": None, "\n": True}},
     "sorted-insertion": {"a": {"x": 3, "y": [2, {"p": 1, "q": 0}]}, "b": 1},
     "reversed-insertion": {"b": 1, "a": {"y": [2, {"q": 0, "p": 1}], "x": 3}},
