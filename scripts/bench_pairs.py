@@ -4,7 +4,8 @@
 
 PARENT and CHANGE are git revisions of this repository.  Each is exported
 clean with ``git archive`` into a temporary directory (under ``$TMPDIR``);
-the parent's ``bench/``, ``scenarios/`` and ``BENCHMARK.json`` go into both
+once each side's tier-1 suite has been timed there (see ``tier1_s``), the
+parent's ``bench/``, ``scenarios/`` and ``BENCHMARK.json`` go into both
 exports, so the two sides differ only in the program they measure.  For each
 seed, and each workload of BENCHMARK.json in turn, ``bench/run.py --workload
 W --seed K --seconds S --trace 0`` runs once in each export, S being the
@@ -29,10 +30,11 @@ each seed, one interpreter per side, sides alternating as above, runs
 ``WARM_ROUNDS`` timed rounds after one untimed round, and its value is the
 median round in milliseconds.  ``tier1_s`` is the wall time of the tier-1
 suite (``python -m pytest -q --continue-on-collection-errors`` with the
-export's ``src`` first on the path), run ``TIER1_RUNS`` times after the
-seeds, sides alternating as above, in a second export of each revision
-that keeps its own ``scenarios/``: the suite checks the revision's bundled
-configs against its own golden reports.  ``tests`` holds each side's
+export's ``src`` first on the path), run ``TIER1_RUNS`` times before the
+seeds, sides alternating as above, in each export before the parent's
+files are lent to the change's, so that each keeps its own ``scenarios/``:
+the suite checks the revision's bundled configs against its own golden
+reports.  ``tests`` holds each side's
 pytest summary without its time.  Both are summarised as a metric
 is, without a bound, and gate nothing.  ``by_layer`` holds the per-layer
 metrics: after the seeds, ``bench/run.py ... --trace 1`` runs for seeds 1 to
@@ -255,6 +257,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
         commits = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
+        tier1 = alternate(trees, list(range(1, TIER1_RUNS + 1)), tier1_once, "tier-1 run")
         for name in SHARED:
             source, target = trees["parent"] / name, trees["change"] / name
             if source.is_dir():
@@ -269,10 +272,6 @@ def main() -> None:
         main_warm = alternate(trees, args.seeds, warm_once, "seed bundled warm ms")
         fresh_runs = run_pairs(trees, workloads, args.fresh, seconds) if args.fresh else None
         fresh_warm = alternate(trees, args.fresh, warm_once, "seed bundled warm ms") if args.fresh else None
-        own = {side: Path(tmp, f"{side}-own") for side in SIDES}
-        for side, commit in commits.items():
-            export(commit, own[side])
-        tier1 = alternate(own, list(range(1, TIER1_RUNS + 1)), tier1_once, "tier-1 run")
         traced = run_pairs(trees, workloads, list(range(1, TRACE_RUNS + 1)), seconds, trace=1)
     summary = {
         "parent_commit": commits["parent"],

@@ -149,11 +149,10 @@ MUTANTS = (
         "a mixture of more members than the rounding argument covers is checked by its trace alone",
     ),
     Mutant(
-        "dense-mixture-returns-a-view", "twocopy/states.py",
-        '        np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos, out=total.reshape(4, 4, 4, 4))\n        return total\n',
-        '        return np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos).reshape(16, 16)\n',
+        "support-of-the-first-member", "twocopy/states.py",
+        "support = np.flatnonzero(flat.any(axis=0))", "support = np.flatnonzero(flat[0])",
         "tests/test_properties.py::test_mixture_has_the_bytes_of_the_full_einsum",
-        "a dense mixture is a view of the einsum's 4x4x4x4 result, so the frozen state does not own its data",
+        "an entry nonzero only in a later member is left out of the mixture of copies",
     ),
     Mutant(
         "p-as-p-sa-swapped", "twocopy/protocol.py",
@@ -210,15 +209,15 @@ MUTANTS = (
     ),
     Mutant(
         "constant-states-without-table-lookup", "twocopy/scenarios.py",
-        "joint, verdict = _CONSTANT_EVALUATIONS.get(key) or _evaluate(config.scenario, config.state)",
+        "joint, verdict = _CONSTANT_EVALUATIONS.get((config.scenario, config.state)) or _evaluate(config.scenario, config.state)",
         "joint, verdict = _evaluate(config.scenario, config.state)",
         "tests/test_scenarios.py::TestComputedOnce::test_state_and_distribution_once_per_scenario",
         "the eve and phase-averaged states are evaluated again on every run",
     ),
     Mutant(
         "constant-states-looked-up-by-id-alone", "twocopy/scenarios.py",
-        "key = (config.scenario, id(config.state))",
-        "key = next((k for k in _CONSTANT_EVALUATIONS if k[1] == id(config.state)), None)",
+        "_CONSTANT_EVALUATIONS.get((config.scenario, config.state))",
+        "_CONSTANT_EVALUATIONS.get(next((k for k in _CONSTANT_EVALUATIONS if k[1] == config.state), None))",
         "tests/test_scenarios.py::TestConstantEvaluations::test_constant_state_under_another_row_takes_that_rows_bound",
         "a constant state under another scenario row gets its own row's verdict and decomposition bound",
     ),

@@ -26,7 +26,8 @@ a pure function of its inputs.  A :class:`Ket` and a
 labels name a register, the array has that register's shape and finite
 entries, and it is stored as a frozen complex copy, so values are safe to
 share between threads.  Each class then adds its own check, the norm or
-the density invariants.
+the density invariants.  A state equals only itself and hashes by identity:
+an array field has no one truth value to compare by.
 Every :class:`DensityOperator` built from a matrix is validated, the one
 ``tensor_product`` returns too: the product of two valid factors may leave
 the trace bound, as two traces of 1 + 9e-11 give 1 + 1.8e-10.  Only
@@ -122,7 +123,7 @@ def ensemble_weights(members: Sequence[tuple[float, object]], labels: tuple[str,
     return weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ket:
     """Normalized pure state on ``SINGLE_COPY`` or ``COPY_MAJOR``."""
 
@@ -137,7 +138,7 @@ class Ket:
             raise ValueError(f"ket must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator on one of the two registers.
 

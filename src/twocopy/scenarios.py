@@ -420,11 +420,10 @@ def _evaluate(scenario: str, state: DensityOperator) -> tuple[OutcomeDistributio
 
 
 # Each scenario's constant states, evaluated once, keyed by the row's name and
-# the state's id.  The ids are safe keys: these states are module constants of
-# twocopy.states that live as long as the process, so no other object can
-# reuse their ids.  Any other pairing of row and state is evaluated per run.
+# the state, which equals only itself.  Any other pairing of row and state is
+# evaluated per run.
 _CONSTANT_EVALUATIONS = {
-    (name, id(state)): _evaluate(name, state)
+    (name, state): _evaluate(name, state)
     for name, state in [("eve-antisym", eve_state("antisymmetric")), ("eve-sym", eve_state("symmetric"))]
     + [("phase-averaged", phase_averaged_state(points)) for points in ("exact", "discretized")]
 }
@@ -432,8 +431,7 @@ _CONSTANT_EVALUATIONS = {
 
 def run(config: ScenarioConfig) -> ScenarioReport:
     """Evaluate a scenario deterministically and check its expectations."""
-    key = (config.scenario, id(config.state))
-    joint, verdict = _CONSTANT_EVALUATIONS.get(key) or _evaluate(config.scenario, config.state)
+    joint, verdict = _CONSTANT_EVALUATIONS.get((config.scenario, config.state)) or _evaluate(config.scenario, config.state)
     record = sample_outcomes(joint, config.shots, config.seed) if config.shots else None
 
     checks = []

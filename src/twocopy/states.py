@@ -62,19 +62,15 @@ MAX_PHASE_POINTS = 4096
 def _mixture_of_copies(weights, rhos: np.ndarray) -> np.ndarray:
     """sum_i w_i rho_i x rho_i, a 16x16 array, from an (N, 4, 4) stack of single-copy matrices.
 
-    The bytes are those of the full ``einsum("n,nij,nkl->ikjl")``.  A dense
-    stack, every entry nonzero in some member, is summed by that einsum
-    itself.  Any other is summed only over its support, the entries nonzero
-    in some member: each (w a) b is still added in member order from +0, and
-    an entry zero in every member gets only +-0 terms, so +0.  The result
-    owns its data, so once frozen no writable array shares it.
+    The bytes are those of the full ``einsum("n,nij,nkl->ikjl")``, though the
+    sum runs only over the stack's support, the entries nonzero in some
+    member: each (w a) b is added in member order from +0, as that einsum
+    adds it, and an entry zero in every member gets only +-0 terms, so +0.
+    The result owns its data, so once frozen no writable array shares it.
     """
     flat = rhos.reshape(len(rhos), 16)
     support = np.flatnonzero(flat.any(axis=0))
     total = np.zeros((16, 16), dtype=complex)
-    if len(support) == 16:
-        np.einsum("n,nij,nkl->ikjl", weights, rhos, rhos, out=total.reshape(4, 4, 4, 4))
-        return total
     block = flat[:, support]
     # the product of the single-copy entries a = 4i + j and b = 4k + l goes
     # to row 4i + k, column 4j + l: to [i, k, j, l] of the 4x4x4x4 view

@@ -119,6 +119,19 @@ class TestLayout:
         with pytest.raises(ValueError, match=r"^entries must be finite \(no NaN/Inf\)$"):
             DensityOperator(labels, rho)
 
+    @pytest.mark.parametrize(
+        "cls, name, array", [(Ket, "amplitudes", BELL), (DensityOperator, "entries", np.eye(4) / 4)], ids=["ket", "density"]
+    )
+    def test_states_compare_and_hash_by_identity(self, cls, name, array):
+        # an array field has no one truth value, so a state equals only itself
+        a, b = cls(SINGLE_COPY, array), cls(SINGLE_COPY, array)
+        assert a.labels == b.labels and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a)
+        assert a in [a] and a not in [b]
+        table = {a: "a"}
+        assert table[a] == "a" and b not in table
+
 
 class TestTensorProduct:
     def test_identity_composition(self):

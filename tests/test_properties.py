@@ -439,11 +439,18 @@ def signed_zero_stack() -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.1, 0.2, 0.3, 0.4]), rhos
 
 
+def staggered_stack() -> tuple[np.ndarray, np.ndarray]:
+    """|01> and then (|01> + |10>)/sqrt 2: the second member's support holds the first's and more."""
+    kets = np.array([[0, 1, 0, 0], [0, 1, 1, 0]], dtype=complex)
+    return np.array([0.25, 0.75]), ket_projectors(kets / np.linalg.norm(kets, axis=1)[:, None])
+
+
 @REPRODUCIBLE
 @given(copy_stacks())
 @example((np.ones(1), ket_projectors(np.array([[1, 1j, -1, 2]]) / math.sqrt(7.0))))
 @example(signed_zero_stack())
 @example(phase_grid(5))
+@example(staggered_stack())
 def test_mixture_has_the_bytes_of_the_full_einsum(stack):
     weights, rhos = stack
     mixture = _mixture_of_copies(weights, rhos)

@@ -1151,10 +1151,10 @@ class TestConstantEvaluations:
     @pytest.mark.parametrize("name", CONSTANT_DOCUMENTS)
     def test_stored_report_equals_a_fresh_evaluation(self, name):
         config = constant_config(name)
-        assert (config.scenario, id(config.state)) in scenarios._CONSTANT_EVALUATIONS
+        assert (config.scenario, config.state) in scenarios._CONSTANT_EVALUATIONS
         # a separate operator with the same entries is not in the table, so run evaluates it afresh
         fresh = dataclasses.replace(config, state=DensityOperator(COPY_MAJOR, config.state.entries.copy()))
-        assert (fresh.scenario, id(fresh.state)) not in scenarios._CONSTANT_EVALUATIONS
+        assert (fresh.scenario, fresh.state) not in scenarios._CONSTANT_EVALUATIONS
         assert report_to_json(run(config)) == report_to_json(run(fresh))
 
     def test_constant_state_under_another_row_takes_that_rows_bound(self):
