@@ -87,12 +87,14 @@ TOLERANCES = {
 
 
 def margins(seeds: list[int]) -> dict:
+    """The printed line: per quantity, its tolerance, the closest approach and the margin."""
     rows = []
     for text in documents(seeds):
         try:
-            rows.append(quantities(parse_config(text).state.entries))
+            config = parse_config(text)
         except ConfigError:
             continue
+        rows.append(quantities(config.state.entries))
     out = {"seeds": [seeds[0], seeds[-1]], "documents": len(rows)}
     for name, (tolerance, bound, upper) in TOLERANCES.items():
         values = [row[name] for row in rows]
