@@ -197,15 +197,15 @@ MUTANTS = (
     ),
     Mutant(
         "oracle-start-that-never-moves", "twocopy/measures.py",
-        "better = live & (moved_value < value)", "better = live & (moved_value < value) & (np.arange(len(value)) > 0)",
+        "better = moved_value < value", "better = (moved_value < value) & (np.arange(len(value)) > 0)",
         "tests/test_measures.py::TestQuasiNewtonFinish::test_objective_never_rises",
         "start 0 never takes a step, so the oracle searches from fewer starts than STARTS",
     ),
     Mutant(
-        "stopped-start-keeps-moving", "twocopy/measures.py",
-        "better = live & (moved_value < value)", "better = moved_value < value",
-        "tests/test_measures.py::TestQuasiNewtonFinish::test_a_stopped_start_stays_as_it_is",
-        "a start that has stalled FINISH_STALL times keeps taking steps, so the oracle's result depends on when the others stop",
+        "search-ends-on-its-worst-start", "twocopy/measures.py",
+        "stalls[value.argmin()]", "stalls[value.argmax()]",
+        "tests/test_measures.py::TestQuasiNewtonFinish::test_the_search_ends_when_its_best_start_stops",
+        "the search ends when the start holding the greatest value stops, not the one holding the least",
     ),
     Mutant(
         "constant-states-without-table-lookup", "twocopy/scenarios.py",

@@ -4,9 +4,10 @@
 
 Runs decomposition_infimum_oracle on every state of bench/workloads.py's
 oracle_sweep(seed), for each seed of the inclusive range, and compares it
-with the closed form.  Each random start is searched alone, by wrapping
-measures._finish, so the seeded draw is the oracle's own.  Prints one JSON
-line: the worst and least gap (the best of STARTS, minus the closed form),
+with the closed form.  A wrapper around measures._finish also searches each
+random start alone, from the oracle's own seeded draw, and then returns the
+batched search's result, so the oracle's value is its own.  Prints one JSON
+line: the worst and least gap (the oracle's value minus the closed form),
 how many single starts end more than 1e-6 above the closed form out of all
 starts searched, and every state above 1e-8 as [seed, index, rank, gap].
 """
@@ -29,29 +30,38 @@ from twocopy import SINGLE_COPY, DensityOperator, decomposition_infimum_oracle, 
 from twocopy import measures  # noqa: E402
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", required=True, type=seed_range, help="one oracle-sweep seed K, or an inclusive range A-B")
-    seeds = parser.parse_args().seeds
+def gaps(rho: DensityOperator, seed: int) -> tuple[float, list[float]]:
+    """The oracle's gap above the closed form on ``rho``, and the gap of each start searched alone (none if pure)."""
     finish, starts = measures._finish, []
 
     def alone(tau):
         starts[:] = [finish(tau[k:k + 1]) for k in range(len(tau))]
-        return min(starts)
+        return finish(tau)
 
     measures._finish = alone
-    gaps, high, total, wide = [], 0, 0, []
+    try:
+        value = decomposition_infimum_oracle(rho, seed)
+    finally:
+        measures._finish = finish
+    closed_form = wootters_concurrence(rho)
+    return value - closed_form, [v - closed_form for v in starts]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", required=True, type=seed_range, help="one oracle-sweep seed K, or an inclusive range A-B")
+    seeds = parser.parse_args().seeds
+    state_gaps, high, total, wide = [], 0, 0, []
     for seed in seeds:
         for index, state in enumerate(workloads.oracle_sweep(seed)):
             rho = DensityOperator(SINGLE_COPY, np.array([[complex(*z) for z in row] for row in state["rho"]]))
-            starts.clear()
-            closed_form = wootters_concurrence(rho)
-            gaps.append(decomposition_infimum_oracle(rho, state["seed"]) - closed_form)
-            high += sum(v - closed_form > 1e-6 for v in starts)
+            gap, starts = gaps(rho, state["seed"])
+            state_gaps.append(gap)
+            high += sum(g > 1e-6 for g in starts)
             total += len(starts)
-            if gaps[-1] > 1e-8:
-                wide.append([seed, index, state["rank"], gaps[-1]])
-    print(json.dumps({"seeds": [seeds[0], seeds[-1]], "worst_gap": max(gaps), "least_gap": min(gaps),
+            if gap > 1e-8:
+                wide.append([seed, index, state["rank"], gap])
+    print(json.dumps({"seeds": [seeds[0], seeds[-1]], "worst_gap": max(state_gaps), "least_gap": min(state_gaps),
                       "starts_above_1e-6": [high, total], "states_above_1e-8": wide}))
 
 

@@ -114,8 +114,8 @@ MEMBERS = 4  # an optimal decomposition needs at most 4 (Wootters, PRL 80, 2245)
 STARTS = 4  # random starts; 6 of 8,640 alone end above 1e-6 on oracle-sweep seeds 1-30 (scripts/oracle_gaps.py)
 RANK_CUTOFF = 1e-12  # eigenvalues below this are rounding noise of a rank-deficient state
 FINISH_TOL = 1e-9  # well inside the 1e-6 the oracle is held to below the closed form
-FINISH_STALL = 3  # a start stops after this many iterations in a row gaining under FINISH_TOL / 2
-FINISH_ITERATIONS = 300  # each start's budget; FINISH_STALL ends all but a few per thousand before it
+FINISH_STALL = 3  # the search ends once the best start has gained under FINISH_TOL / 2 this many iterations in a row
+FINISH_ITERATIONS = 300  # the search's budget; the worst oracle-sweep state of seeds 1-30 takes 73
 
 _TINY = np.finfo(float).tiny
 # the finish's step sizes, as the largest rotation angle a max|w| of the step:
@@ -177,26 +177,26 @@ def _bfgs(hess: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _finish(tau: np.ndarray) -> float:
     """Riemannian BFGS on U(4) for an (S, 4, 4) stack.
 
-    Each start stops after FINISH_STALL iterations in a row that each lower
-    its value 2 sum_i |tau_ii| by less than FINISH_TOL / 2, or after
-    FINISH_ITERATIONS, and then stays in its row as it is: it takes no step,
-    so its gradient change is 0 and its inverse Hessian is kept.  Returns
-    the least value reached.
+    Every start takes its step whenever it lowers its own value
+    2 sum_i |tau_ii|, row k of ``value``.  A start stalls on an iteration
+    that lowers it by less than FINISH_TOL / 2, and the search ends on the
+    first iteration at which the start holding the least value has stalled
+    FINISH_STALL times in a row, or after FINISH_ITERATIONS.  Returns the
+    least value reached.
     """
     value = _values(tau)
     grad = _gradient(tau)
     hess = np.broadcast_to(np.eye(32), (len(tau), 32, 32))
     stalls = np.zeros(len(tau), dtype=int)
     for _ in range(FINISH_ITERATIONS):
-        live = stalls < FINISH_STALL
-        if not live.any():
+        if stalls[value.argmin()] >= FINISH_STALL:
             break
         step = -(hess @ grad.view(float).reshape(len(tau), 32, 1))
         w, a = _line_search(tau, step.reshape(len(tau), 4, 8).view(complex))
         moved = w @ tau @ w.transpose(0, 2, 1)
         moved = (moved + moved.transpose(0, 2, 1)) / 2.0
         moved_value = _values(moved)
-        better = live & (moved_value < value)
+        better = moved_value < value
         stalls = np.where(better & (value - moved_value >= FINISH_TOL / 2.0), 0, stalls + 1)
         tau = np.where(better[:, None, None], moved, tau)
         value = np.where(better, moved_value, value)
@@ -213,10 +213,11 @@ def decomposition_infimum_oracle(rho: DensityOperator, seed: int = 0) -> float:
     Minimizes the ensemble-averaged concurrence over decompositions of
     ``rho`` into 4 pure states (MEMBERS).  A pure state is its own only
     decomposition and returns at once.  Otherwise 4 (STARTS) seeded random
-    isometries (QR-orthonormalized complex Gaussians) are each descended by
-    Riemannian BFGS on U(4), until 3 (FINISH_STALL) iterations in a row gain
-    less than 5e-10 (FINISH_TOL / 2) or for at most 300 (FINISH_ITERATIONS).
-    Deterministic for a fixed seed.
+    isometries (QR-orthonormalized complex Gaussians) are descended together
+    by Riemannian BFGS on U(4), until the start holding the least value has
+    gained less than 5e-10 (FINISH_TOL / 2) on 3 (FINISH_STALL) iterations
+    in a row, or for at most 300 (FINISH_ITERATIONS).  Deterministic for a
+    fixed seed.
 
     Every candidate is an exact decomposition, so the result is always an
     upper bound on the infimum up to floating-point error.

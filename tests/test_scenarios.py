@@ -391,6 +391,16 @@ class TestEmission:
         text = report_to_json(report)
         assert report_from_json(text) == report
 
+    def test_configs_and_reports_are_unhashable_values(self):
+        # both are value records over dicts: they compare by value and, as
+        # dicts are, cannot be hashed
+        config = parse_config((REPO_ROOT / "scenarios" / "eve-sym.json").read_text())
+        report = run(config)
+        for record in (config, report):
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(record)
+        assert report_from_json(report_to_json(report)) == report
+
     def test_structured_output_is_deterministic(self):
         text_a = report_to_json(run(parse_config(de_finetti_mixed_config(shots=500))))
         text_b = report_to_json(run(parse_config(de_finetti_mixed_config(shots=500))))
