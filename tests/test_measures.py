@@ -329,7 +329,7 @@ class TestQuasiNewtonFinish:
         t, _, w, _ = steps[-1]
         moved = congruence(w, t)
         last = np.minimum(_values(t), _values((moved + moved.transpose(0, 2, 1)) / 2.0))
-        values = [_values(t) for t, *_ in steps] + [last]
+        values = [_values(step[0]) for step in steps] + [last]
         stalls = np.zeros(STARTS, dtype=int)
         for before, after in zip(values, values[1:]):
             assert stalls[before.argmin()] < FINISH_STALL

@@ -15,7 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def scripts():
-    """``scripts/oracle_gaps.py`` and ``bench/worker.py``; the script reads ``--seeds`` through ``bench_pairs``."""
+    """``scripts/oracle_gaps.py``, ``bench/worker.py`` and ``bench/workloads.py``; the script imports ``bench_pairs``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(REPO_ROOT / "scripts"))
         spec = importlib.util.spec_from_file_location("oracle_gaps", REPO_ROOT / "scripts" / "oracle_gaps.py")
